@@ -158,14 +158,15 @@ func (s *Loudspeaker) Render(x []float64) ([]float64, error) {
 			return 1
 		}
 	})
-	out := make([]float64, len(shaped))
+	// The shaped signal is a fresh slice: apply the nonlinearity in place.
 	peak := dsp.MaxAbs(shaped)
 	if peak == 0 {
-		return out, nil
+		clear(shaped) // the all-zero signal, with any -0 made +0
+		return shaped, nil
 	}
 	for i, v := range shaped {
 		u := v / peak
-		out[i] = s.Gain * peak * (u - s.Distortion*u*u*u)
+		shaped[i] = s.Gain * peak * (u - s.Distortion*u*u*u)
 	}
-	return out, nil
+	return shaped, nil
 }

@@ -23,8 +23,9 @@ func runGroup(b *testing.B, group string) {
 	}
 }
 
-// BenchmarkFFTPlan measures a planned 1024-point transform into a reused
-// destination (zero allocations) next to the legacy per-call transform.
+// BenchmarkFFTPlan measures planned transforms into a reused destination
+// (zero allocations): 1024 points next to the legacy per-call transform,
+// and the 65536/131072-point sizes the replay stage runs.
 func BenchmarkFFTPlan(b *testing.B) { runGroup(b, "FFTPlan") }
 
 // BenchmarkSTFT measures the planned zero-alloc spectrogram on the paper's
@@ -44,5 +45,15 @@ func BenchmarkEstimateDelayFFT(b *testing.B) { runGroup(b, "EstimateDelayFFT") }
 func BenchmarkEstimateDelayLegacy(b *testing.B) { runGroup(b, "EstimateDelayLegacy") }
 
 // BenchmarkPowerSpectrum measures the packed real-input spectrum against
-// the legacy full-length complex transform.
+// the legacy full-length complex transform, and the Bluestein path on a
+// replay-segment length.
 func BenchmarkPowerSpectrum(b *testing.B) { runGroup(b, "PowerSpectrum") }
+
+// BenchmarkFrequencyShape measures the replay stage's shaping filter on a
+// replay-segment length next to the legacy per-call implementation.
+func BenchmarkFrequencyShape(b *testing.B) { runGroup(b, "FrequencyShape") }
+
+// BenchmarkSenseFeatures measures one full cross-domain sensing pass
+// (speaker render, accelerometer capture, feature extraction) on a
+// replay-segment length.
+func BenchmarkSenseFeatures(b *testing.B) { runGroup(b, "SenseFeatures") }

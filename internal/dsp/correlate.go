@@ -3,7 +3,6 @@ package dsp
 import (
 	"math"
 	"sort"
-	"sync"
 )
 
 // CrossCorrelate computes the raw cross-correlation Corr(tau) =
@@ -70,51 +69,26 @@ func corrFFTLength(na, nb, maxLag int) int {
 	return NextPow2(need)
 }
 
-// corrBufPool recycles the large transform buffers of the FFT correlation
-// path. AlignRecordings runs once per scored sample from every
-// ParallelScorer worker, so steady-state delay estimation allocates
-// nothing; sync.Pool keeps recycling per-P and race-safe.
-var corrBufPool sync.Pool
-
-// getCorrBuf hands out a zeroed m-entry buffer plus the boxed header
-// pointer that travels through the pool with it. The header is boxed
-// here, once per fresh allocation — never in putCorrBuf, where taking a
-// parameter's address would force a heap copy on every call.
-func getCorrBuf(m int) ([]complex128, *[]complex128) {
-	if v := corrBufPool.Get(); v != nil {
-		ptr := v.(*[]complex128)
-		if cap(*ptr) >= m {
-			buf := (*ptr)[:m]
-			for i := range buf {
-				buf[i] = 0
-			}
-			return buf, ptr
-		}
-	}
-	ptr := new([]complex128)
-	*ptr = make([]complex128, m)
-	return *ptr, ptr
-}
-
-func putCorrBuf(ptr *[]complex128) {
-	corrBufPool.Put(ptr)
-}
-
 // corrSpectrum computes the circular cross-correlation of a and b (scaled
 // by m, the returned transform length) into a pooled buffer: entry tau
-// holds m*Corr(tau) in its real part for tau in [0, maxLag]. The caller
-// must return the buffer with putCorrBuf.
-func corrSpectrum(a, b []float64, maxLag int) ([]complex128, *[]complex128, int) {
+// holds m*Corr(tau) in its real part for tau in [0, maxLag]. The buffer
+// comes from the plan's scratch pool (AlignRecordings runs once per scored
+// sample from every ParallelScorer worker, so steady-state delay estimation
+// allocates nothing); the caller must return buf with p.putScratch. The
+// inputs are written straight to their bit-reversed positions.
+func corrSpectrum(a, b []float64, maxLag int) (f []complex128, p *FFTPlan, buf *[]complex128) {
 	m := corrFFTLength(len(a), len(b), maxLag)
-	p := mustPlanFFT(m)
-	f, ptr := getCorrBuf(m)
+	p = mustPlanFFT(m)
+	buf = p.getScratch()
+	f = *buf
 	for i, v := range a {
-		f[i] = complex(v, 0)
+		f[p.perm[i]] = complex(v, 0)
 	}
 	for i, v := range b {
-		f[i] = complex(real(f[i]), v)
+		j := p.perm[i]
+		f[j] = complex(real(f[j]), v)
 	}
-	p.transform(f, p.fwd)
+	butterflies(f, p.fwd)
 	// For packed f = a + i*b the individual spectra are
 	//   A[k] = (F[k] + conj(F[m-k]))/2,  B[k] = -i*(F[k] - conj(F[m-k]))/2,
 	// and the cross-spectrum S[k] = conj(A[k])*B[k] is Hermitian (the
@@ -133,7 +107,7 @@ func corrSpectrum(a, b []float64, maxLag int) ([]complex128, *[]complex128, int)
 		}
 	}
 	p.transform(f, p.inv)
-	return f, ptr, m
+	return f, p, buf
 }
 
 // CrossCorrelateFFT computes the same lags as CrossCorrelate via the
@@ -149,13 +123,13 @@ func CrossCorrelateFFT(a, b []float64, maxLag int) []float64 {
 	if len(a) == 0 || len(b) == 0 {
 		return make([]float64, maxLag+1)
 	}
-	f, ptr, m := corrSpectrum(a, b, maxLag)
-	inv := 1 / float64(m)
+	f, p, buf := corrSpectrum(a, b, maxLag)
+	inv := 1 / float64(p.n)
 	out := make([]float64, maxLag+1)
 	for tau := range out {
 		out[tau] = real(f[tau]) * inv
 	}
-	putCorrBuf(ptr)
+	p.putScratch(buf)
 	return out
 }
 
@@ -183,15 +157,15 @@ func EstimateDelayFFT(a, b []float64, maxLag int) int {
 	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
-	f, ptr, m := corrSpectrum(a, b, maxLag)
-	inv := 1 / float64(m)
+	f, p, buf := corrSpectrum(a, b, maxLag)
+	inv := 1 / float64(p.n)
 	best, bestVal := 0, math.Inf(-1)
 	for tau := 0; tau <= maxLag; tau++ {
 		if v := real(f[tau]) * inv; v > bestVal {
 			best, bestVal = tau, v
 		}
 	}
-	putCorrBuf(ptr)
+	p.putScratch(buf)
 	return best
 }
 

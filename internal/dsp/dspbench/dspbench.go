@@ -1,10 +1,11 @@
 // Package dspbench preserves the pre-plan reference implementations of the
-// hot dsp primitives (per-call radix-2 FFT, per-frame-allocating STFT, the
-// O(n*maxLag) delay search) and defines the benchmark kernels that compare
-// them against the planned engine. The kernels are shared by the
-// `go test -bench` wrappers in internal/dsp and by cmd/benchdsp, which
-// emits the checked-in BENCH_dsp.json baseline, so the two can never
-// measure different workloads.
+// hot dsp primitives (per-call radix-2 and Bluestein FFTs, frequency-domain
+// shaping, per-frame-allocating STFT, the O(n*maxLag) delay search) and
+// defines the benchmark kernels that compare them against the planned
+// engine. The kernels are shared by the `go test -bench` wrappers in
+// internal/dsp and by cmd/benchdsp, which emits the checked-in
+// BENCH_dsp.json baseline, so the two can never measure different
+// workloads.
 package dspbench
 
 import (
@@ -15,7 +16,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"vibguard/internal/device"
 	"vibguard/internal/dsp"
+	"vibguard/internal/sensing"
 )
 
 // legacyRadix2 is the historical in-place iterative radix-2 FFT that
@@ -54,20 +57,70 @@ func legacyRadix2(x []complex128, inverse bool) {
 	}
 }
 
-// FFTLegacy computes the DFT of a power-of-two-length input with the
-// historical per-call transform (fresh output slice, twiddles recomputed).
-func FFTLegacy(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	legacyRadix2(out, false)
+// legacyBluestein is the historical per-call chirp-z transform for
+// non-power-of-two lengths: the chirp and the filter spectrum are rebuilt on
+// every call and every transform runs through legacyRadix2. The planned
+// Bluestein path is its bit-exact descendant.
+func legacyBluestein(x []complex128, inverse bool) []complex128 {
+	n := len(x)
+	m := dsp.NextPow2(2*n - 1)
+	sign := -1.0
+	if inverse {
+		sign = 1.0
+	}
+	chirp := make([]complex128, n)
+	for k := range chirp {
+		kk := (int64(k) * int64(k)) % int64(2*n)
+		angle := sign * math.Pi * float64(kk) / float64(n)
+		chirp[k] = cmplx.Rect(1, angle)
+	}
+	filt := make([]complex128, m)
+	for k := 0; k < n; k++ {
+		filt[k] = cmplx.Conj(chirp[k])
+	}
+	for k := 1; k < n; k++ {
+		filt[m-k] = cmplx.Conj(chirp[k])
+	}
+	legacyRadix2(filt, false)
+	a := make([]complex128, m)
+	for k := 0; k < n; k++ {
+		a[k] = x[k] * chirp[k]
+	}
+	legacyRadix2(a, false)
+	for i := range a {
+		a[i] *= filt[i]
+	}
+	legacyRadix2(a, true)
+	invM := 1 / float64(m)
+	out := make([]complex128, n)
+	for k := range out {
+		out[k] = a[k] * chirp[k] * complex(invM, 0)
+	}
 	return out
+}
+
+// legacyTransform dispatches like the historical dsp.FFT: radix-2 for
+// powers of two, Bluestein otherwise. The result is a fresh slice.
+func legacyTransform(x []complex128, inverse bool) []complex128 {
+	n := len(x)
+	if n&(n-1) != 0 {
+		return legacyBluestein(x, inverse)
+	}
+	out := make([]complex128, n)
+	copy(out, x)
+	legacyRadix2(out, inverse)
+	return out
+}
+
+// FFTLegacy computes the DFT of x with the historical per-call transform
+// (fresh output slice, twiddles and chirps recomputed). Any length works.
+func FFTLegacy(x []complex128) []complex128 {
+	return legacyTransform(x, false)
 }
 
 // IFFTLegacy is the historical inverse transform including 1/N scaling.
 func IFFTLegacy(x []complex128) []complex128 {
-	out := make([]complex128, len(x))
-	copy(out, x)
-	legacyRadix2(out, true)
+	out := legacyTransform(x, true)
 	inv := 1 / float64(len(x))
 	for i := range out {
 		out[i] = complex(real(out[i])*inv, imag(out[i])*inv)
@@ -75,20 +128,51 @@ func IFFTLegacy(x []complex128) []complex128 {
 	return out
 }
 
-// PowerSpectrumLegacy computes the single-sided power spectrum of a
-// power-of-two-length real signal the historical way: a full-length complex
-// transform with per-call buffers.
+// PowerSpectrumLegacy computes the single-sided power spectrum of a real
+// signal the historical way: a full-length complex transform (radix-2 or
+// Bluestein) with per-call buffers, keeping bins 0..n/2.
 func PowerSpectrumLegacy(x []float64) []float64 {
 	cx := make([]complex128, len(x))
 	for i, v := range x {
 		cx[i] = complex(v, 0)
 	}
-	legacyRadix2(cx, false)
+	cx = legacyTransform(cx, false)
 	half := len(x)/2 + 1
 	out := make([]float64, half)
 	for i := 0; i < half; i++ {
 		re, im := real(cx[i]), imag(cx[i])
 		out[i] = re*re + im*im
+	}
+	return out
+}
+
+// FrequencyShapeLegacy is the historical dsp.FrequencyShape: a fresh
+// zero-padded buffer per call, a full complex transform, the gain applied
+// to bins k and m-k, and the inverse transform.
+func FrequencyShapeLegacy(x []float64, sampleRate float64, gain func(freqHz float64) float64) []float64 {
+	n := len(x)
+	if n == 0 {
+		return nil
+	}
+	m := dsp.NextPow2(n)
+	buf := make([]complex128, m)
+	for i, v := range x {
+		buf[i] = complex(v, 0)
+	}
+	legacyRadix2(buf, false)
+	for k := 0; k <= m/2; k++ {
+		f := dsp.BinFrequency(k, m, sampleRate)
+		g := gain(f)
+		buf[k] = complex(real(buf[k])*g, imag(buf[k])*g)
+		if k != 0 && k != m/2 {
+			buf[m-k] = complex(real(buf[m-k])*g, imag(buf[m-k])*g)
+		}
+	}
+	legacyRadix2(buf, true)
+	out := make([]float64, n)
+	inv := 1 / float64(m)
+	for i := 0; i < n; i++ {
+		out[i] = real(buf[i]) * inv
 	}
 	return out
 }
@@ -196,6 +280,30 @@ func complexSignal(n int) []complex128 {
 	return x
 }
 
+// replayLen is an effective-phoneme segment length typical of the replay
+// stage (segments run 39-47k samples at 16 kHz). It is not a power of two,
+// so its power spectrum takes the Bluestein path, and it pads to a
+// 65536-point shaping transform.
+const (
+	replayLen  = 45040
+	replayRate = 16000
+)
+
+// ReplayGain is the band-pass magnitude curve the wearable speaker applies
+// at 16 kHz (device.NewWearableSpeaker through Loudspeaker.Render), used by
+// the FrequencyShape kernels and pins.
+func ReplayGain(f float64) float64 {
+	const low, high = 180.0, 6500.0
+	switch {
+	case f < low:
+		return (f / low) * (f / low)
+	case f > high:
+		return math.Max(0, 1-(f-high)/(replayRate/2-high))
+	default:
+		return 1
+	}
+}
+
 const (
 	delaySignalLen = 16000
 	delayShift     = 1600
@@ -213,25 +321,52 @@ func delayPair() (a, b []float64) {
 // side by side on identical workloads.
 func Cases() []Case {
 	return []Case{
-		{"FFTPlan", "1024", func(b *testing.B) {
-			p, err := dsp.PlanFFT(1024)
-			if err != nil {
-				b.Fatal(err)
-			}
-			src := complexSignal(1024)
-			dst := make([]complex128, 1024)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				p.Forward(dst, src)
-			}
-		}},
+		{"FFTPlan", "1024", benchPlan(1024)},
 		{"FFTPlan", "legacy-1024", func(b *testing.B) {
 			src := complexSignal(1024)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				FFTLegacy(src)
+			}
+		}},
+		{"FFTPlan", "65536", benchPlan(65536)},
+		{"FFTPlan", "131072", benchPlan(131072)},
+		{"FrequencyShape", "45040", func(b *testing.B) {
+			x := Signal(replayLen, 5)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dsp.FrequencyShape(x, replayRate, ReplayGain)
+			}
+		}},
+		{"FrequencyShape", "legacy-45040", func(b *testing.B) {
+			x := Signal(replayLen, 5)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				FrequencyShapeLegacy(x, replayRate, ReplayGain)
+			}
+		}},
+		{"PowerSpectrum", "45040", func(b *testing.B) {
+			x := Signal(replayLen, 6)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dsp.PowerSpectrum(x)
+			}
+		}},
+		{"SenseFeatures", "45040", func(b *testing.B) {
+			x := Signal(replayLen, 7)
+			w := device.NewFossilGen5()
+			cfg := sensing.DefaultConfig()
+			rng := rand.New(rand.NewSource(7))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sensing.SenseFeatures(w, x, cfg, rng); err != nil {
+					b.Fatal(err)
+				}
 			}
 		}},
 		{"STFT", "64x16-4800", benchSTFT(64, 16, 200, 4800, false)},
@@ -274,6 +409,24 @@ func Cases() []Case {
 				PowerSpectrumLegacy(x)
 			}
 		}},
+	}
+}
+
+// benchPlan measures one planned forward transform of size n into a
+// reused destination.
+func benchPlan(n int) func(b *testing.B) {
+	return func(b *testing.B) {
+		p, err := dsp.PlanFFT(n)
+		if err != nil {
+			b.Fatal(err)
+		}
+		src := complexSignal(n)
+		dst := make([]complex128, n)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			p.Forward(dst, src)
+		}
 	}
 }
 

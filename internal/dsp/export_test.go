@@ -1,0 +1,36 @@
+package dsp
+
+// KernelNames lists the butterfly kernels this CPU can run, preferred
+// first.
+func KernelNames() []string {
+	names := make([]string, len(kernels))
+	for i, k := range kernels {
+		names[i] = k.name
+	}
+	return names
+}
+
+// UseKernel makes every transform run on the named butterfly kernel and
+// returns a function that restores the previous one. Tests that call it
+// must not run in parallel with other transforms.
+func UseKernel(name string) (restore func()) {
+	prev := butterflies
+	for _, k := range kernels {
+		if k.name == name {
+			butterflies = k.run
+			return func() { butterflies = prev }
+		}
+	}
+	panic("dsp: unknown butterfly kernel " + name)
+}
+
+// BluesteinCacheSize is the current bound on cached Bluestein plans.
+func BluesteinCacheSize() int { return bluesteinCacheSize() }
+
+// BluesteinCacheLen returns how many Bluestein plans are cached now.
+func BluesteinCacheLen() int {
+	c := &bluesteinCache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return len(c.plans)
+}

@@ -9,10 +9,12 @@
 // deterministic across platforms.
 //
 // All transforms run on the planned FFT engine (see plan.go): bit-reversal
-// permutations, twiddle tables, and Bluestein chirp filters are precomputed
-// once per length and cached process-wide, so repeated transforms of the
-// same size — the normal case in every pipeline stage — do no trigonometric
-// work and no table allocation.
+// permutations and twiddle tables are precomputed once per power-of-two
+// length and cached process-wide, so repeated transforms of the same size —
+// the normal case in every pipeline stage — do no trigonometric work and no
+// table allocation. Bluestein chirp filters for other lengths are built
+// per direction on first use and kept in a small cache of the most
+// recently used lengths, since arbitrary lengths seldom repeat.
 package dsp
 
 import (
@@ -114,14 +116,7 @@ func MagnitudeSpectrum(x []float64) []float64 {
 	if n&(n-1) == 0 {
 		return mustPlanRealFFT(n).MagnitudeInto(nil, x, nil)
 	}
-	spec := FFTReal(x)
-	half := n/2 + 1
-	out := make([]float64, half)
-	for i := 0; i < half; i++ {
-		re, im := real(spec[i]), imag(spec[i])
-		out[i] = math.Sqrt(re*re + im*im)
-	}
-	return out
+	return planBluestein(n).reduceInto(x, true)
 }
 
 // PowerSpectrum computes the single-sided power spectrum |X(k)|^2 of a real
@@ -134,14 +129,7 @@ func PowerSpectrum(x []float64) []float64 {
 	if n&(n-1) == 0 {
 		return mustPlanRealFFT(n).PowerInto(nil, x, nil)
 	}
-	spec := FFTReal(x)
-	half := n/2 + 1
-	out := make([]float64, half)
-	for i := 0; i < half; i++ {
-		re, im := real(spec[i]), imag(spec[i])
-		out[i] = re*re + im*im
-	}
-	return out
+	return planBluestein(n).reduceInto(x, false)
 }
 
 // BinFrequency returns the center frequency in Hz of FFT bin k for a

@@ -137,6 +137,10 @@ func PreEmphasis(x []float64, coef float64) []float64 {
 // measured transfer functions (barrier transmission, microphone and
 // accelerometer responses) that are easier to express as magnitude curves
 // than as rational filters. Phase is preserved.
+//
+// The zero-padded transform buffer comes from the plan's scratch pool and
+// the input is written straight to its bit-reversed positions, so a call
+// allocates only its result.
 func FrequencyShape(x []float64, sampleRate float64, gain func(freqHz float64) float64) []float64 {
 	n := len(x)
 	if n == 0 {
@@ -144,11 +148,13 @@ func FrequencyShape(x []float64, sampleRate float64, gain func(freqHz float64) f
 	}
 	m := NextPow2(n)
 	p := mustPlanFFT(m)
-	buf := make([]complex128, m)
+	scratch := p.getScratch()
+	defer p.putScratch(scratch)
+	buf := *scratch
 	for i, v := range x {
-		buf[i] = complex(v, 0)
+		buf[p.perm[i]] = complex(v, 0)
 	}
-	p.transform(buf, p.fwd)
+	butterflies(buf, p.fwd)
 	// Apply gain symmetrically so the result stays real.
 	for k := 0; k <= m/2; k++ {
 		f := BinFrequency(k, m, sampleRate)

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/bits"
 	"math/cmplx"
+	"runtime"
 	"sync"
 )
 
@@ -16,7 +17,8 @@ import (
 // Plans are immutable after construction and therefore safe for concurrent
 // use from any number of goroutines — the eval package's ParallelScorer
 // workers all share one plan per size. Callers own the scratch/destination
-// buffers, which keeps the mutable state out of the shared plan.
+// buffers, which keeps the mutable state out of the shared plan; the
+// package's own transforms borrow theirs from the plan's scratch pool.
 
 // FFTPlan holds the precomputed state for radix-2 transforms of one
 // power-of-two size: the bit-reversal permutation and flattened per-stage
@@ -31,11 +33,15 @@ type FFTPlan struct {
 	perm []int32      // bit-reversal target index per position
 	fwd  []complex128 // forward twiddles, stages flattened (n-1 entries)
 	inv  []complex128 // inverse (conjugate) twiddles, same layout
+	// scratch recycles n-entry work buffers (boxed as *[]complex128) for
+	// the package's transforms that need one per call.
+	scratch sync.Pool
 }
 
 // planCache maps transform length -> *FFTPlan. sync.Map suits the
-// write-once/read-many pattern: a handful of distinct sizes, looked up from
-// every scoring worker.
+// write-once/read-many pattern: lengths are powers of two, so at most one
+// plan per bit width is ever built, and they are looked up from every
+// scoring worker.
 var planCache sync.Map
 
 // PlanFFT returns the cached transform plan for length n, building and
@@ -146,22 +152,85 @@ func (p *FFTPlan) into(dst, src []complex128) []complex128 {
 	return dst
 }
 
+// getScratch returns a zeroed n-entry buffer from the plan's pool. The boxed
+// header travels through the pool with the buffer, so hand the same pointer
+// back to putScratch (re-boxing would allocate).
+func (p *FFTPlan) getScratch() *[]complex128 {
+	if v := p.scratch.Get(); v != nil {
+		buf := v.(*[]complex128)
+		clear(*buf)
+		return buf
+	}
+	buf := make([]complex128, p.n)
+	return &buf
+}
+
+func (p *FFTPlan) putScratch(buf *[]complex128) { p.scratch.Put(buf) }
+
 // transform runs the permutation and butterfly stages with the precomputed
 // twiddle table tw (p.fwd or p.inv).
 func (p *FFTPlan) transform(x []complex128, tw []complex128) {
+	p.permute(x)
+	butterflies(x, tw)
+}
+
+// permute applies the bit-reversal permutation to x in place. From 64
+// points up it works in 8x8 tiles: the tile whose rows start at
+// a*n/8 + b (a = 0..7, b a multiple of 8 below n/8) maps element for
+// element onto the tile of rows a*n/8 + perm[b], so each swap pass reads
+// and writes whole 128-byte rows of two tiles instead of one random cache
+// line per element — about twice as fast once x outgrows the L1 cache.
+func (p *FFTPlan) permute(x []complex128) {
+	const tile = 8
 	n := p.n
-	if n <= 1 {
+	if n < tile*tile {
+		for i, pi := range p.perm {
+			if j := int(pi); j > i {
+				x[i], x[j] = x[j], x[i]
+			}
+		}
 		return
 	}
-	for i, pi := range p.perm {
-		if j := int(pi); j > i {
-			x[i], x[j] = x[j], x[i]
+	stride := n / tile
+	for b := 0; b < stride; b += tile {
+		pb := int(p.perm[b])
+		if b > pb {
+			continue // swapped while visiting its partner tile
+		}
+		for r := b; r < n; r += stride {
+			row := x[r : r+tile : r+tile]
+			for c, pj := range p.perm[r : r+tile : r+tile] {
+				// Two distinct tiles swap every element; a tile that is
+				// its own partner swaps each pair once.
+				if j := int(pj); b < pb || r+c < j {
+					row[c], x[j] = x[j], row[c]
+				}
+			}
 		}
 	}
-	off := 0
-	for size := 2; size <= n; size <<= 1 {
-		half := size >> 1
-		t := tw[off : off+half : off+half]
+}
+
+// kernel is one implementation of the butterfly stages. kernels (chosen
+// per architecture in plan_amd64.go / plan_generic.go) lists the ones this
+// CPU can run, preferred first; all of them produce identical bits.
+type kernel struct {
+	name string
+	run  func(x, tw []complex128)
+}
+
+// butterflies runs every radix-2 butterfly stage over x, which must already
+// be in bit-reversed order, with the flattened twiddle table tw (len(x)-1
+// entries, see fillTwiddles). len(x) must be a power of two. It is the
+// preferred kernel of this CPU; only tests switch it.
+var butterflies = kernels[0].run
+
+// butterfliesGeneric is the pure-Go kernel: stage by stage, the stage of
+// half-size h reads twiddle entries h-1 .. 2h-2.
+func butterfliesGeneric(x, tw []complex128) {
+	n := len(x)
+	for half := 1; half < n; half <<= 1 {
+		t := tw[half-1 : 2*half-1 : 2*half-1]
+		size := 2 * half
 		for start := 0; start < n; start += size {
 			blk := x[start : start+size : start+size]
 			for k := 0; k < half; k++ {
@@ -171,7 +240,6 @@ func (p *FFTPlan) transform(x []complex128, tw []complex128) {
 				blk[k+half] = a - b
 			}
 		}
-		off += half
 	}
 }
 
@@ -242,12 +310,8 @@ func (p *RealFFTPlan) Transform(dst []complex128, x []float64, scratch []complex
 		scratch = make([]complex128, m)
 	}
 	scratch = scratch[:m]
-	// Pack even samples into the real lane and odd samples into the
-	// imaginary lane, then run one half-length complex transform.
-	for j := 0; j < m; j++ {
-		scratch[j] = complex(x[2*j], x[2*j+1])
-	}
-	p.half.transform(scratch, p.half.fwd)
+	p.half.pack(scratch, x)
+	butterflies(scratch, p.half.fwd)
 	// Unpack: with Z the half-length spectrum and E/O the even/odd-sample
 	// spectra, E[k] = (Z[k]+conj(Z[M-k]))/2 and O[k] = -i(Z[k]-conj(Z[M-k]))/2,
 	// so X[k] = E[k] + e^{-2*pi*i*k/n} O[k] for k = 0..M (Z[M] wraps to Z[0]).
@@ -295,10 +359,8 @@ func (p *RealFFTPlan) reduceInto(dst []float64, x []float64, scratch []complex12
 		scratch = make([]complex128, m)
 	}
 	scratch = scratch[:m]
-	for j := 0; j < m; j++ {
-		scratch[j] = complex(x[2*j], x[2*j+1])
-	}
-	p.half.transform(scratch, p.half.fwd)
+	p.half.pack(scratch, x)
+	butterflies(scratch, p.half.fwd)
 	// Scalar unpack (same algebra as Transform, spelled out on float64 so
 	// the compiler keeps everything in registers — this loop dominates the
 	// per-frame STFT cost at small sizes). DC and Nyquist come from the
@@ -331,37 +393,87 @@ func (p *RealFFTPlan) reduceInto(dst []float64, x []float64, scratch []complex12
 	return dst
 }
 
-// bluesteinPlan caches the chirp sequences and the pre-transformed filter
-// spectra for one arbitrary (non-power-of-two) DFT length, in both
-// directions. Only the input-dependent transform pair remains per call.
+// pack writes the real signal x (2*Size samples) into dst as Size complex
+// values, even samples in the real lane and odd samples in the imaginary
+// lane, already at their bit-reversed positions: the butterflies can run
+// on dst directly, with no separate permutation pass.
+func (p *FFTPlan) pack(dst []complex128, x []float64) {
+	for j, pj := range p.perm {
+		dst[pj] = complex(x[2*j], x[2*j+1])
+	}
+}
+
+// bluesteinPlan holds the chirp sequence and the pre-transformed filter
+// spectrum for one arbitrary (non-power-of-two) DFT length, built lazily
+// per direction: PowerSpectrum only ever needs the forward one. Only the
+// input-dependent transform pair remains per call.
 type bluesteinPlan struct {
 	n    int
 	m    int      // padded power-of-two convolution length (>= 2n-1)
 	plan *FFTPlan // cached plan of size m
-	// Forward (sign -1) and inverse (sign +1) chirps of length n, and the
-	// length-m spectra of the matching correlation filters.
-	chirpFwd, chirpInv []complex128
-	filtFwd, filtInv   []complex128
+	dirs [2]bluesteinDir
 }
 
-var bluesteinCache sync.Map
+// bluesteinDir is one direction's tables: the length-n chirp and the
+// length-m spectrum of the matching correlation filter.
+type bluesteinDir struct {
+	once        sync.Once
+	chirp, filt []complex128
+}
+
+// bluesteinCacheSize bounds the Bluestein plan cache. A plan for a
+// ~45k-sample segment holds megabytes of tables and serving traffic seldom
+// repeats a segment length, so only the most recently used plans are kept.
+// A session replays its two recordings, cut to the same span, back to back,
+// so its plan must outlive the new lengths other sessions insert in
+// between. At most GOMAXPROCS sessions run at once, so the bound is twice
+// that, and at least 4. On two CPUs with the default worker count, about
+// 1% of sessions missed on their second replay (EXPERIMENTS.md,
+// "Bluestein cache hit rate").
+func bluesteinCacheSize() int { return max(4, 2*runtime.GOMAXPROCS(0)) }
+
+// bluesteinCache holds the bluesteinCacheSize most recently used plans,
+// most recent first. A linear scan of a few entries under one mutex is
+// cheaper than the transform it guards.
+var bluesteinCache struct {
+	mu    sync.Mutex
+	plans []*bluesteinPlan
+}
 
 func planBluestein(n int) *bluesteinPlan {
-	if v, ok := bluesteinCache.Load(n); ok {
-		return v.(*bluesteinPlan)
-	}
 	m := NextPow2(2*n - 1)
-	bp := &bluesteinPlan{
-		n:        n,
-		m:        m,
-		plan:     mustPlanFFT(m),
-		chirpFwd: bluesteinChirp(n, -1),
-		chirpInv: bluesteinChirp(n, +1),
+	plan := mustPlanFFT(m)
+	c := &bluesteinCache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for i, bp := range c.plans {
+		if bp.n == n {
+			copy(c.plans[1:i+1], c.plans[:i])
+			c.plans[0] = bp
+			return bp
+		}
 	}
-	bp.filtFwd = bp.filter(bp.chirpFwd)
-	bp.filtInv = bp.filter(bp.chirpInv)
-	v, _ := bluesteinCache.LoadOrStore(n, bp)
-	return v.(*bluesteinPlan)
+	bp := &bluesteinPlan{n: n, m: m, plan: plan}
+	keep := min(len(c.plans), bluesteinCacheSize()-1)
+	clear(c.plans[keep:]) // drop the evicted plans from the backing array too
+	c.plans = append(c.plans[:keep], nil)
+	copy(c.plans[1:], c.plans)
+	c.plans[0] = bp
+	return bp
+}
+
+// tables returns the chirp and filter spectrum for one direction, building
+// them on first use.
+func (bp *bluesteinPlan) tables(inverse bool) (chirp, filt []complex128) {
+	d, sign := &bp.dirs[0], -1.0
+	if inverse {
+		d, sign = &bp.dirs[1], 1.0
+	}
+	d.once.Do(func() {
+		d.chirp = bluesteinChirp(bp.n, sign)
+		d.filt = bp.filter(d.chirp)
+	})
+	return d.chirp, d.filt
 }
 
 // bluesteinChirp builds w[k] = exp(sign * i*pi*k^2/n), reducing k^2 mod 2n
@@ -377,7 +489,7 @@ func bluesteinChirp(n int, sign float64) []complex128 {
 }
 
 // filter returns the length-m spectrum of the conjugate-chirp correlation
-// filter b (b[k] = b[m-k] = conj(chirp[k])), computed once at plan build.
+// filter b (b[k] = b[m-k] = conj(chirp[k])), computed once per direction.
 func (bp *bluesteinPlan) filter(chirp []complex128) []complex128 {
 	b := make([]complex128, bp.m)
 	for k := 0; k < bp.n; k++ {
@@ -393,23 +505,59 @@ func (bp *bluesteinPlan) filter(chirp []complex128) []complex128 {
 // transform computes the length-n DFT (or unnormalized conjugate transform)
 // of x via the chirp-z convolution, reusing every precomputed table.
 func (bp *bluesteinPlan) transform(x []complex128, inverse bool) []complex128 {
-	chirp, filt := bp.chirpFwd, bp.filtFwd
-	if inverse {
-		chirp, filt = bp.chirpInv, bp.filtInv
-	}
-	a := make([]complex128, bp.m)
+	chirp, filt := bp.tables(inverse)
+	buf := bp.plan.getScratch()
+	defer bp.plan.putScratch(buf)
+	a := *buf
+	perm := bp.plan.perm
 	for k := 0; k < bp.n; k++ {
-		a[k] = x[k] * chirp[k]
+		a[perm[k]] = x[k] * chirp[k]
 	}
-	bp.plan.transform(a, bp.plan.fwd)
-	for i := range a {
-		a[i] *= filt[i]
-	}
-	bp.plan.transform(a, bp.plan.inv)
+	bp.convolve(a, filt)
 	invM := 1 / float64(bp.m)
 	out := make([]complex128, bp.n)
-	for k := 0; k < bp.n; k++ {
+	for k := range out {
 		out[k] = a[k] * chirp[k] * complex(invM, 0)
 	}
 	return out
+}
+
+// reduceInto computes the single-sided power spectrum |X(k)|^2 of the real
+// signal x, or its magnitude |X(k)| when sqrt is set, for the n/2+1 bins
+// k = 0..n/2 only. Each bin carries the bits of the full complex transform
+// of complex(x, 0).
+func (bp *bluesteinPlan) reduceInto(x []float64, sqrt bool) []float64 {
+	chirp, filt := bp.tables(false)
+	buf := bp.plan.getScratch()
+	defer bp.plan.putScratch(buf)
+	a := *buf
+	perm := bp.plan.perm
+	for k, v := range x {
+		a[perm[k]] = complex(v, 0) * chirp[k]
+	}
+	bp.convolve(a, filt)
+	invM := 1 / float64(bp.m)
+	out := make([]float64, bp.n/2+1)
+	for k := range out {
+		v := a[k] * chirp[k] * complex(invM, 0)
+		re, im := real(v), imag(v)
+		pw := re*re + im*im
+		if sqrt {
+			pw = math.Sqrt(pw)
+		}
+		out[k] = pw
+	}
+	return out
+}
+
+// convolve finishes the chirp-z convolution in a, whose chirped input is
+// already at its bit-reversed positions: forward butterflies, the product
+// with the filter spectrum, and the inverse transform.
+func (bp *bluesteinPlan) convolve(a, filt []complex128) {
+	p := bp.plan
+	butterflies(a, p.fwd)
+	for i := range a {
+		a[i] *= filt[i]
+	}
+	p.transform(a, p.inv)
 }

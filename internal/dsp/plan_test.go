@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -41,27 +42,195 @@ func maxMagnitude(x []complex128) float64 {
 	return m
 }
 
+// forEachKernel runs f once per butterfly kernel this CPU supports (AVX
+// and the pure-Go loop on amd64 with AVX; the pure-Go loop elsewhere).
+func forEachKernel(t *testing.T, f func(t *testing.T)) {
+	for _, name := range dsp.KernelNames() {
+		t.Run(name, func(t *testing.T) {
+			defer dsp.UseKernel(name)()
+			f(t)
+		})
+	}
+}
+
+// sameBits reports the first index where two complex slices differ in any
+// bit (so -0 and +0 differ), or -1.
+func sameBits(got, want []complex128) int {
+	if len(got) != len(want) {
+		return 0
+	}
+	for i := range want {
+		if math.Float64bits(real(got[i])) != math.Float64bits(real(want[i])) ||
+			math.Float64bits(imag(got[i])) != math.Float64bits(imag(want[i])) {
+			return i
+		}
+	}
+	return -1
+}
+
+// sameFloatBits is sameBits for real slices.
+func sameFloatBits(got, want []float64) int {
+	if len(got) != len(want) {
+		return 0
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			return i
+		}
+	}
+	return -1
+}
+
 // The planned complex transform fills its twiddle tables with the same
-// recurrence the legacy per-call code evaluated inline, so the outputs must
-// be bit-identical — the property that keeps golden metrics stable across
-// the engine swap.
+// recurrence the legacy per-call code evaluated inline, and every butterfly
+// kernel rounds exactly like the scalar loop, so the outputs must be
+// bit-identical — the property that keeps golden metrics stable across the
+// engine swap. The sizes run up to the 65536/131072-point transforms of the
+// replay stage, past the cache-blocking threshold.
 func TestPlanBitIdenticalToLegacyFFT(t *testing.T) {
-	for _, n := range []int{1, 2, 4, 8, 64, 256, 1024} {
-		x := randomComplex(n, int64(n))
-		got := dsp.FFT(x)
-		want := dspbench.FFTLegacy(x)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d bin %d: planned %v != legacy %v", n, i, got[i], want[i])
+	forEachKernel(t, func(t *testing.T) {
+		for _, n := range []int{1, 2, 4, 8, 64, 256, 1024, 4096, 65536, 131072} {
+			x := randomComplex(n, int64(n))
+			x[0] = complex(math.Copysign(0, -1), 0) // a signed zero must survive
+			if i := sameBits(dsp.FFT(x), dspbench.FFTLegacy(x)); i >= 0 {
+				t.Fatalf("n=%d: forward differs from legacy at bin %d", n, i)
+			}
+			if i := sameBits(dsp.IFFT(x), dspbench.IFFTLegacy(x)); i >= 0 {
+				t.Fatalf("n=%d: inverse differs from legacy at bin %d", n, i)
 			}
 		}
-		gotInv := dsp.IFFT(x)
-		wantInv := dspbench.IFFTLegacy(x)
-		for i := range wantInv {
-			if gotInv[i] != wantInv[i] {
-				t.Fatalf("n=%d inverse bin %d: planned %v != legacy %v", n, i, gotInv[i], wantInv[i])
+	})
+}
+
+// Non-power-of-two transforms go through the planned Bluestein path, whose
+// folded permutations and pooled scratch must reproduce the per-call
+// chirp-z reference bit for bit, in both directions.
+func TestBluesteinBitIdenticalToLegacy(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		for _, n := range []int{3, 5, 100, 1000, 45040} {
+			x := randomComplex(n, int64(n)+400)
+			if i := sameBits(dsp.FFT(x), dspbench.FFTLegacy(x)); i >= 0 {
+				t.Fatalf("n=%d: forward differs from legacy at bin %d", n, i)
+			}
+			if i := sameBits(dsp.IFFT(x), dspbench.IFFTLegacy(x)); i >= 0 {
+				t.Fatalf("n=%d: inverse differs from legacy at bin %d", n, i)
 			}
 		}
+	})
+}
+
+// The non-power-of-two power and magnitude spectra compute only the n/2+1
+// bins they return; each must carry the bits of the full legacy transform.
+func TestBluesteinPowerSpectrumBitIdentical(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		for _, n := range []int{3, 6, 1000, 38880, 45040} {
+			x := randomReal(n, int64(n)+500)
+			want := dspbench.PowerSpectrumLegacy(x)
+			if i := sameFloatBits(dsp.PowerSpectrum(x), want); i >= 0 {
+				t.Fatalf("n=%d: power differs from legacy at bin %d", n, i)
+			}
+			for k := range want {
+				want[k] = math.Sqrt(want[k])
+			}
+			if i := sameFloatBits(dsp.MagnitudeSpectrum(x), want); i >= 0 {
+				t.Fatalf("n=%d: magnitude differs from legacy at bin %d", n, i)
+			}
+		}
+	})
+}
+
+// FrequencyShape borrows pooled scratch and folds the first bit-reversal
+// into its fill loop; the result must match the historical per-call
+// implementation bit for bit, including on reused (dirty) pool buffers.
+func TestFrequencyShapeBitIdenticalToLegacy(t *testing.T) {
+	forEachKernel(t, func(t *testing.T) {
+		for _, n := range []int{1, 2, 7, 64, 1000, 45040, 45040, 65536} {
+			x := randomReal(n, int64(n)+600)
+			want := dspbench.FrequencyShapeLegacy(x, 16000, dspbench.ReplayGain)
+			got := dsp.FrequencyShape(x, 16000, dspbench.ReplayGain)
+			if i := sameFloatBits(got, want); i >= 0 {
+				t.Fatalf("n=%d: sample %d: %v, legacy %v", n, i, got[i], want[i])
+			}
+		}
+	})
+}
+
+// Non-finite inputs only pin NaN-ness: NaN payloads may legitimately differ
+// between kernels (x86 keeps the payload of the first NaN operand, and
+// neither the compiler nor the kernel fixes the operand order of a
+// commutative add or multiply), and the pipeline rejects non-finite
+// recordings before any transform. Every value
+// that is not NaN must still match exactly.
+func TestPlanNonFiniteInputsMatchLegacyNaNness(t *testing.T) {
+	same := func(got, want float64) bool {
+		if math.IsNaN(want) || math.IsNaN(got) {
+			return math.IsNaN(want) == math.IsNaN(got)
+		}
+		return math.Float64bits(got) == math.Float64bits(want)
+	}
+	forEachKernel(t, func(t *testing.T) {
+		for _, n := range []int{64, 1000, 4096} {
+			x := randomComplex(n, int64(n)+700)
+			x[3] = complex(math.NaN(), 0)
+			x[n/2] = complex(math.Inf(1), 1)
+			x[n-1] = complex(2, math.Inf(-1))
+			got, want := dsp.FFT(x), dspbench.FFTLegacy(x)
+			for i := range want {
+				if !same(real(got[i]), real(want[i])) || !same(imag(got[i]), imag(want[i])) {
+					t.Fatalf("n=%d bin %d: %v, legacy %v", n, i, got[i], want[i])
+				}
+			}
+			r := randomReal(n, int64(n)+800)
+			r[5] = math.Inf(1)
+			gotP, wantP := dsp.PowerSpectrum(r), dspbench.PowerSpectrumLegacy(r)
+			if len(gotP) != len(wantP) {
+				t.Fatalf("n=%d: %d power bins, legacy %d", n, len(gotP), len(wantP))
+			}
+			if n&(n-1) != 0 { // the packed real path is only tolerance-pinned
+				for k := range wantP {
+					if !same(gotP[k], wantP[k]) {
+						t.Fatalf("n=%d power bin %d: %v, legacy %v", n, k, gotP[k], wantP[k])
+					}
+				}
+			}
+		}
+	})
+}
+
+// Regression: the Bluestein cache used to keep one multi-megabyte plan per
+// distinct length forever. Driving many distinct lengths through it must
+// leave at most the bound's number of recent plans, the bound must follow
+// GOMAXPROCS down as well as up, and a plan rebuilt after eviction must
+// give bit-identical output.
+func TestBluesteinCacheBounded(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(8))
+	first := randomReal(999, 900)
+	want := dsp.PowerSpectrum(first)
+	drive := func(lengths int) {
+		t.Helper()
+		size := dsp.BluesteinCacheSize()
+		for i := 0; i < lengths; i++ {
+			n := 1001 + 2*i // distinct odd lengths
+			dsp.PowerSpectrum(randomReal(n, int64(n)))
+			if got := dsp.BluesteinCacheLen(); got > size {
+				t.Fatalf("after length %d: %d cached Bluestein plans, bound %d", n, got, size)
+			}
+		}
+		if got := dsp.BluesteinCacheLen(); got != size {
+			t.Fatalf("%d cached Bluestein plans after %d lengths, want the bound %d", got, lengths, size)
+		}
+	}
+	if size := dsp.BluesteinCacheSize(); size != 16 {
+		t.Fatalf("bound %d at GOMAXPROCS 8, want 16", size)
+	}
+	drive(64)
+	runtime.GOMAXPROCS(1)
+	if size := dsp.BluesteinCacheSize(); size != 4 {
+		t.Fatalf("bound %d at GOMAXPROCS 1, want 4", size)
+	}
+	drive(1)
+	if i := sameFloatBits(dsp.PowerSpectrum(first), want); i >= 0 {
+		t.Fatalf("rebuilt plan differs at bin %d", i)
 	}
 }
 
@@ -303,6 +472,12 @@ func TestPlanConcurrentUse(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var oddInputs, oddWant [][]float64
+	for n := 301; n < 301+2*(dsp.BluesteinCacheSize()+3); n += 2 {
+		x := randomReal(n, int64(n))
+		oddInputs = append(oddInputs, x)
+		oddWant = append(oddWant, dsp.PowerSpectrum(x))
+	}
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
 	for w := 0; w < workers; w++ {
@@ -313,6 +488,16 @@ func TestPlanConcurrentUse(t *testing.T) {
 				got := dsp.PowerSpectrum(x)
 				for k := range want {
 					if got[k] != want[k] {
+						errs <- errMismatch
+						return
+					}
+				}
+				// Distinct non-power-of-two lengths per worker keep the
+				// bounded Bluestein cache evicting under contention.
+				odd := oddInputs[(w+iter)%len(oddInputs)]
+				gotOdd := dsp.PowerSpectrum(odd)
+				for k, v := range oddWant[(w+iter)%len(oddInputs)] {
+					if gotOdd[k] != v {
 						errs <- errMismatch
 						return
 					}

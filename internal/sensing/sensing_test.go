@@ -3,6 +3,8 @@ package sensing
 import (
 	"math"
 	"math/rand"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"vibguard/internal/device"
@@ -155,5 +157,49 @@ func TestSameAudioSensedTwiceCorrelates(t *testing.T) {
 	}
 	if r := dsp.Correlate2D(f1, f2); r < 0.7 {
 		t.Errorf("repeated sensing correlation = %v, want >= 0.7", r)
+	}
+}
+
+// A steady-state sensing pass allocates only the slices its stages return
+// (the rendered sound, the coupled audio, the low-frequency power spectrum,
+// and the much shorter vibration-rate signals and features): the shaping
+// and Bluestein transforms borrow their 65536- and 131072-point scratch
+// from per-size pools, and the speaker applies its nonlinearity in place.
+func TestSenseFeaturesSteadyStateAllocatesOnlyResults(t *testing.T) {
+	const n = 45040 // a replay-segment length, not a power of two
+	w := device.NewFossilGen5()
+	cfg := DefaultConfig()
+	rng := rand.New(rand.NewSource(1))
+	audio := make([]float64, n)
+	for i := range audio {
+		audio[i] = math.Sin(2*math.Pi*440*float64(i)/16000) + 0.1*rng.NormFloat64()
+	}
+	// Warm the plans, the Bluestein tables for this length, and the pools;
+	// hold the collector off so it cannot empty the pools mid-measurement.
+	if _, err := SenseFeatures(w, audio, cfg, rng); err != nil {
+		t.Fatal(err)
+	}
+	// A pass can miss a pool and allocate a fresh buffer: after moving to
+	// another P (pools cache per P), or when the race detector drops a Put
+	// on purpose (a quarter of them), so the least any pass allocates is
+	// pinned. A pass returns four buffers to pools; 20 passes all missing
+	// under -race has odds below 1e-3.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	perPass := uint64(math.MaxUint64)
+	for i := 0; i < 20; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := SenseFeatures(w, audio, cfg, rng); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		perPass = min(perPass, after.TotalAlloc-before.TotalAlloc)
+	}
+	// Two audio-rate signals and one half spectrum of float64s, plus 64 KiB
+	// for everything at the 200 Hz vibration rate. One pooled 65536-point
+	// complex buffer alone would be 1 MiB.
+	limit := uint64(8*(2*n+n/2+1) + 64<<10)
+	if perPass > limit {
+		t.Errorf("steady-state pass allocates %d B, want <= %d B (returned slices only)", perPass, limit)
 	}
 }
