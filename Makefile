@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test check race fuzz bench bench-scoring bench-dsp bench-brnn benchgen obs-smoke serve-smoke serve-race race-brnn route-race route-smoke bench-wire stream-race stream-smoke bench-stream profile-race profile-smoke attack-race
+.PHONY: build test check race fuzz bench bench-scoring bench-dsp bench-brnn benchgen obs-smoke serve-smoke serve-race race-brnn pins-gomaxprocs1 route-race route-smoke bench-wire stream-race stream-smoke bench-stream profile-race profile-smoke attack-race
 
 build:
 	$(GO) build ./...
@@ -65,12 +65,25 @@ bench-dsp:
 bench-brnn:
 	$(GO) run ./cmd/benchbrnn -out BENCH_brnn.json
 
-# Race gate for the batched inference kernels and the pooled detector
-# scratch: the bit-equivalence suites and the concurrent-session tests run
-# under the race detector.
+# Race gate for the batched inference kernels, the pooled detector
+# scratch, and the layers that fork inside one session (the sensing pair,
+# the accelerometer drive/noise split, the MFCC tables): the
+# bit-equivalence suites and the concurrent-session tests run under the
+# race detector.
 race-brnn:
-	$(GO) vet ./internal/brnn/ ./internal/segment/
-	$(GO) test -race ./internal/brnn/ ./internal/segment/
+	$(GO) vet ./internal/brnn/ ./internal/segment/ ./internal/sensing/ ./internal/device/ ./internal/mfcc/
+	$(GO) test -race ./internal/brnn/ ./internal/segment/ ./internal/sensing/ ./internal/device/ ./internal/mfcc/
+
+# One session forks goroutines (segmentation beside the Eq. (5) alignment,
+# the two replay drives of a sensing pair, the two BRNN directions in a
+# training step). With one P the forked halves run one after the other;
+# these bit-identity pins (golden EER/AUC, fusion goldens, the streamed
+# zero-flip and batch-equivalence checks, and the split-versus-sequential
+# pins) must hold there too, so the bits cannot depend on scheduling.
+pins-gomaxprocs1:
+	GOMAXPROCS=1 $(GO) test -count=1 -run '$(SERIAL_PINS)' ./internal/eval/ ./internal/core/ ./internal/serve/ ./internal/sensing/ ./internal/dsp/ ./internal/mfcc/ ./internal/brnn/
+
+SERIAL_PINS = TestGoldenMetrics|TestFuseGoldenTwoWearables|TestStreamInspectorMatchesBatchBitExact|TestSubmitStreamMatchesSubmit|TestStreamOverWireConcurrent|BitIdentical|TestInspectContractUnderConcurrency|TestScoreMatchesInspect
 
 benchgen:
 	$(GO) run ./cmd/benchgen -quick

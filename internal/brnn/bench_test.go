@@ -39,3 +39,7 @@ func BenchmarkPredict(b *testing.B) { runGroup(b, "Predict") }
 // BenchmarkMulMat measures the blocked matrix-matrix kernel against the
 // equivalent per-row MulVec loop on the Wx projection shape.
 func BenchmarkMulMat(b *testing.B) { runGroup(b, "MulMat") }
+
+// BenchmarkTrainStep measures one training step on the paper config, the
+// two LSTM directions running concurrently.
+func BenchmarkTrainStep(b *testing.B) { runGroup(b, "TrainStep") }

@@ -1,6 +1,7 @@
-// Package brnnbench defines the BRNN inference benchmark kernels: the
-// per-frame reference path (Model.Forward, naive mat-vecs and per-timestep
-// allocations) next to the batched Inference path on identical workloads.
+// Package brnnbench defines the BRNN benchmark kernels: the per-frame
+// reference inference path (Model.Forward, naive mat-vecs and per-timestep
+// allocations) next to the batched Inference path on identical workloads,
+// and one training step.
 // The kernels are shared by the `go test -bench` wrappers in internal/brnn
 // and by cmd/benchbrnn, which emits the checked-in BENCH_brnn.json
 // baseline, so the two can never measure different workloads — the same
@@ -130,6 +131,30 @@ func Cases() []Case {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				if pred, err = inf.Predict(in, pred); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}},
+		{"TrainStep", "64x14-T100", func(b *testing.B) {
+			// One epoch over one sequence is one Trainer step (both
+			// directions forward, the dense gradient, both directions
+			// backward, the Adam update).
+			m := paperModel(b)
+			seq := brnn.Sequence{Inputs: inputs(benchT, m.InputDim(), 9), Labels: make([]int, benchT)}
+			for t := range seq.Labels {
+				seq.Labels[t] = t / 10 % 2
+			}
+			cfg := brnn.DefaultTrainConfig()
+			cfg.Epochs = 1
+			tr, err := brnn.NewTrainer(m, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			data := []brnn.Sequence{seq}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := tr.Train(data); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -105,7 +105,17 @@ func (m *Model) forwardFull(inputs [][]float64) ([][]float64, *lstmTrace, *lstmT
 	if err != nil {
 		return nil, nil, nil, err
 	}
-	T := len(inputs)
+	probs, err := m.classify(fwdTr, bwdTr)
+	if err != nil {
+		return nil, nil, nil, err
+	}
+	return probs, fwdTr, bwdTr, nil
+}
+
+// classify turns the hidden states of both directions into per-frame
+// class probabilities: the dense layer over their sum, then a softmax.
+func (m *Model) classify(fwdTr, bwdTr *lstmTrace) ([][]float64, error) {
+	T := len(fwdTr.hidden)
 	probs := make([][]float64, T)
 	combined := make([]float64, m.hiddenDim)
 	logits := make([]float64, m.numClasses)
@@ -116,7 +126,7 @@ func (m *Model) forwardFull(inputs [][]float64) ([][]float64, *lstmTrace, *lstmT
 			combined[j] = hf[j] + hb[j]
 		}
 		if err := m.dense.MulVec(combined, logits); err != nil {
-			return nil, nil, nil, err
+			return nil, err
 		}
 		p := make([]float64, m.numClasses)
 		maxL := math.Inf(-1)
@@ -135,7 +145,7 @@ func (m *Model) forwardFull(inputs [][]float64) ([][]float64, *lstmTrace, *lstmT
 		}
 		probs[t] = p
 	}
-	return probs, fwdTr, bwdTr, nil
+	return probs, nil
 }
 
 // Predict returns the argmax class per frame.

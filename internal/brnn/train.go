@@ -142,17 +142,49 @@ func (tr *Trainer) zeroGrads() {
 	}
 }
 
+// both runs f on one forked goroutine and g on the caller's and, once both
+// have finished, returns f's error or else g's.
+func both(f, g func() error) error {
+	var errF error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		errF = f()
+	}()
+	errG := g()
+	<-done
+	if errF != nil {
+		return errF
+	}
+	return errG
+}
+
 // step runs forward+backward on one sequence and applies an update,
-// returning the mean cross-entropy loss.
+// returning the mean cross-entropy loss. The two LSTM directions are
+// independent until the dense layer sums them, and their backward passes
+// accumulate into separate gradients, so each pass runs its directions
+// concurrently; every value is computed as in the serial order, so the
+// update is bit-identical to it. Model.Forward stays serial as the
+// reference.
 func (tr *Trainer) step(seq *Sequence) (float64, error) {
 	m := tr.model
-	probs, fwdTr, bwdTr, err := m.forwardFull(seq.Inputs)
-	if err != nil {
-		return 0, err
-	}
 	T := len(seq.Inputs)
 	if T == 0 {
 		return 0, nil
+	}
+	var fwdTr, bwdTr *lstmTrace
+	if err := both(func() (err error) {
+		fwdTr, err = m.fwd.forward(seq.Inputs)
+		return err
+	}, func() (err error) {
+		bwdTr, err = m.bwd.forward(reverse(seq.Inputs))
+		return err
+	}); err != nil {
+		return 0, err
+	}
+	probs, err := m.classify(fwdTr, bwdTr)
+	if err != nil {
+		return 0, err
 	}
 	tr.zeroGrads()
 	H := m.hiddenDim
@@ -193,10 +225,13 @@ func (tr *Trainer) step(seq *Sequence) (float64, error) {
 		dHf[t] = df
 		dHb[T-1-t] = db
 	}
-	if _, err := m.fwd.backward(fwdTr, dHf, tr.fwdGrads); err != nil {
-		return 0, err
-	}
-	if _, err := m.bwd.backward(bwdTr, dHb, tr.bwdGrads); err != nil {
+	if err := both(func() error {
+		_, err := m.fwd.backward(fwdTr, dHf, tr.fwdGrads)
+		return err
+	}, func() error {
+		_, err := m.bwd.backward(bwdTr, dHb, tr.bwdGrads)
+		return err
+	}); err != nil {
 		return 0, err
 	}
 	if tr.cfg.ClipNorm > 0 {

@@ -69,6 +69,9 @@ func DefaultConfig(w *device.Wearable, seg detector.Segmenter) Config {
 type Defense struct {
 	cfg Config
 	det *detector.Detector
+	// align is the Eq. (5) alignment, syncnet.AlignRecordings. It is a
+	// field so tests can make it fail, which validated input never does.
+	align func(va, wearable []float64, maxLagSeconds, sampleRate float64) ([]float64, int, error)
 }
 
 // NewDefense builds the pipeline.
@@ -91,7 +94,7 @@ func NewDefense(cfg Config) (*Defense, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return &Defense{cfg: cfg, det: det}, nil
+	return &Defense{cfg: cfg, det: det, align: syncnet.AlignRecordings}, nil
 }
 
 // Verdict is the outcome of inspecting one voice command.
@@ -117,8 +120,8 @@ type Verdict struct {
 // Inspect runs the full pipeline on a VA recording and a raw (unaligned)
 // wearable recording and returns the verdict. The rng drives the
 // stochastic cross-domain sensing. For MethodFull the segmenter (one BRNN
-// inference in production) runs exactly once; the resulting spans feed
-// both the score and the verdict.
+// inference in production) runs exactly once, concurrently with the
+// alignment; the resulting spans feed both the score and the verdict.
 //
 // Inspect is the production entry point, so it validates both recordings
 // first: fatal corruption (empty, non-finite, truncated, or
@@ -134,25 +137,40 @@ func (d *Defense) Inspect(vaRec, wearRec []float64, rng *rand.Rand) (*Verdict, e
 		metInspectErrors.Inc()
 		return nil, err
 	}
+	// Segmentation and the Eq. (5) alignment both only read the validated
+	// recordings, so the segmenter runs on one forked goroutine while this
+	// one aligns. The join comes before any return, and the errors keep
+	// the sequential precedence: alignment, missing segmenter, segmenter.
+	var spans []segment.Span
+	var segErr error
+	var segDone chan struct{}
+	if d.cfg.Method == detector.MethodFull && d.cfg.Segmenter != nil {
+		segDone = make(chan struct{})
+		go func() {
+			defer close(segDone)
+			sp := stageSegment.Start()
+			spans, segErr = d.cfg.Segmenter.EffectiveSpans(vaRec)
+			sp.End()
+		}()
+	}
 	sp := stageAlign.Start()
-	aligned, tau, err := syncnet.AlignRecordings(vaRec, wearRec, d.cfg.MaxSyncLagSeconds, d.cfg.SampleRate)
+	aligned, tau, err := d.align(vaRec, wearRec, d.cfg.MaxSyncLagSeconds, d.cfg.SampleRate)
 	sp.End()
+	if segDone != nil {
+		<-segDone
+	}
 	if err != nil {
 		metInspectErrors.Inc()
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	var spans []segment.Span
 	if d.cfg.Method == detector.MethodFull {
 		if d.cfg.Segmenter == nil {
 			metInspectErrors.Inc()
 			return nil, fmt.Errorf("core: full method needs a segmenter")
 		}
-		sp = stageSegment.Start()
-		spans, err = d.cfg.Segmenter.EffectiveSpans(vaRec)
-		sp.End()
-		if err != nil {
+		if segErr != nil {
 			metInspectErrors.Inc()
-			return nil, fmt.Errorf("core: %w", err)
+			return nil, fmt.Errorf("core: %w", segErr)
 		}
 	}
 	score, err := d.det.ScoreWithSpans(vaRec, aligned, spans, rng)
@@ -178,7 +196,7 @@ func (d *Defense) Inspect(vaRec, wearRec []float64, rng *rand.Rand) (*Verdict, e
 // hot path used by the evaluation sweeps.
 func (d *Defense) Score(vaRec, wearRec []float64, rng *rand.Rand) (float64, error) {
 	sp := stageAlign.Start()
-	aligned, _, err := syncnet.AlignRecordings(vaRec, wearRec, d.cfg.MaxSyncLagSeconds, d.cfg.SampleRate)
+	aligned, _, err := d.align(vaRec, wearRec, d.cfg.MaxSyncLagSeconds, d.cfg.SampleRate)
 	sp.End()
 	if err != nil {
 		return 0, fmt.Errorf("core: %w", err)
@@ -197,7 +215,7 @@ func (d *Defense) Score(vaRec, wearRec []float64, rng *rand.Rand) (float64, erro
 // are ignored by the baseline methods.
 func (d *Defense) ScoreWithSpans(vaRec, wearRec []float64, spans []segment.Span, rng *rand.Rand) (float64, error) {
 	sp := stageAlign.Start()
-	aligned, _, err := syncnet.AlignRecordings(vaRec, wearRec, d.cfg.MaxSyncLagSeconds, d.cfg.SampleRate)
+	aligned, _, err := d.align(vaRec, wearRec, d.cfg.MaxSyncLagSeconds, d.cfg.SampleRate)
 	sp.End()
 	if err != nil {
 		return 0, fmt.Errorf("core: %w", err)

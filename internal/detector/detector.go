@@ -279,29 +279,14 @@ func (d *Detector) CorrelateSegments(vaSeg, wearSeg []float64, rng *rand.Rand) (
 	if len(vaSeg) == 0 || len(wearSeg) == 0 {
 		return -1, 0, nil
 	}
-	featA, err := sensing.SenseFeatures(d.cfg.Wearable, vaSeg, d.cfg.Sensing, rng)
+	score, cells, err := d.correlateSensed(vaSeg, wearSeg, rng)
 	if err != nil {
 		return 0, 0, err
 	}
-	featB, err := sensing.SenseFeatures(d.cfg.Wearable, wearSeg, d.cfg.Sensing, rng)
-	if err != nil {
-		return 0, 0, err
-	}
-	sp := stageCorrelate.Start()
-	score := dsp.Correlate2D(featA, featB)
-	sp.End()
 	if math.IsNaN(score) || math.IsInf(score, 0) {
 		return 0, 0, ErrNonFiniteScore
 	}
-	frames := featA.NumFrames()
-	if featB.NumFrames() < frames {
-		frames = featB.NumFrames()
-	}
-	bins := featA.NumBins()
-	if featB.NumBins() < bins {
-		bins = featB.NumBins()
-	}
-	return score, frames * bins, nil
+	return score, cells, nil
 }
 
 // audioScore is the audio-domain baseline the paper describes (and finds
@@ -341,18 +326,8 @@ func (d *Detector) audioScore(vaRec, wearRec []float64) (float64, error) {
 // vibrationScore senses both recordings in the vibration domain and
 // correlates the features (Eq. 6) without phoneme selection.
 func (d *Detector) vibrationScore(vaRec, wearRec []float64, rng *rand.Rand) (float64, error) {
-	featA, err := sensing.SenseFeatures(d.cfg.Wearable, vaRec, d.cfg.Sensing, rng)
-	if err != nil {
-		return 0, err
-	}
-	featB, err := sensing.SenseFeatures(d.cfg.Wearable, wearRec, d.cfg.Sensing, rng)
-	if err != nil {
-		return 0, err
-	}
-	sp := stageCorrelate.Start()
-	score := dsp.Correlate2D(featA, featB)
-	sp.End()
-	return score, nil
+	score, _, err := d.correlateSensed(vaRec, wearRec, rng)
+	return score, err
 }
 
 // fullScore is the proposed system: apply the effective-phoneme spans of
@@ -368,16 +343,22 @@ func (d *Detector) fullScore(vaRec, wearRec []float64, spans []segment.Span, rng
 		// which itself is suspicious; return the minimum score.
 		return -1, nil
 	}
-	featA, err := sensing.SenseFeatures(d.cfg.Wearable, vaSeg, d.cfg.Sensing, rng)
+	score, _, err := d.correlateSensed(vaSeg, wearSeg, rng)
+	return score, err
+}
+
+// correlateSensed senses a and b as one pair (sensing.SensePair) and
+// returns the Eq. (6) correlation of their features together with the
+// number of overlapping (frame, bin) cells that entered it.
+func (d *Detector) correlateSensed(a, b []float64, rng *rand.Rand) (float64, int, error) {
+	featA, featB, err := sensing.SensePair(d.cfg.Wearable, a, b, d.cfg.Sensing, rng)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	featB, err := sensing.SenseFeatures(d.cfg.Wearable, wearSeg, d.cfg.Sensing, rng)
-	if err != nil {
-		return 0, err
-	}
-	sp = stageCorrelate.Start()
+	sp := stageCorrelate.Start()
 	score := dsp.Correlate2D(featA, featB)
 	sp.End()
-	return score, nil
+	frames := min(featA.NumFrames(), featB.NumFrames())
+	bins := min(featA.NumBins(), featB.NumBins())
+	return score, frames * bins, nil
 }

@@ -127,16 +127,38 @@ func LowFrequencyDominance(audio []float64, sampleRate float64) float64 {
 
 // Capture converts an audio waveform (the sound driving the wearable's
 // chassis during cross-domain replay) into the accelerometer's vibration
-// recording at 200 Hz.
+// recording at 200 Hz. It is Drive followed by AddNoise.
 func (a *Accelerometer) Capture(audio []float64, audioRate float64, rng *rand.Rand) ([]float64, error) {
-	if err := a.Validate(); err != nil {
+	d, err := a.Drive(audio, audioRate)
+	if err != nil {
 		return nil, err
 	}
+	return a.AddNoise(d, rng), nil
+}
+
+// Drive is the deterministic part of one capture: the vibration a sound
+// induces before any noise is added, and the amplifier noise level the
+// capture will draw. It depends on no rng, so the drives of several
+// captures may be computed concurrently and their noise drawn afterwards
+// in a fixed order.
+type Drive struct {
+	vib   []float64
+	sigma float64
+}
+
+// Drive computes the noise-free steps of Capture: conduction coupling,
+// decimation without anti-aliasing, the sub-5 Hz artifact, and the noise
+// level. Empty audio gives an empty Drive, which AddNoise turns into an
+// empty capture without touching its rng.
+func (a *Accelerometer) Drive(audio []float64, audioRate float64) (Drive, error) {
+	if err := a.Validate(); err != nil {
+		return Drive{}, err
+	}
 	if audioRate <= 0 {
-		return nil, fmt.Errorf("device: audio rate %v must be positive", audioRate)
+		return Drive{}, fmt.Errorf("device: audio rate %v must be positive", audioRate)
 	}
 	if len(audio) == 0 {
-		return nil, nil
+		return Drive{}, nil
 	}
 	rho := LowFrequencyDominance(audio, audioRate)
 
@@ -167,7 +189,7 @@ func (a *Accelerometer) Capture(audio []float64, audioRate float64, rng *rand.Ra
 	}
 	vib, err := dsp.DecimateSampleHold(coupled, factor)
 	if err != nil {
-		return nil, fmt.Errorf("device: %w", err)
+		return Drive{}, fmt.Errorf("device: %w", err)
 	}
 
 	// 3. The 0-5 Hz hypersensitivity artifact of Fig. 7.
@@ -178,13 +200,10 @@ func (a *Accelerometer) Capture(audio []float64, audioRate float64, rng *rand.Ra
 		return 1
 	})
 
-	// 4. Amplifier noise: a fixed floor, broadband conduction noise, and
-	// the low-frequency-driven amplifier noise of [9], which engages
-	// sharply as the drive becomes dominated by low frequencies and
-	// saturates at the amplifier's noise ceiling. The stationary noise is
-	// drawn once per capture: two captures of the same sound get
-	// independent noise, which is why noisy (thru-barrier) captures
-	// decorrelate.
+	// The level of step 4's amplifier noise: a fixed floor, broadband
+	// conduction noise, and the low-frequency-driven amplifier noise of
+	// [9], which engages sharply as the drive becomes dominated by low
+	// frequencies and saturates at the amplifier's noise ceiling.
 	sharp := a.LowFreqNoiseSharpness
 	if sharp <= 0 {
 		sharp = 1
@@ -195,8 +214,23 @@ func (a *Accelerometer) Capture(audio []float64, audioRate float64, rng *rand.Ra
 		sigma = a.NoiseCeiling
 	}
 	sigma += a.NoiseFloor
+	return Drive{vib: vib, sigma: sigma}, nil
+}
+
+// AddNoise completes a capture: it adds the amplifier noise and any
+// body-motion interference to the drive's vibration, in place, and returns
+// it. These are the only steps of a capture that draw from rng.
+func (a *Accelerometer) AddNoise(d Drive, rng *rand.Rand) []float64 {
+	vib := d.vib
+	if len(vib) == 0 {
+		return nil
+	}
+	// 4. Amplifier noise at the drive's level. The stationary noise is
+	// drawn once per capture: two captures of the same sound get
+	// independent noise, which is why noisy (thru-barrier) captures
+	// decorrelate.
 	for i := range vib {
-		vib[i] += sigma * rng.NormFloat64()
+		vib[i] += d.sigma * rng.NormFloat64()
 	}
 
 	// 5. Body-motion interference at 0.3-3.5 Hz, if the wearer moves.
@@ -208,7 +242,7 @@ func (a *Accelerometer) Capture(audio []float64, audioRate float64, rng *rand.Ra
 			vib[i] += a.BodyMotionAmp * math.Sin(2*math.Pi*motionFreq*t+phase)
 		}
 	}
-	return vib, nil
+	return vib
 }
 
 // ChirpResponse measures the accelerometer's output power per vibration-

@@ -63,20 +63,30 @@ func (w *Wearable) Validate() error {
 // SenseVibration performs one cross-domain sensing pass: it replays the
 // given 16 kHz audio through the built-in speaker and captures the induced
 // conductive vibration with the accelerometer, returning the 200 Hz
-// vibration signal.
+// vibration signal. It is Drive followed by the accelerometer's AddNoise.
 func (w *Wearable) SenseVibration(audio []float64, rng *rand.Rand) ([]float64, error) {
-	if err := w.Validate(); err != nil {
+	d, err := w.Drive(audio)
+	if err != nil {
 		return nil, err
+	}
+	return w.Accel.AddNoise(d, rng), nil
+}
+
+// Drive runs the deterministic part of a sensing pass: the speaker replay
+// and the accelerometer's noise-free response (see Accelerometer.Drive).
+func (w *Wearable) Drive(audio []float64) (Drive, error) {
+	if err := w.Validate(); err != nil {
+		return Drive{}, err
 	}
 	emitted, err := w.Speaker.Render(audio)
 	if err != nil {
-		return nil, fmt.Errorf("wearable %s: %w", w.Name, err)
+		return Drive{}, fmt.Errorf("wearable %s: %w", w.Name, err)
 	}
-	vib, err := w.Accel.Capture(emitted, w.Speaker.SampleRate, rng)
+	d, err := w.Accel.Drive(emitted, w.Speaker.SampleRate)
 	if err != nil {
-		return nil, fmt.Errorf("wearable %s: %w", w.Name, err)
+		return Drive{}, fmt.Errorf("wearable %s: %w", w.Name, err)
 	}
-	return vib, nil
+	return d, nil
 }
 
 // Record captures a voice command with the wearable's microphone.

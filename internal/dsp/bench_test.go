@@ -57,3 +57,8 @@ func BenchmarkFrequencyShape(b *testing.B) { runGroup(b, "FrequencyShape") }
 // (speaker render, accelerometer capture, feature extraction) on a
 // replay-segment length.
 func BenchmarkSenseFeatures(b *testing.B) { runGroup(b, "SenseFeatures") }
+
+// BenchmarkMFCCExtract measures MFCC extraction of a 2.9 s recording with
+// the precomputed DCT table and range-limited filterbank next to the
+// legacy per-frame cosines and dense filterbank scan.
+func BenchmarkMFCCExtract(b *testing.B) { runGroup(b, "MFCCExtract") }

@@ -1,6 +1,7 @@
 // Package dspbench preserves the pre-plan reference implementations of the
 // hot dsp primitives (per-call radix-2 and Bluestein FFTs, frequency-domain
-// shaping, per-frame-allocating STFT, the O(n*maxLag) delay search) and
+// shaping, per-frame-allocating STFT, the O(n*maxLag) delay search, and
+// MFCC extraction with per-frame cosines and a dense filterbank scan) and
 // defines the benchmark kernels that compare them against the planned
 // engine. The kernels are shared by the `go test -bench` wrappers in
 // internal/dsp and by cmd/benchdsp, which emits the checked-in
@@ -18,6 +19,7 @@ import (
 
 	"vibguard/internal/device"
 	"vibguard/internal/dsp"
+	"vibguard/internal/mfcc"
 	"vibguard/internal/sensing"
 )
 
@@ -253,6 +255,97 @@ func EstimateDelayLegacy(a, b []float64, maxLag int) int {
 	return best
 }
 
+// DCT2Legacy is the historical dsp.DCT2: the orthonormal type-II DCT of x,
+// first numCoeffs coefficients, with every cosine computed inside the
+// summation loop. dsp.DCT2Table is its bit-exact descendant.
+func DCT2Legacy(x []float64, numCoeffs int) []float64 {
+	n := len(x)
+	if n == 0 || numCoeffs <= 0 {
+		return nil
+	}
+	if numCoeffs > n {
+		numCoeffs = n
+	}
+	out := make([]float64, numCoeffs)
+	scale0 := math.Sqrt(1 / float64(n))
+	scale := math.Sqrt(2 / float64(n))
+	for k := 0; k < numCoeffs; k++ {
+		sum := 0.0
+		for i := 0; i < n; i++ {
+			sum += x[i] * math.Cos(math.Pi*float64(k)*(float64(i)+0.5)/float64(n))
+		}
+		if k == 0 {
+			out[k] = sum * scale0
+		} else {
+			out[k] = sum * scale
+		}
+	}
+	return out
+}
+
+// MelApplyDense is the historical MelFilterbank.ApplyInto: every filter
+// scans every bin of the power spectrum, skipping zero weights.
+func MelApplyDense(m *dsp.MelFilterbank, power []float64) []float64 {
+	out := make([]float64, m.NumChannels())
+	for c := range out {
+		sum := 0.0
+		for k, w := range m.Weights(c) {
+			if w != 0 {
+				sum += w * power[k]
+			}
+		}
+		out[c] = sum
+	}
+	return out
+}
+
+// MFCCExtractLegacy is the historical mfcc.Extractor.Extract for cfg: the
+// dense filterbank scan, per-frame DCT2Legacy cosines and one allocated
+// coefficient vector per frame.
+func MFCCExtractLegacy(audio []float64, cfg mfcc.Config) ([][]float64, error) {
+	frameLen := int(cfg.FrameLength * cfg.SampleRate)
+	shiftLen := int(cfg.FrameShift * cfg.SampleRate)
+	if len(audio) < frameLen {
+		return nil, nil
+	}
+	fftSize := dsp.NextPow2(frameLen)
+	bank, err := dsp.NewMelFilterbank(cfg.NumFilters, fftSize, cfg.SampleRate, cfg.LowHz, cfg.HighHz)
+	if err != nil {
+		return nil, err
+	}
+	plan, err := dsp.PlanRealFFT(fftSize)
+	if err != nil {
+		return nil, err
+	}
+	window := dsp.Window(dsp.WindowHamming, frameLen)
+	x := audio
+	if cfg.PreEmphasis > 0 {
+		x = dsp.PreEmphasis(audio, cfg.PreEmphasis)
+	}
+	numFrames := 1 + (len(x)-frameLen)/shiftLen
+	out := make([][]float64, 0, numFrames)
+	buf := make([]float64, fftSize)
+	scratch := plan.Scratch()
+	power := make([]float64, plan.NumBins())
+	logE := make([]float64, bank.NumChannels())
+	for idx := 0; idx < numFrames; idx++ {
+		start := idx * shiftLen
+		for i := 0; i < fftSize; i++ {
+			if i < frameLen {
+				buf[i] = x[start+i] * window[i]
+			} else {
+				buf[i] = 0
+			}
+		}
+		plan.PowerInto(power, buf, scratch)
+		for i, v := range MelApplyDense(bank, power) {
+			logE[i] = math.Log(v + 1e-12)
+		}
+		out = append(out, DCT2Legacy(logE, cfg.NumCoeffs))
+	}
+	return out, nil
+}
+
 // Case is one benchmark kernel: Group matches a Benchmark<Group> wrapper in
 // internal/dsp and Name is the sub-benchmark label.
 type Case struct {
@@ -369,6 +462,8 @@ func Cases() []Case {
 				}
 			}
 		}},
+		{"MFCCExtract", "45840", benchMFCC(false)},
+		{"MFCCExtract", "legacy-45840", benchMFCC(true)},
 		{"STFT", "64x16-4800", benchSTFT(64, 16, 200, 4800, false)},
 		{"STFT", "512x160-16000", benchSTFT(512, 160, 16000, 16000, false)},
 		{"STFTLegacy", "64x16-4800", benchSTFT(64, 16, 200, 4800, true)},
@@ -426,6 +521,36 @@ func benchPlan(n int) func(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			p.Forward(dst, src)
+		}
+	}
+}
+
+// mfccLen is a VA recording of about 2.9 s at 16 kHz, the length the
+// segmentation stage runs MFCC extraction on (285 frames).
+const mfccLen = 45840
+
+// benchMFCC measures one MFCC extraction of a recording: the extractor's
+// precomputed DCT table and range-limited filterbank, or the legacy
+// per-frame cosines and dense scan.
+func benchMFCC(legacy bool) func(b *testing.B) {
+	return func(b *testing.B) {
+		x := Signal(mfccLen, 8)
+		cfg := mfcc.DefaultConfig()
+		e, err := mfcc.NewExtractor(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if legacy {
+				_, err = MFCCExtractLegacy(x, cfg)
+			} else {
+				_, err = e.Extract(x)
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

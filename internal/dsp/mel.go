@@ -19,7 +19,10 @@ func MelToHz(mel float64) float64 {
 // a power spectrum.
 type MelFilterbank struct {
 	filters [][]float64 // filters[c][bin]
-	numBins int
+	// first[c] and last[c] bound filter c's nonzero weights, so a
+	// filter spanning a few bins is applied without scanning all of them.
+	first, last []int
+	numBins     int
 }
 
 // NewMelFilterbank builds numChannels triangular filters spanning
@@ -72,11 +75,28 @@ func NewMelFilterbank(numChannels, fftSize int, sampleRate, lowHz, highHz float6
 		}
 		filters[c] = f
 	}
-	return &MelFilterbank{filters: filters, numBins: numBins}, nil
+	first := make([]int, numChannels)
+	last := make([]int, numChannels)
+	for c, f := range filters {
+		first[c], last[c] = 0, -1
+		for k, w := range f {
+			if w != 0 {
+				if last[c] < 0 {
+					first[c] = k
+				}
+				last[c] = k
+			}
+		}
+	}
+	return &MelFilterbank{filters: filters, first: first, last: last, numBins: numBins}, nil
 }
 
 // NumChannels returns the number of filterbank channels.
 func (m *MelFilterbank) NumChannels() int { return len(m.filters) }
+
+// Weights returns channel c's weight over every power-spectrum bin. The
+// slice is the filterbank's own storage and must not be modified.
+func (m *MelFilterbank) Weights(c int) []float64 { return m.filters[c] }
 
 // Apply computes per-channel filterbank energies from a power spectrum of
 // the expected bin count.
@@ -95,10 +115,14 @@ func (m *MelFilterbank) ApplyInto(dst, power []float64) ([]float64, error) {
 		dst = make([]float64, len(m.filters))
 	}
 	dst = dst[:len(m.filters)]
+	// Only the bins between a filter's first and last nonzero weight are
+	// visited. Zero weights are skipped inside that range too, so the sum
+	// adds the same terms in the same order as a scan of every bin, and a
+	// non-finite power bin under a zero weight never reaches it.
 	for c, f := range m.filters {
 		sum := 0.0
-		for k, w := range f {
-			if w != 0 {
+		for k := m.first[c]; k <= m.last[c]; k++ {
+			if w := f[k]; w != 0 {
 				sum += w * power[k]
 			}
 		}
@@ -107,30 +131,67 @@ func (m *MelFilterbank) ApplyInto(dst, power []float64) ([]float64, error) {
 	return dst, nil
 }
 
-// DCT2 computes the type-II discrete cosine transform of x with the
-// orthonormal scaling used in MFCC pipelines, returning the first numCoeffs
-// coefficients.
-func DCT2(x []float64, numCoeffs int) []float64 {
-	n := len(x)
-	if n == 0 || numCoeffs <= 0 {
-		return nil
+// DCT2Table is a precomputed orthonormal type-II discrete cosine transform
+// of n inputs that keeps the first NumCoeffs coefficients, as used in MFCC
+// pipelines. The cosine of every (coefficient, input) pair is computed once
+// at construction, so Apply does no trigonometry. A table is read-only
+// after construction and safe for concurrent use.
+type DCT2Table struct {
+	n, numCoeffs  int
+	cos           []float64 // cos[k*n+i]
+	scale0, scale float64
+}
+
+// NewDCT2Table builds the table for n inputs. numCoeffs is clamped to n;
+// when n or numCoeffs is not positive the table produces no coefficients.
+func NewDCT2Table(n, numCoeffs int) *DCT2Table {
+	if n <= 0 || numCoeffs <= 0 {
+		return &DCT2Table{}
 	}
 	if numCoeffs > n {
 		numCoeffs = n
 	}
-	out := make([]float64, numCoeffs)
-	scale0 := math.Sqrt(1 / float64(n))
-	scale := math.Sqrt(2 / float64(n))
+	t := &DCT2Table{
+		n:         n,
+		numCoeffs: numCoeffs,
+		cos:       make([]float64, numCoeffs*n),
+		scale0:    math.Sqrt(1 / float64(n)),
+		scale:     math.Sqrt(2 / float64(n)),
+	}
 	for k := 0; k < numCoeffs; k++ {
-		sum := 0.0
 		for i := 0; i < n; i++ {
-			sum += x[i] * math.Cos(math.Pi*float64(k)*(float64(i)+0.5)/float64(n))
-		}
-		if k == 0 {
-			out[k] = sum * scale0
-		} else {
-			out[k] = sum * scale
+			t.cos[k*n+i] = math.Cos(math.Pi * float64(k) * (float64(i) + 0.5) / float64(n))
 		}
 	}
-	return out
+	return t
+}
+
+// NumCoeffs returns how many coefficients Apply produces.
+func (t *DCT2Table) NumCoeffs() int { return t.numCoeffs }
+
+// Apply transforms x, which must hold n values, into dst and returns it.
+// dst is allocated when too small; a table with no coefficients returns
+// nil.
+func (t *DCT2Table) Apply(dst, x []float64) []float64 {
+	if t.numCoeffs == 0 {
+		return nil
+	}
+	if cap(dst) < t.numCoeffs {
+		dst = make([]float64, t.numCoeffs)
+	}
+	dst = dst[:t.numCoeffs]
+	x = x[:t.n]
+	for k := range dst {
+		row := t.cos[k*t.n : (k+1)*t.n]
+		sum := 0.0
+		for i, c := range row {
+			sum += x[i] * c
+		}
+		if k == 0 {
+			dst[k] = sum * t.scale0
+		} else {
+			dst[k] = sum * t.scale
+		}
+	}
+	return dst
 }

@@ -94,7 +94,7 @@ func TestMelFilterbankErrors(t *testing.T) {
 func TestDCT2KnownValues(t *testing.T) {
 	// DCT of a constant vector concentrates everything in coefficient 0.
 	x := []float64{1, 1, 1, 1}
-	out := DCT2(x, 4)
+	out := NewDCT2Table(4, 4).Apply(nil, x)
 	if math.Abs(out[0]-2) > 1e-12 { // sqrt(1/4)*4 = 2
 		t.Errorf("c0 = %v, want 2", out[0])
 	}
@@ -108,7 +108,7 @@ func TestDCT2KnownValues(t *testing.T) {
 func TestDCT2Energy(t *testing.T) {
 	// Orthonormal DCT preserves energy when all coefficients are kept.
 	x := []float64{0.3, -1.2, 2.5, 0.7, -0.1}
-	out := DCT2(x, len(x))
+	out := NewDCT2Table(len(x), len(x)).Apply(nil, x)
 	if math.Abs(Energy(x)-Energy(out)) > 1e-9 {
 		t.Errorf("energy %v -> %v not preserved", Energy(x), Energy(out))
 	}
@@ -116,17 +116,18 @@ func TestDCT2Energy(t *testing.T) {
 
 func TestDCT2Truncation(t *testing.T) {
 	x := make([]float64, 40)
-	out := DCT2(x, 14)
+	out := NewDCT2Table(40, 14).Apply(nil, x)
 	if len(out) != 14 {
 		t.Errorf("len = %d, want 14", len(out))
 	}
-	if DCT2(nil, 5) != nil {
+	if NewDCT2Table(0, 5).Apply(nil, nil) != nil {
 		t.Error("empty input should return nil")
 	}
-	if DCT2(x, 0) != nil {
+	if NewDCT2Table(40, 0).Apply(nil, x) != nil {
 		t.Error("zero coeffs should return nil")
 	}
-	if got := DCT2([]float64{1, 2}, 10); len(got) != 2 {
+	tab := NewDCT2Table(2, 10)
+	if got := tab.Apply(nil, []float64{1, 2}); len(got) != 2 || tab.NumCoeffs() != 2 {
 		t.Errorf("over-request should clamp: len = %d", len(got))
 	}
 }

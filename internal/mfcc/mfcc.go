@@ -66,9 +66,10 @@ func (c *Config) Validate() error {
 }
 
 // Extractor computes MFCC frame sequences. The extractor itself is
-// immutable after construction (the FFT plan and filterbank are shared,
-// read-only state), so one extractor may serve concurrent goroutines; all
-// mutable scratch lives on the stack of each Extract call.
+// immutable after construction (the FFT plan, filterbank and DCT table are
+// shared, read-only state), so one extractor may serve concurrent
+// goroutines; each Extract call allocates its own scratch buffers once and
+// reuses them across its frames.
 type Extractor struct {
 	cfg      Config
 	frameLen int
@@ -77,6 +78,7 @@ type Extractor struct {
 	window   []float64
 	bank     *dsp.MelFilterbank
 	plan     *dsp.RealFFTPlan
+	dct      *dsp.DCT2Table
 }
 
 // NewExtractor builds an extractor for the given configuration.
@@ -103,6 +105,7 @@ func NewExtractor(cfg Config) (*Extractor, error) {
 		window:   dsp.Window(dsp.WindowHamming, frameLen),
 		bank:     bank,
 		plan:     plan,
+		dct:      dsp.NewDCT2Table(cfg.NumFilters, cfg.NumCoeffs),
 	}, nil
 }
 
@@ -136,10 +139,13 @@ func (e *Extractor) Extract(audio []float64) ([][]float64, error) {
 		x = dsp.PreEmphasis(audio, e.cfg.PreEmphasis)
 	}
 	numFrames := e.NumFrames(len(x))
-	out := make([][]float64, 0, numFrames)
+	out := make([][]float64, numFrames)
 	// All per-frame scratch is hoisted out of the loop and reused: the
-	// planned transform writes into the same power buffer every frame, so
-	// the only per-frame allocation is the returned coefficient vector.
+	// planned transform writes into the same power buffer every frame, and
+	// the coefficient rows are carved from one backing slice, so nothing is
+	// allocated per frame.
+	nc := e.dct.NumCoeffs()
+	coeffs := make([]float64, numFrames*nc)
 	buf := make([]float64, e.fftSize)
 	scratch := e.plan.Scratch()
 	power := make([]float64, e.plan.NumBins())
@@ -161,7 +167,8 @@ func (e *Extractor) Extract(audio []float64) ([][]float64, error) {
 		for i, v := range energies {
 			logE[i] = math.Log(v + 1e-12)
 		}
-		out = append(out, dsp.DCT2(logE, e.cfg.NumCoeffs))
+		row := coeffs[idx*nc : (idx+1)*nc : (idx+1)*nc]
+		out[idx] = e.dct.Apply(row, logE)
 	}
 	return out, nil
 }

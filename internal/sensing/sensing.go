@@ -148,7 +148,55 @@ func SenseFeatures(w *device.Wearable, audio []float64, cfg Config, rng *rand.Ra
 	if err != nil {
 		return nil, fmt.Errorf("sensing: %w", err)
 	}
-	sp = stageSTFT.Start()
+	return extract(vib, cfg)
+}
+
+// SensePair runs the sensing passes of two recordings, a and b, as one
+// pair. Its features, its errors and (on success) the state it leaves rng
+// in are bit-identical to SenseFeatures on a followed by SenseFeatures on
+// b with the same rng. Only the accelerometer noise draws from rng, so
+// the two deterministic drives (speaker replay and noise-free capture) run
+// concurrently, b's on one forked goroutine; then a's noise is drawn, then
+// b's. The replay stage is observed once, for the time the caller waits
+// for both captures.
+func SensePair(w *device.Wearable, a, b []float64, cfg Config, rng *rand.Rand) (featA, featB *dsp.Spectrogram, err error) {
+	sp := stageReplay.Start()
+	var driveB device.Drive
+	var errB error
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		driveB, errB = w.Drive(b)
+	}()
+	driveA, errA := w.Drive(a)
+	<-done
+	if errA != nil {
+		sp.End()
+		return nil, nil, fmt.Errorf("sensing: %w", errA)
+	}
+	vibA := w.Accel.AddNoise(driveA, rng)
+	var vibB []float64
+	if errB == nil {
+		vibB = w.Accel.AddNoise(driveB, rng)
+	}
+	sp.End()
+	// Errors are reported in the sequential order: a's capture, a's
+	// features, b's capture, b's features.
+	if featA, err = extract(vibA, cfg); err != nil {
+		return nil, nil, err
+	}
+	if errB != nil {
+		return nil, nil, fmt.Errorf("sensing: %w", errB)
+	}
+	if featB, err = extract(vibB, cfg); err != nil {
+		return nil, nil, err
+	}
+	return featA, featB, nil
+}
+
+// extract is ExtractFeatures timed as the stft stage.
+func extract(vib []float64, cfg Config) (*dsp.Spectrogram, error) {
+	sp := stageSTFT.Start()
 	feat, err := ExtractFeatures(vib, cfg)
 	sp.End()
 	return feat, err
