@@ -66,22 +66,23 @@ bench-brnn:
 	$(GO) run ./cmd/benchbrnn -out BENCH_brnn.json
 
 # Race gate for the batched inference kernels, the pooled detector
-# scratch, and the layers that fork inside one session (the sensing pair,
-# the accelerometer drive/noise split, the MFCC tables): the
-# bit-equivalence suites and the concurrent-session tests run under the
-# race detector.
+# scratch, and the layers that fork inside one session (segmentation
+# beside the per-device alignments, the shared sensing drives, the
+# accelerometer drive/noise split, the MFCC tables): the bit-equivalence
+# suites and the concurrent-session tests run under the race detector.
 race-brnn:
-	$(GO) vet ./internal/brnn/ ./internal/segment/ ./internal/sensing/ ./internal/device/ ./internal/mfcc/
-	$(GO) test -race ./internal/brnn/ ./internal/segment/ ./internal/sensing/ ./internal/device/ ./internal/mfcc/
+	$(GO) vet ./internal/brnn/ ./internal/segment/ ./internal/sensing/ ./internal/device/ ./internal/mfcc/ ./internal/detector/ ./internal/core/
+	$(GO) test -race ./internal/brnn/ ./internal/segment/ ./internal/sensing/ ./internal/device/ ./internal/mfcc/ ./internal/detector/ ./internal/core/
 
-# One session forks goroutines (segmentation beside the Eq. (5) alignment,
-# the two replay drives of a sensing pair, the two BRNN directions in a
-# training step). With one P the forked halves run one after the other;
-# these bit-identity pins (golden EER/AUC, fusion goldens, the streamed
-# zero-flip and batch-equivalence checks, and the split-versus-sequential
-# pins) must hold there too, so the bits cannot depend on scheduling.
+# One session forks goroutines (segmentation beside the Eq. (5)
+# alignments, the 1 + k replay drives of k wearables, the two BRNN
+# directions in a training step). With one P the forked parts run one
+# after the other; these bit-identity pins (golden EER/AUC, fusion
+# goldens, the streamed zero-flip and batch-equivalence checks, and the
+# shared-versus-sequential pins) must hold there too, so the bits cannot
+# depend on scheduling.
 pins-gomaxprocs1:
-	GOMAXPROCS=1 $(GO) test -count=1 -run '$(SERIAL_PINS)' ./internal/eval/ ./internal/core/ ./internal/serve/ ./internal/sensing/ ./internal/dsp/ ./internal/mfcc/ ./internal/brnn/
+	GOMAXPROCS=1 $(GO) test -count=1 -run '$(SERIAL_PINS)' ./internal/eval/ ./internal/core/ ./internal/serve/ ./internal/sensing/ ./internal/dsp/ ./internal/mfcc/ ./internal/brnn/ ./internal/device/ ./internal/detector/
 
 SERIAL_PINS = TestGoldenMetrics|TestFuseGoldenTwoWearables|TestStreamInspectorMatchesBatchBitExact|TestSubmitStreamMatchesSubmit|TestStreamOverWireConcurrent|BitIdentical|TestInspectContractUnderConcurrency|TestScoreMatchesInspect
 

@@ -119,77 +119,109 @@ type Verdict struct {
 
 // Inspect runs the full pipeline on a VA recording and a raw (unaligned)
 // wearable recording and returns the verdict. The rng drives the
-// stochastic cross-domain sensing. For MethodFull the segmenter (one BRNN
-// inference in production) runs exactly once, concurrently with the
-// alignment; the resulting spans feed both the score and the verdict.
-//
-// Inspect is the production entry point, so it validates both recordings
-// first: fatal corruption (empty, non-finite, truncated, or
-// length-inconsistent input) returns one of the typed errors of
-// validate.go instead of a garbage score, and a DC bias is repaired before
-// scoring. The returned score is guaranteed finite. The Score* fast paths
-// skip this and trust their caller (the evaluation engine feeds
-// generator-made samples).
+// stochastic cross-domain sensing. It is InspectDevices for one wearable.
 func (d *Defense) Inspect(vaRec, wearRec []float64, rng *rand.Rand) (*Verdict, error) {
-	metInspectTotal.Inc()
-	vaRec, wearRec, err := d.validatePair(vaRec, wearRec)
-	if err != nil {
-		metInspectErrors.Inc()
-		return nil, err
+	verdicts, errs := d.InspectDevices(vaRec, [][]float64{wearRec}, []*rand.Rand{rng})
+	return verdicts[0], errs[0]
+}
+
+// InspectDevices inspects one VA recording against the raw recordings of
+// several wearables of the configured model, wears[i] with rngs[i], and
+// returns one verdict or error per wearable: each, and the state rngs[i]
+// is left in, is the one a lone Inspect(vaRec, wears[i], rngs[i]) gives,
+// bit for bit, and the counters move as len(wears) Inspect calls move
+// them. The device-independent work runs once: for MethodFull the
+// segmenter (one BRNN inference in production) runs on one forked
+// goroutine while this one aligns each wearable in turn, and the spans,
+// which every verdict shares, cut the VA recording once for all the
+// wearables' correlations (detector.ScoreDevices). The join comes before
+// any return, and each wearable's error keeps the sequential precedence:
+// alignment, missing segmenter, segmenter.
+//
+// This is the production entry point, so it validates the recordings
+// first: fatal corruption (empty, non-finite, truncated, or
+// length-inconsistent input) gives one of the typed errors of validate.go
+// instead of a garbage score, and a DC bias is repaired before scoring.
+// Returned scores are guaranteed finite. The Score* fast paths skip this
+// and trust their caller (the evaluation engine feeds generator-made
+// samples).
+func (d *Defense) InspectDevices(vaRec []float64, wears [][]float64, rngs []*rand.Rand) ([]*Verdict, []error) {
+	metInspectTotal.Add(uint64(len(wears)))
+	verdicts := make([]*Verdict, len(wears))
+	errs := make([]error, len(wears))
+	aligned := make([][]float64, len(wears))
+	taus := make([]int, len(wears))
+	var va []float64 // validated, so the same for every valid wearable
+	var valid []int
+	for i, wear := range wears {
+		var v []float64
+		if v, aligned[i], errs[i] = d.validatePair(vaRec, wear); errs[i] == nil {
+			va = v
+			valid = append(valid, i)
+		}
 	}
-	// Segmentation and the Eq. (5) alignment both only read the validated
-	// recordings, so the segmenter runs on one forked goroutine while this
-	// one aligns. The join comes before any return, and the errors keep
-	// the sequential precedence: alignment, missing segmenter, segmenter.
+	full := d.cfg.Method == detector.MethodFull
 	var spans []segment.Span
 	var segErr error
-	var segDone chan struct{}
-	if d.cfg.Method == detector.MethodFull && d.cfg.Segmenter != nil {
-		segDone = make(chan struct{})
+	segDone := make(chan struct{})
+	if full && d.cfg.Segmenter != nil && len(valid) > 0 {
 		go func() {
 			defer close(segDone)
 			sp := stageSegment.Start()
-			spans, segErr = d.cfg.Segmenter.EffectiveSpans(vaRec)
+			spans, segErr = d.cfg.Segmenter.EffectiveSpans(va)
 			sp.End()
 		}()
-	}
-	sp := stageAlign.Start()
-	aligned, tau, err := d.align(vaRec, wearRec, d.cfg.MaxSyncLagSeconds, d.cfg.SampleRate)
-	sp.End()
-	if segDone != nil {
-		<-segDone
-	}
-	if err != nil {
-		metInspectErrors.Inc()
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	if d.cfg.Method == detector.MethodFull {
-		if d.cfg.Segmenter == nil {
-			metInspectErrors.Inc()
-			return nil, fmt.Errorf("core: full method needs a segmenter")
-		}
-		if segErr != nil {
-			metInspectErrors.Inc()
-			return nil, fmt.Errorf("core: %w", segErr)
-		}
-	}
-	score, err := d.det.ScoreWithSpans(vaRec, aligned, spans, rng)
-	if err != nil {
-		metInspectErrors.Inc()
-		return nil, fmt.Errorf("core: %w", err)
-	}
-	attack := d.det.Detect(score)
-	if attack {
-		metVerdictAttack.Inc()
 	} else {
-		metVerdictAccept.Inc()
+		close(segDone)
 	}
-	return &Verdict{
-		Score:      score,
-		Attack:     attack,
-		SyncOffset: tau,
-		Spans:      spans,
-	}, nil
+	for _, i := range valid {
+		sp := stageAlign.Start()
+		aligned[i], taus[i], errs[i] = d.align(va, aligned[i], d.cfg.MaxSyncLagSeconds, d.cfg.SampleRate)
+		sp.End()
+	}
+	<-segDone
+	var scored []int
+	for _, i := range valid {
+		switch {
+		case errs[i] != nil:
+			errs[i] = fmt.Errorf("core: %w", errs[i])
+		case full && d.cfg.Segmenter == nil:
+			errs[i] = fmt.Errorf("core: full method needs a segmenter")
+		case full && segErr != nil:
+			errs[i] = fmt.Errorf("core: %w", segErr)
+		default:
+			scored = append(scored, i)
+		}
+	}
+	scores, scoreErrs := d.det.ScoreDevices(va, pick(aligned, scored), spans, pick(rngs, scored))
+	for j, i := range scored {
+		if scoreErrs[j] != nil {
+			errs[i] = fmt.Errorf("core: %w", scoreErrs[j])
+			continue
+		}
+		attack := d.det.Detect(scores[j])
+		if attack {
+			metVerdictAttack.Inc()
+		} else {
+			metVerdictAccept.Inc()
+		}
+		verdicts[i] = &Verdict{Score: scores[j], Attack: attack, SyncOffset: taus[i], Spans: spans}
+	}
+	for _, err := range errs {
+		if err != nil {
+			metInspectErrors.Inc()
+		}
+	}
+	return verdicts, errs
+}
+
+// pick returns the elements of xs at the given indices.
+func pick[T any](xs []T, idx []int) []T {
+	out := make([]T, len(idx))
+	for j, i := range idx {
+		out[j] = xs[i]
+	}
+	return out
 }
 
 // Score runs the pipeline and returns only the similarity score; it is the

@@ -11,7 +11,7 @@ import (
 // Score-level multi-wearable fusion. A user with several paired wearables
 // (watch, earbud, …) gives the defense several independent cross-domain
 // views of the same voice command; each device is scored by the full
-// pipeline independently, and the per-device scores are fused here. Fusion
+// pipeline as if alone (InspectDevices), and the scores are fused here. Fusion
 // is at the score level — not the feature level — so a device that failed
 // outright (dead link, corrupt recording) simply contributes nothing, and
 // the quorum rule is the weakest possible: any single finite score still

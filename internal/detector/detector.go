@@ -232,25 +232,42 @@ var ErrNonFiniteScore = errors.New("detector: non-finite similarity score")
 // configuration, so any number of goroutines may call it at once (each
 // with its own rng). The spans are ignored by the audio- and
 // vibration-domain baselines. The returned score is always finite; a
-// degenerate computation yields ErrNonFiniteScore instead.
+// degenerate computation yields ErrNonFiniteScore instead. It is the
+// one-device case of ScoreDevices.
 func (d *Detector) ScoreWithSpans(vaRec, wearRec []float64, spans []segment.Span, rng *rand.Rand) (float64, error) {
-	var score float64
-	var err error
+	scores, errs := d.ScoreDevices(vaRec, [][]float64{wearRec}, spans, []*rand.Rand{rng})
+	return scores[0], errs[0]
+}
+
+// ScoreDevices scores one VA recording against the (already synchronized)
+// recordings of several wearables of the configured model, wearRecs[i]
+// with rngs[i]. scores[i] and errs[i], and the state rngs[i] is left in,
+// are bit-identical to ScoreWithSpans(vaRec, wearRecs[i], spans, rngs[i]);
+// the device-independent work runs once: the VA phoneme cut and its
+// replay drive (sensing.SenseShared), or the audio-domain spectrum.
+func (d *Detector) ScoreDevices(vaRec []float64, wearRecs [][]float64, spans []segment.Span, rngs []*rand.Rand) (scores []float64, errs []error) {
+	if len(wearRecs) == 0 {
+		return nil, nil
+	}
+	var res []correlation
 	switch d.cfg.Method {
 	case MethodAudio:
-		score, err = d.audioScore(vaRec, wearRec)
+		score, err := d.audioScore(vaRec)
+		res = make([]correlation, len(wearRecs))
+		for i := range res {
+			res[i] = correlation{score: score, err: err}
+		}
 	case MethodVibration:
-		score, err = d.vibrationScore(vaRec, wearRec, rng)
+		res = d.correlateSensed(vaRec, wearRecs, rngs)
 	default:
-		score, err = d.fullScore(vaRec, wearRec, spans, rng)
+		res = d.fullScore(vaRec, wearRecs, spans, rngs)
 	}
-	if err != nil {
-		return 0, err
+	scores = make([]float64, len(res))
+	errs = make([]error, len(res))
+	for i, r := range res {
+		scores[i], errs[i] = r.result()
 	}
-	if math.IsNaN(score) || math.IsInf(score, 0) {
-		return 0, ErrNonFiniteScore
-	}
-	return score, nil
+	return scores, errs
 }
 
 // Detect reports whether a score indicates a thru-barrier attack.
@@ -279,14 +296,12 @@ func (d *Detector) CorrelateSegments(vaSeg, wearSeg []float64, rng *rand.Rand) (
 	if len(vaSeg) == 0 || len(wearSeg) == 0 {
 		return -1, 0, nil
 	}
-	score, cells, err := d.correlateSensed(vaSeg, wearSeg, rng)
+	c := d.correlateSensed(vaSeg, [][]float64{wearSeg}, []*rand.Rand{rng})[0]
+	score, err := c.result()
 	if err != nil {
 		return 0, 0, err
 	}
-	if math.IsNaN(score) || math.IsInf(score, 0) {
-		return 0, 0, ErrNonFiniteScore
-	}
-	return score, cells, nil
+	return score, c.cells, nil
 }
 
 // audioScore is the audio-domain baseline the paper describes (and finds
@@ -295,10 +310,10 @@ func (d *Detector) CorrelateSegments(vaSeg, wearSeg []float64, rng *rand.Rand) (
 // high-frequency energy fraction suggests an attack — but some voices
 // inherently have little high-frequency energy, so legitimate commands
 // from dark voices at a distance are misclassified, which is exactly the
-// weakness Figs. 9-11 quantify. The fraction is mapped through a smooth
-// squash so scores live on the same [0, 1) scale as the correlators.
-func (d *Detector) audioScore(vaRec, wearRec []float64) (float64, error) {
-	_ = wearRec // the audio-domain check only uses the VA recording
+// weakness Figs. 9-11 quantify. It reads only the VA recording. The
+// fraction is mapped through a smooth squash so scores live on the same
+// [0, 1) scale as the correlators.
+func (d *Detector) audioScore(vaRec []float64) (float64, error) {
 	if len(vaRec) == 0 {
 		return 0, fmt.Errorf("detector: empty VA recording")
 	}
@@ -323,42 +338,73 @@ func (d *Detector) audioScore(vaRec, wearRec []float64) (float64, error) {
 	return 1 - math.Exp(-ratio/0.04), nil
 }
 
-// vibrationScore senses both recordings in the vibration domain and
-// correlates the features (Eq. 6) without phoneme selection.
-func (d *Detector) vibrationScore(vaRec, wearRec []float64, rng *rand.Rand) (float64, error) {
-	score, _, err := d.correlateSensed(vaRec, wearRec, rng)
-	return score, err
+// correlation is one device's Eq. (6) score, the number of overlapping
+// (frame, bin) cells that entered it, or the error that stopped it.
+type correlation struct {
+	score float64
+	cells int
+	err   error
+}
+
+// result returns the score, or the error with a zero score:
+// ErrNonFiniteScore in place of a NaN or infinite score.
+func (c correlation) result() (float64, error) {
+	if c.err != nil {
+		return 0, c.err
+	}
+	if math.IsNaN(c.score) || math.IsInf(c.score, 0) {
+		return 0, ErrNonFiniteScore
+	}
+	return c.score, nil
 }
 
 // fullScore is the proposed system: apply the effective-phoneme spans of
-// the VA recording to both recordings (Section VI-A), then correlate the
-// vibration-domain features of the extracted segments.
-func (d *Detector) fullScore(vaRec, wearRec []float64, spans []segment.Span, rng *rand.Rand) (float64, error) {
+// the VA recording to every recording (Section VI-A), then correlate the
+// vibration-domain features of the VA cut with those of each wearable's.
+// The phoneme-select stage is observed once for all the cuts.
+func (d *Detector) fullScore(vaRec []float64, wearRecs [][]float64, spans []segment.Span, rngs []*rand.Rand) []correlation {
+	res := make([]correlation, len(wearRecs))
+	var segs [][]float64
+	var segRngs []*rand.Rand
+	var sensed []int // the device of each of segs
 	sp := stagePhonemeSelect.Start()
 	vaSeg := segment.ExtractSpans(vaRec, spans)
-	wearSeg := segment.ExtractSpans(wearRec, spans)
-	sp.End()
-	if len(vaSeg) == 0 || len(wearSeg) == 0 {
+	for i, wearRec := range wearRecs {
 		// No effective phonemes found: the command has no usable content,
-		// which itself is suspicious; return the minimum score.
-		return -1, nil
+		// which itself is suspicious; the minimum score.
+		res[i].score = -1
+		if len(vaSeg) == 0 {
+			continue
+		}
+		if wearSeg := segment.ExtractSpans(wearRec, spans); len(wearSeg) > 0 {
+			segs = append(segs, wearSeg)
+			segRngs = append(segRngs, rngs[i])
+			sensed = append(sensed, i)
+		}
 	}
-	score, _, err := d.correlateSensed(vaSeg, wearSeg, rng)
-	return score, err
+	sp.End()
+	for j, c := range d.correlateSensed(vaSeg, segs, segRngs) {
+		res[sensed[j]] = c
+	}
+	return res
 }
 
-// correlateSensed senses a and b as one pair (sensing.SensePair) and
-// returns the Eq. (6) correlation of their features together with the
-// number of overlapping (frame, bin) cells that entered it.
-func (d *Detector) correlateSensed(a, b []float64, rng *rand.Rand) (float64, int, error) {
-	featA, featB, err := sensing.SensePair(d.cfg.Wearable, a, b, d.cfg.Sensing, rng)
-	if err != nil {
-		return 0, 0, err
+// correlateSensed senses a against each of bs (sensing.SenseShared, pair i
+// drawing from rngs[i]) and returns the Eq. (6) correlation of each pair's
+// features. The vibration-domain baseline is this on the whole
+// recordings, without phoneme selection.
+func (d *Detector) correlateSensed(a []float64, bs [][]float64, rngs []*rand.Rand) []correlation {
+	pairs := sensing.SenseShared(d.cfg.Wearable, a, bs, d.cfg.Sensing, rngs)
+	res := make([]correlation, len(pairs))
+	for i, p := range pairs {
+		if p.Err != nil {
+			res[i].err = p.Err
+			continue
+		}
+		sp := stageCorrelate.Start()
+		res[i].score = dsp.Correlate2D(p.A, p.B)
+		sp.End()
+		res[i].cells = min(p.A.NumFrames(), p.B.NumFrames()) * min(p.A.NumBins(), p.B.NumBins())
 	}
-	sp := stageCorrelate.Start()
-	score := dsp.Correlate2D(featA, featB)
-	sp.End()
-	frames := min(featA.NumFrames(), featB.NumFrames())
-	bins := min(featA.NumBins(), featB.NumBins())
-	return score, frames * bins, nil
+	return res
 }

@@ -261,3 +261,64 @@ func TestScoreRequiresSegmenter(t *testing.T) {
 func briefModelCfg() brnn.Config {
 	return brnn.Config{InputDim: 14, HiddenDim: 8, NumClasses: 2, Seed: 1}
 }
+
+// TestScoreDevicesBitIdenticalToScoreWithSpans pins the shared-work entry
+// against one ScoreWithSpans call per wearable: the same score bits, the
+// same error, and the same next draw of each rng, for every method. The
+// cases cover a wearable whose phoneme cut is empty (the minimum score,
+// no draw) beside wearables that are sensed, an empty VA cut, an empty VA
+// recording for the audio baseline, and a wearable model whose drive
+// fails.
+func TestScoreDevicesBitIdenticalToScoreWithSpans(t *testing.T) {
+	utt, legitVA, legitWear, atkVA, atkWear := scenario(t, 23)
+	spans := segment.OracleSpans(utt, selection.CanonicalSelected())
+	broken := device.NewFossilGen5()
+	broken.Accel.NoiseCeiling = -1
+	cases := []struct {
+		name  string
+		w     *device.Wearable
+		spans []segment.Span
+		va    []float64
+		wears [][]float64
+	}{
+		{"legit, three wearables", device.NewFossilGen5(), spans, legitVA, [][]float64{legitWear, atkWear, legitWear[:len(legitWear)/2]}},
+		{"attack, two wearables", device.NewMoto360(), spans, atkVA, [][]float64{atkWear, legitWear}},
+		{"one empty cut", device.NewFossilGen5(), spans, legitVA, [][]float64{legitWear, legitWear[:1], atkWear}},
+		{"no spans", device.NewFossilGen5(), nil, legitVA, [][]float64{legitWear, atkWear}},
+		{"empty VA recording", device.NewFossilGen5(), spans, nil, [][]float64{legitWear, atkWear}},
+		{"drive fails", broken, spans, legitVA, [][]float64{legitWear, atkWear}},
+	}
+	for _, method := range []Method{MethodFull, MethodVibration, MethodAudio} {
+		for _, tc := range cases {
+			t.Run(method.String()+"/"+tc.name, func(t *testing.T) {
+				cfg := DefaultConfig(tc.w, nil)
+				cfg.Method = method
+				d, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				rngs := func() []*rand.Rand {
+					r := make([]*rand.Rand, len(tc.wears))
+					for i := range r {
+						r[i] = rand.New(rand.NewSource(int64(50 + i)))
+					}
+					return r
+				}
+				together, alone := rngs(), rngs()
+				scores, errs := d.ScoreDevices(tc.va, tc.wears, tc.spans, together)
+				for i, wear := range tc.wears {
+					want, wantErr := d.ScoreWithSpans(tc.va, wear, tc.spans, alone[i])
+					if (errs[i] == nil) != (wantErr == nil) || (wantErr != nil && errs[i].Error() != wantErr.Error()) {
+						t.Fatalf("device %d: error %v, alone %v", i, errs[i], wantErr)
+					}
+					if math.Float64bits(scores[i]) != math.Float64bits(want) {
+						t.Errorf("device %d: score %v, alone %v", i, scores[i], want)
+					}
+					if g, w := together[i].Int63(), alone[i].Int63(); g != w {
+						t.Errorf("device %d: rng next draw %d, alone %d", i, g, w)
+					}
+				}
+			})
+		}
+	}
+}

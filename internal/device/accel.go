@@ -82,8 +82,30 @@ func NewAccelerometer() Accelerometer {
 	}
 }
 
-// Validate checks accelerometer parameters.
+// Validate checks accelerometer parameters. Every field must be finite:
+// each check below is a comparison, which NaN passes.
 func (a *Accelerometer) Validate() error {
+	fields := [...]struct {
+		name string
+		v    float64
+	}{
+		{"sample rate", a.SampleRate},
+		{"artifact gain", a.ArtifactGain},
+		{"artifact cutoff", a.ArtifactCutoffHz},
+		{"low coupling", a.CouplingLow},
+		{"high coupling", a.CouplingHigh},
+		{"noise floor", a.NoiseFloor},
+		{"low-frequency noise factor", a.LowFreqNoiseFactor},
+		{"broadband noise factor", a.BroadbandNoiseFactor},
+		{"noise ceiling", a.NoiseCeiling},
+		{"low-frequency noise sharpness", a.LowFreqNoiseSharpness},
+		{"body motion amplitude", a.BodyMotionAmp},
+	}
+	for _, f := range fields {
+		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
+			return fmt.Errorf("device: accel %s %v must be finite", f.name, f.v)
+		}
+	}
 	if a.SampleRate <= 0 {
 		return fmt.Errorf("device: accel sample rate %v must be positive", a.SampleRate)
 	}
@@ -93,8 +115,12 @@ func (a *Accelerometer) Validate() error {
 	if a.CouplingLow <= 0 || a.CouplingHigh <= 0 {
 		return fmt.Errorf("device: coupling gains (%v, %v) must be positive", a.CouplingLow, a.CouplingHigh)
 	}
-	if a.NoiseFloor < 0 || a.LowFreqNoiseFactor < 0 {
-		return fmt.Errorf("device: noise parameters (%v, %v) must be non-negative", a.NoiseFloor, a.LowFreqNoiseFactor)
+	if a.NoiseFloor < 0 || a.LowFreqNoiseFactor < 0 || a.BroadbandNoiseFactor < 0 || a.NoiseCeiling < 0 {
+		return fmt.Errorf("device: noise parameters (%v, %v, %v, %v) must be non-negative",
+			a.NoiseFloor, a.LowFreqNoiseFactor, a.BroadbandNoiseFactor, a.NoiseCeiling)
+	}
+	if a.BodyMotionAmp < 0 {
+		return fmt.Errorf("device: body motion amplitude %v must be non-negative", a.BodyMotionAmp)
 	}
 	return nil
 }
@@ -146,10 +172,18 @@ type Drive struct {
 	sigma float64
 }
 
+// Copy returns a drive that owns its vibration, so that AddNoise on the
+// copy leaves d untouched: several captures of one sound share one drive.
+func (d Drive) Copy() Drive {
+	return Drive{vib: append([]float64(nil), d.vib...), sigma: d.sigma}
+}
+
 // Drive computes the noise-free steps of Capture: conduction coupling,
 // decimation without anti-aliasing, the sub-5 Hz artifact, and the noise
-// level. Empty audio gives an empty Drive, which AddNoise turns into an
-// empty capture without touching its rng.
+// level. The low-frequency dominance, an exact-length spectrum of the
+// audio, is computed only when the level is not already saturated at the
+// noise ceiling (see saturates). Empty audio gives an empty Drive, which
+// AddNoise turns into an empty capture without touching its rng.
 func (a *Accelerometer) Drive(audio []float64, audioRate float64) (Drive, error) {
 	if err := a.Validate(); err != nil {
 		return Drive{}, err
@@ -160,8 +194,6 @@ func (a *Accelerometer) Drive(audio []float64, audioRate float64) (Drive, error)
 	if len(audio) == 0 {
 		return Drive{}, nil
 	}
-	rho := LowFrequencyDominance(audio, audioRate)
-
 	// 1. Frequency-dependent conduction coupling at the audio rate: audio
 	// below ~800 Hz drives the chassis very weakly (falling off
 	// quadratically toward DC), with full coupling only above ~1.6 kHz
@@ -208,13 +240,39 @@ func (a *Accelerometer) Drive(audio []float64, audioRate float64) (Drive, error)
 	if sharp <= 0 {
 		sharp = 1
 	}
+	rms := dsp.RMS(vib)
+	var rho float64
+	if !saturates(a.BroadbandNoiseFactor, rms, a.NoiseCeiling, audio) {
+		rho = LowFrequencyDominance(audio, audioRate)
+	}
 	gain := a.BroadbandNoiseFactor + a.LowFreqNoiseFactor*math.Pow(rho, sharp)
-	sigma := gain * dsp.RMS(vib)
+	sigma := gain * rms
 	if a.NoiseCeiling > 0 && sigma > a.NoiseCeiling {
 		sigma = a.NoiseCeiling
 	}
 	sigma += a.NoiseFloor
 	return Drive{vib: vib, sigma: sigma}, nil
+}
+
+// dominanceOverflowBound bounds max|x|·len(x) for the audio whose
+// dominance saturates may skip. Parseval bounds the power spectrum's total
+// by (max|x|·len(x))², so below this bound the dominance is computed
+// without overflow and is a finite number in [0, 1].
+const dominanceOverflowBound = 1e150
+
+// saturates reports whether the broadband term alone already lifts the
+// noise level above the ceiling, so that the low-frequency dominance
+// cannot change it. The gain is broadband + lf·rho^sharp with lf >= 0
+// (Validate) and rho^sharp in [0, 1], so it is at least broadband, and
+// float addition and multiplication round monotonically: when
+// broadband·rms > ceiling > 0, gain·rms > ceiling too, and the level is
+// exactly the ceiling for every rho. The proof needs rho to be a number,
+// not NaN, which the finite rms (NaN audio spreads NaN through the whole
+// coupled drive) and the overflow bound guarantee.
+func saturates(broadband, rms, ceiling float64, audio []float64) bool {
+	return ceiling > 0 && broadband*rms > ceiling &&
+		!math.IsInf(rms, 0) && !math.IsNaN(rms) &&
+		dsp.MaxAbs(audio)*float64(len(audio)) < dominanceOverflowBound
 }
 
 // AddNoise completes a capture: it adds the amplifier noise and any

@@ -33,6 +33,45 @@ func TestAccelerometerValidate(t *testing.T) {
 	if err := bad.Validate(); err == nil {
 		t.Error("negative noise should error")
 	}
+	// Every check is a comparison, which NaN passes, so non-finite values
+	// need their own rejection in every field.
+	fields := map[string]func(*Accelerometer) *float64{
+		"SampleRate":            func(a *Accelerometer) *float64 { return &a.SampleRate },
+		"ArtifactGain":          func(a *Accelerometer) *float64 { return &a.ArtifactGain },
+		"ArtifactCutoffHz":      func(a *Accelerometer) *float64 { return &a.ArtifactCutoffHz },
+		"CouplingLow":           func(a *Accelerometer) *float64 { return &a.CouplingLow },
+		"CouplingHigh":          func(a *Accelerometer) *float64 { return &a.CouplingHigh },
+		"NoiseFloor":            func(a *Accelerometer) *float64 { return &a.NoiseFloor },
+		"LowFreqNoiseFactor":    func(a *Accelerometer) *float64 { return &a.LowFreqNoiseFactor },
+		"BroadbandNoiseFactor":  func(a *Accelerometer) *float64 { return &a.BroadbandNoiseFactor },
+		"NoiseCeiling":          func(a *Accelerometer) *float64 { return &a.NoiseCeiling },
+		"LowFreqNoiseSharpness": func(a *Accelerometer) *float64 { return &a.LowFreqNoiseSharpness },
+		"BodyMotionAmp":         func(a *Accelerometer) *float64 { return &a.BodyMotionAmp },
+	}
+	for name, field := range fields {
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+			bad = a
+			*field(&bad) = v
+			if err := bad.Validate(); err == nil {
+				t.Errorf("%s = %v should error", name, v)
+			}
+		}
+	}
+	for _, name := range []string{"BroadbandNoiseFactor", "NoiseCeiling", "BodyMotionAmp"} {
+		bad = a
+		*fields[name](&bad) = -1e-9
+		if err := bad.Validate(); err == nil {
+			t.Errorf("negative %s should error", name)
+		}
+	}
+	// LowFreqNoiseSharpness <= 0 means 1, so it stays valid.
+	for _, sharp := range []float64{0, -2} {
+		ok := a
+		ok.LowFreqNoiseSharpness = sharp
+		if err := ok.Validate(); err != nil {
+			t.Errorf("sharpness %v: %v", sharp, err)
+		}
+	}
 }
 
 func TestLowFrequencyDominance(t *testing.T) {

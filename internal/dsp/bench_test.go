@@ -62,3 +62,13 @@ func BenchmarkSenseFeatures(b *testing.B) { runGroup(b, "SenseFeatures") }
 // the precomputed DCT table and range-limited filterbank next to the
 // legacy per-frame cosines and dense filterbank scan.
 func BenchmarkMFCCExtract(b *testing.B) { runGroup(b, "MFCCExtract") }
+
+// BenchmarkWearableDrive measures the noise-free half of a sensing pass on
+// a replay-segment length: a loud drive, whose saturated noise level lets
+// the accelerometer skip the low-frequency dominance spectrum, and a quiet
+// one, which computes it.
+func BenchmarkWearableDrive(b *testing.B) { runGroup(b, "WearableDrive") }
+
+// BenchmarkSenseShared measures three sensing pairs that share one
+// recording: four concurrent drives, then each pair's noise and features.
+func BenchmarkSenseShared(b *testing.B) { runGroup(b, "SenseShared") }

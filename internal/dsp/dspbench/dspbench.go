@@ -462,6 +462,26 @@ func Cases() []Case {
 				}
 			}
 		}},
+		// A loud drive saturates the amplifier noise, so Drive skips the
+		// low-frequency dominance; the same sound 60 dB quieter does not.
+		{"WearableDrive", "loud-45040", benchWearableDrive(1)},
+		{"WearableDrive", "quiet-45040", benchWearableDrive(1e-3)},
+		{"SenseShared", "3x45040", func(b *testing.B) {
+			a := Signal(replayLen, 7)
+			bs := [][]float64{Signal(replayLen, 8), Signal(replayLen, 9), Signal(replayLen, 10)}
+			w := device.NewFossilGen5()
+			cfg := sensing.DefaultConfig()
+			rngs := []*rand.Rand{rand.New(rand.NewSource(7)), rand.New(rand.NewSource(8)), rand.New(rand.NewSource(9))}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, p := range sensing.SenseShared(w, a, bs, cfg, rngs) {
+					if p.Err != nil {
+						b.Fatal(p.Err)
+					}
+				}
+			}
+		}},
 		{"MFCCExtract", "45840", benchMFCC(false)},
 		{"MFCCExtract", "legacy-45840", benchMFCC(true)},
 		{"STFT", "64x16-4800", benchSTFT(64, 16, 200, 4800, false)},
@@ -504,6 +524,23 @@ func Cases() []Case {
 				PowerSpectrumLegacy(x)
 			}
 		}},
+	}
+}
+
+// benchWearableDrive measures the deterministic half of one sensing pass
+// (speaker render, accelerometer drive) on the benchmark signal scaled by
+// gain.
+func benchWearableDrive(gain float64) func(b *testing.B) {
+	return func(b *testing.B) {
+		x := dsp.Scale(Signal(replayLen, 8), gain)
+		w := device.NewFossilGen5()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := w.Drive(x); err != nil {
+				b.Fatal(err)
+			}
+		}
 	}
 }
 

@@ -424,10 +424,12 @@ type bluesteinDir struct {
 // bluesteinCacheSize bounds the Bluestein plan cache. A plan for a
 // ~45k-sample segment holds megabytes of tables and serving traffic seldom
 // repeats a segment length, so only the most recently used plans are kept.
-// A session replays its two recordings, cut to the same span, back to back,
-// so its plan must outlive the new lengths other sessions insert in
-// between. At most GOMAXPROCS sessions run at once, so the bound is twice
-// that, and at least 4. On two CPUs with the default worker count, about
+// A session drives its VA cut and each wearable's cut, all to the same
+// spans, concurrently; a drive saturated at the noise ceiling needs no
+// plan at all, and the others share one length, so the plan must outlive
+// the new lengths other sessions insert while the session's drives run.
+// At most GOMAXPROCS sessions run at once, so the bound is twice that,
+// and at least 4. On two CPUs with the default worker count, about
 // 1% of sessions missed on their second replay (EXPERIMENTS.md,
 // "Bluestein cache hit rate").
 func bluesteinCacheSize() int { return max(4, 2*runtime.GOMAXPROCS(0)) }

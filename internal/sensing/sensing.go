@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 
 	"vibguard/internal/device"
 	"vibguard/internal/dsp"
@@ -151,47 +152,75 @@ func SenseFeatures(w *device.Wearable, audio []float64, cfg Config, rng *rand.Ra
 	return extract(vib, cfg)
 }
 
-// SensePair runs the sensing passes of two recordings, a and b, as one
-// pair. Its features, its errors and (on success) the state it leaves rng
-// in are bit-identical to SenseFeatures on a followed by SenseFeatures on
-// b with the same rng. Only the accelerometer noise draws from rng, so
-// the two deterministic drives (speaker replay and noise-free capture) run
-// concurrently, b's on one forked goroutine; then a's noise is drawn, then
-// b's. The replay stage is observed once, for the time the caller waits
-// for both captures.
-func SensePair(w *device.Wearable, a, b []float64, cfg Config, rng *rand.Rand) (featA, featB *dsp.Spectrogram, err error) {
+// Pair is the features of one sensing pair of SenseShared: the shared
+// recording's (A) and the device's own (B), or the error that stopped the
+// pair.
+type Pair struct {
+	A, B *dsp.Spectrogram
+	Err  error
+}
+
+// SenseShared runs the sensing passes of one shared recording a against
+// each of the recordings bs, as one pair per b that draws from its own
+// rng. Pair i — its features, its error and (on success) the state it
+// leaves rngs[i] in — is bit-identical to SenseFeatures on a followed by
+// SenseFeatures on bs[i] with rngs[i]. Only the accelerometer noise draws
+// from an rng, so the deterministic drives (speaker replay and noise-free
+// capture) run once for a and once per b, all concurrently, the bs' on
+// forked goroutines. Then, pair by pair, a's noise is drawn on a copy of
+// a's drive, then b's noise. The replay stage is observed once, for the
+// time the caller waits for every capture.
+func SenseShared(w *device.Wearable, a []float64, bs [][]float64, cfg Config, rngs []*rand.Rand) []Pair {
+	if len(bs) == 0 {
+		return nil
+	}
 	sp := stageReplay.Start()
-	var driveB device.Drive
-	var errB error
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		driveB, errB = w.Drive(b)
-	}()
+	drives := make([]device.Drive, len(bs))
+	errs := make([]error, len(bs))
+	var wg sync.WaitGroup
+	wg.Add(len(bs))
+	for i, b := range bs {
+		go func() {
+			defer wg.Done()
+			drives[i], errs[i] = w.Drive(b)
+		}()
+	}
 	driveA, errA := w.Drive(a)
-	<-done
+	wg.Wait()
+	pairs := make([]Pair, len(bs))
 	if errA != nil {
 		sp.End()
-		return nil, nil, fmt.Errorf("sensing: %w", errA)
+		for i := range pairs {
+			pairs[i].Err = fmt.Errorf("sensing: %w", errA)
+		}
+		return pairs
 	}
-	vibA := w.Accel.AddNoise(driveA, rng)
-	var vibB []float64
-	if errB == nil {
-		vibB = w.Accel.AddNoise(driveB, rng)
+	vibA := make([][]float64, len(bs))
+	vibB := make([][]float64, len(bs))
+	for i, rng := range rngs[:len(bs)] {
+		vibA[i] = w.Accel.AddNoise(driveA.Copy(), rng)
+		if errs[i] == nil {
+			vibB[i] = w.Accel.AddNoise(drives[i], rng)
+		}
 	}
 	sp.End()
 	// Errors are reported in the sequential order: a's capture, a's
 	// features, b's capture, b's features.
-	if featA, err = extract(vibA, cfg); err != nil {
-		return nil, nil, err
+	for i := range pairs {
+		p := &pairs[i]
+		if p.A, p.Err = extract(vibA[i], cfg); p.Err != nil {
+			p.A = nil
+			continue
+		}
+		if errs[i] != nil {
+			p.A, p.Err = nil, fmt.Errorf("sensing: %w", errs[i])
+			continue
+		}
+		if p.B, p.Err = extract(vibB[i], cfg); p.Err != nil {
+			p.A, p.B = nil, nil
+		}
 	}
-	if errB != nil {
-		return nil, nil, fmt.Errorf("sensing: %w", errB)
-	}
-	if featB, err = extract(vibB, cfg); err != nil {
-		return nil, nil, err
-	}
-	return featA, featB, nil
+	return pairs
 }
 
 // extract is ExtractFeatures timed as the stft stage.

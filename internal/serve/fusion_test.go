@@ -4,12 +4,15 @@ import (
 	"errors"
 	"math"
 	"net"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"vibguard/internal/core"
+	"vibguard/internal/device"
 	"vibguard/internal/obs"
 	"vibguard/internal/profile"
+	"vibguard/internal/segment"
 	"vibguard/internal/serve"
 )
 
@@ -127,6 +130,89 @@ func TestFusionTwoWearables(t *testing.T) {
 	}
 	if !va.Attack {
 		t.Fatal("thru-barrier attack not flagged by the fused verdict")
+	}
+}
+
+// countingSegmenter returns fixed spans and counts its calls.
+type countingSegmenter struct {
+	spans []segment.Span
+	calls atomic.Int64
+}
+
+func (c *countingSegmenter) EffectiveSpans([]float64) ([]segment.Span, error) {
+	c.calls.Add(1)
+	return c.spans, nil
+}
+
+// TestFusedSessionSegmentsOnce pins the shared work of a fused session:
+// a two-wearable session runs the segmenter once, not once per wearable.
+func TestFusedSessionSegmentsOnce(t *testing.T) {
+	sc := scenarioFor(t)
+	watch := newAgent(t, sc.legitWear)
+	earbud := newAgent(t, sc.legitWear)
+	seg := &countingSegmenter{spans: sc.spans}
+	srv := newServer(t, serve.Config{Workers: 1, Seed: serveSeed, NewDefense: func() (*core.Defense, error) {
+		clone := *device.NewFossilGen5()
+		return core.NewDefense(core.DefaultConfig(&clone, seg))
+	}})
+	ctx, cancel := contextWithTimeout(20 * time.Second)
+	defer cancel()
+	v, err := srv.Submit(ctx, serve.Request{
+		UserID:        "alice",
+		WearableAddr:  watch.Addr(),
+		WearableAddrs: []string{earbud.Addr()},
+		VARecording:   sc.legitVA,
+		RNGSeed:       serveSeed + 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if v.Attack {
+		t.Fatal("legitimate two-wearable session fused to attack")
+	}
+	if n := seg.calls.Load(); n != 1 {
+		t.Fatalf("two-wearable session ran the segmenter %d times, want 1", n)
+	}
+}
+
+// TestFusedStreamBitIdenticalToFusedBatch pins the streamed fused path:
+// with early exit off, the primary's stream falls back to batch Inspect
+// and the extras are scored in one call after it, so the fused verdict
+// equals the batch fused session's bit for bit, a dead extra included.
+func TestFusedStreamBitIdenticalToFusedBatch(t *testing.T) {
+	sc := scenarioFor(t)
+	watch, earbud := newAgent(t, sc.legitWear), newAgent(t, sc.legitWear)
+	ring := newAgent(t, sc.legitWear)
+	attackWatch, attackEarbud := newAgent(t, sc.attackWear), newAgent(t, sc.attackWear)
+	srv := newServer(t, serve.Config{Workers: 2, Seed: serveSeed, Stream: core.StreamConfig{DisableEarlyExit: true}})
+	for _, tc := range []struct {
+		name    string
+		va      []float64
+		primary string
+		extras  []string
+	}{
+		{"legit, two wearables", sc.legitVA, watch.Addr(), []string{earbud.Addr()}},
+		{"legit, three wearables and a dead one", sc.legitVA, watch.Addr(), []string{earbud.Addr(), deadAddr(t), ring.Addr()}},
+		{"attack, two wearables", sc.attackVA, attackWatch.Addr(), []string{attackEarbud.Addr()}},
+	} {
+		req := serve.Request{UserID: "alice", WearableAddr: tc.primary, WearableAddrs: tc.extras, RNGSeed: serveSeed + 5}
+		ctx, cancel := contextWithTimeout(20 * time.Second)
+		batchReq := req
+		batchReq.VARecording = tc.va
+		want, err := srv.Submit(ctx, batchReq)
+		if err != nil {
+			cancel()
+			t.Fatalf("%s: batch: %v", tc.name, err)
+		}
+		got, err := srv.SubmitStream(ctx, req, chunksOf(tc.va, streamChunk))
+		cancel()
+		if err != nil {
+			t.Fatalf("%s: stream: %v", tc.name, err)
+		}
+		if math.Float64bits(got.Score) != math.Float64bits(want.Score) || got.Attack != want.Attack ||
+			got.SyncOffset != want.SyncOffset || got.Early {
+			t.Errorf("%s: streamed %+v, batch %+v", tc.name, got, want)
+		}
 	}
 }
 

@@ -81,8 +81,8 @@ type Request struct {
 	// user's primary wearable).
 	WearableAddr string
 	// WearableAddrs lists additional paired wearables (earbud, second
-	// watch, …) whose recordings are scored independently and fused at the
-	// score level (core.FuseVerdicts). A session carrying any is
+	// watch, …) whose recordings are scored as Inspect scores each alone
+	// and fused at the score level (core.FuseVerdicts). A session carrying any is
 	// profile-backed and must set UserID (ErrUserIDRequired otherwise).
 	// On the wire the list travels in a backward-compatible trailing
 	// extension of the request payload: a request without extras encodes

@@ -251,8 +251,8 @@ func (s *Server) effectiveThreshold(defense *core.Defense, cache *profile.LRU, u
 
 // process runs one session end to end: deadline check, wearable fetch
 // through the cached hardened clients, then the full Inspect pipeline —
-// once per wearable for a profile-backed multi-wearable session, with the
-// per-device verdicts fused at the score level.
+// one InspectDevices call over every wearable of a profile-backed
+// multi-wearable session, with the per-device verdicts fused.
 func (s *Server) process(defense *core.Defense, clients map[string]*syncnet.ReliableClient, cache *profile.LRU, sess *session) {
 	if err := sess.ctx.Err(); err != nil {
 		s.finish(sess, nil, sessionCtxError(err))
@@ -299,11 +299,11 @@ func (s *Server) process(defense *core.Defense, clients map[string]*syncnet.Reli
 }
 
 // processFused runs a profile-backed multi-wearable session: every
-// wearable's recording is fetched and scored independently (the extras
-// under SplitMix64-derived per-device seeds, so their sensing streams are
-// decorrelated from the primary's), and the per-device verdicts fuse by
-// weighted mean under the quorum rule — any single finite score still
-// decides the session. Streamed sessions are admitted but fuse only after
+// wearable's recording is fetched and all are scored in one InspectDevices
+// call (each under its own SplitMix64-derived seed, so the sensing streams
+// are decorrelated), and the per-device verdicts fuse by weighted mean
+// under the quorum rule — any single finite score still decides the
+// session. Streamed sessions are admitted but fuse only after
 // the stream: the chunked VA audio feeds the primary device's streaming
 // pipeline unchanged, and the extras are scored batch-style on the full
 // recording only if no early exit fired.
@@ -312,7 +312,6 @@ func (s *Server) processFused(defense *core.Defense, clients map[string]*syncnet
 	seen := make(map[string]bool, len(addrs))
 	devices := make([]core.DeviceVerdict, 0, len(addrs))
 	recordings := make([][]float64, 0, len(addrs))
-	fetched := addrs[:0:0]
 	for _, addr := range addrs {
 		if addr == "" || seen[addr] {
 			continue
@@ -336,24 +335,32 @@ func (s *Server) processFused(defense *core.Defense, clients map[string]*syncnet
 		}
 		devices = append(devices, core.DeviceVerdict{Addr: addr})
 		recordings = append(recordings, wear)
-		fetched = append(fetched, addr)
 	}
 	thr, calibrated := s.effectiveThreshold(defense, cache, sess.req.UserID)
 	if sess.chunks != nil {
-		s.processFusedStream(defense, sess, devices, recordings, fetched, seed, thr, cache, calibrated)
+		s.processFusedStream(defense, sess, devices, recordings, seed, thr, cache, calibrated)
 		return
 	}
-	va := sess.req.VARecording
-	di := 0
-	for i := range devices {
-		if devices[i].Err != nil {
-			continue
-		}
-		v, err := defense.Inspect(va, recordings[di], rand.New(rand.NewSource(deviceSeed(seed, uint64(di)))))
-		devices[i].Verdict, devices[i].Err = v, err
-		di++
-	}
+	inspectUnscored(defense, sess.req.VARecording, devices, recordings, 0, seed)
 	s.finishFused(defense, cache, sess, devices, thr, calibrated)
+}
+
+// inspectUnscored scores recordings[first:] in one InspectDevices call,
+// recording j under deviceSeed(seed, j), onto the devices that have neither
+// verdict nor error yet (the fetched devices not yet scored, in order).
+func inspectUnscored(defense *core.Defense, va []float64, devices []core.DeviceVerdict, recordings [][]float64, first int, seed int64) {
+	rngs := make([]*rand.Rand, len(recordings)-first)
+	for j := range rngs {
+		rngs[j] = rand.New(rand.NewSource(deviceSeed(seed, uint64(first+j))))
+	}
+	verdicts, errs := defense.InspectDevices(va, recordings[first:], rngs)
+	j := 0
+	for i := range devices {
+		if devices[i].Err == nil && devices[i].Verdict == nil {
+			devices[i].Verdict, devices[i].Err = verdicts[j], errs[j]
+			j++
+		}
+	}
 }
 
 // processFusedStream is the streamed shape of processFused: the primary
@@ -362,7 +369,7 @@ func (s *Server) processFused(defense *core.Defense, clients map[string]*syncnet
 // extras' full-recording scores could shift a verdict the early exit
 // already committed), while a stream that runs to completion scores the
 // extras batch-style on the buffered recording and fuses all devices.
-func (s *Server) processFusedStream(defense *core.Defense, sess *session, devices []core.DeviceVerdict, recordings [][]float64, fetched []string, seed int64, thr float64, cache *profile.LRU, calibrated bool) {
+func (s *Server) processFusedStream(defense *core.Defense, sess *session, devices []core.DeviceVerdict, recordings [][]float64, seed int64, thr float64, cache *profile.LRU, calibrated bool) {
 	if len(recordings) == 0 {
 		// Every fetch failed; fuse immediately for the typed quorum error.
 		s.finishFused(defense, cache, sess, devices, thr, calibrated)
@@ -377,6 +384,10 @@ func (s *Server) processFusedStream(defense *core.Defense, sess *session, device
 		s.finish(sess, nil, err)
 		return
 	}
+	p := 0 // the primary: the first device fetched
+	for devices[p].Err != nil {
+		p++
+	}
 	var va []float64
 	for {
 		select {
@@ -386,16 +397,8 @@ func (s *Server) processFusedStream(defense *core.Defense, sess *session, device
 		case chunk, ok := <-sess.chunks:
 			if !ok {
 				v, err := si.Finish()
-				setDevice(devices, fetched[0], v, err)
-				di := 0
-				for i := range devices {
-					if devices[i].Err != nil || devices[i].Verdict != nil {
-						continue
-					}
-					di++
-					v, err := defense.Inspect(va, recordings[di], rand.New(rand.NewSource(deviceSeed(seed, uint64(di)))))
-					devices[i].Verdict, devices[i].Err = v, err
-				}
+				devices[p].Verdict, devices[p].Err = v, err
+				inspectUnscored(defense, va, devices, recordings, 1, seed)
 				s.finishFused(defense, cache, sess, devices, thr, calibrated)
 				return
 			}
@@ -407,22 +410,12 @@ func (s *Server) processFusedStream(defense *core.Defense, sess *session, device
 			}
 			if v != nil {
 				metStreamSessionsEarly.Inc()
-				setDevice(devices, fetched[0], v, nil)
+				devices[p].Verdict = v
 				// The unscored extras carry neither verdict nor error, so
 				// the fusion sees exactly one contributing device.
 				s.finishFused(defense, cache, sess, devices, thr, calibrated)
 				return
 			}
-		}
-	}
-}
-
-// setDevice records the verdict of the named device.
-func setDevice(devices []core.DeviceVerdict, addr string, v *core.Verdict, err error) {
-	for i := range devices {
-		if devices[i].Addr == addr {
-			devices[i].Verdict, devices[i].Err = v, err
-			return
 		}
 	}
 }
