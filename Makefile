@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test check race fuzz bench bench-scoring bench-dsp bench-brnn benchgen obs-smoke serve-smoke serve-race race-brnn pins-gomaxprocs1 route-race route-smoke bench-wire stream-race stream-smoke bench-stream profile-race profile-smoke attack-race
+.PHONY: build test check race fuzz bench bench-scoring bench-dsp bench-brnn benchgen obs-smoke serve-smoke serve-race race-brnn pins-gomaxprocs1 route-race route-smoke stream-race stream-smoke bench-stream profile-race profile-smoke attack-race
 
 build:
 	$(GO) build ./...
@@ -13,6 +13,7 @@ test:
 	$(GO) test ./...
 
 check: build test
+	test -z "$$(gofmt -l .)"
 
 # Concurrency gate: vet everything, then run the race detector over the
 # whole module (the eval engine's equivalence and overlapping-slice tests
@@ -122,11 +123,6 @@ route-race:
 # node-loss errors, zero mismatches, and a clean router-then-nodes drain.
 route-smoke:
 	./scripts/route_smoke.sh
-
-# Wire-protocol codec comparison (gob vs framed binary); EXPERIMENTS.md
-# records the output.
-bench-wire:
-	$(GO) test -bench='SessionRoundTrip|ErrorRoundTrip' -benchmem -run=^$$ ./internal/serve/
 
 # Streaming-pipeline race gate: vet plus the race detector over every
 # layer the chunked ingest path crosses (streaming STFT and VAD, the

@@ -15,7 +15,7 @@ func TestKindString(t *testing.T) {
 		Synthesis: "voice synthesis attack", HiddenVoice: "hidden voice attack",
 		SolidChannel: "solid channel attack", BarrierBypass: "barrier bypass attack",
 		Adaptive: "adaptive attack",
-		Kind(0): "unknown",
+		Kind(0):  "unknown",
 	}
 	for k, want := range names {
 		if got := k.String(); got != want {

@@ -85,7 +85,6 @@ func NewDefense(cfg Config) (*Defense, error) {
 	det, err := detector.New(detector.Config{
 		Method:       cfg.Method,
 		Wearable:     cfg.Wearable,
-		Segmenter:    cfg.Segmenter,
 		Sensing:      cfg.Sensing,
 		AudioFFTSize: cfg.AudioFFTSize,
 		Threshold:    cfg.Threshold,
@@ -225,19 +224,22 @@ func pick[T any](xs []T, idx []int) []T {
 }
 
 // Score runs the pipeline and returns only the similarity score; it is the
-// hot path used by the evaluation sweeps.
+// unvalidated scoring entry of attack.Oracle. For MethodFull it runs the
+// configured Segmenter on the VA recording and scores with ScoreWithSpans,
+// so when both the segmenter and the Eq. (5) alignment fail, the
+// segmenter's error is the one returned.
 func (d *Defense) Score(vaRec, wearRec []float64, rng *rand.Rand) (float64, error) {
-	sp := stageAlign.Start()
-	aligned, _, err := d.align(vaRec, wearRec, d.cfg.MaxSyncLagSeconds, d.cfg.SampleRate)
-	sp.End()
-	if err != nil {
-		return 0, fmt.Errorf("core: %w", err)
+	var spans []segment.Span
+	if d.cfg.Method == detector.MethodFull {
+		if d.cfg.Segmenter == nil {
+			return 0, fmt.Errorf("core: full method needs a segmenter")
+		}
+		var err error
+		if spans, err = d.cfg.Segmenter.EffectiveSpans(vaRec); err != nil {
+			return 0, fmt.Errorf("core: %w", err)
+		}
 	}
-	score, err := d.det.Score(vaRec, aligned, rng)
-	if err != nil {
-		return 0, fmt.Errorf("core: %w", err)
-	}
-	return score, nil
+	return d.ScoreWithSpans(vaRec, wearRec, spans, rng)
 }
 
 // ScoreWithSpans runs the pipeline with caller-provided effective-phoneme

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -122,7 +124,7 @@ func TestThresholdAgreesWithDetector(t *testing.T) {
 	w := device.NewFossilGen5()
 	seg := &detector.StaticSegmenter{}
 	coreCfg := DefaultConfig(w, seg)
-	detCfg := detector.DefaultConfig(w, seg)
+	detCfg := detector.DefaultConfig(w)
 	if coreCfg.Threshold != detCfg.Threshold {
 		t.Errorf("core default threshold %v != detector default threshold %v",
 			coreCfg.Threshold, detCfg.Threshold)
@@ -188,6 +190,55 @@ func TestScoreMatchesInspect(t *testing.T) {
 	}
 	if s1 != v.Score {
 		t.Errorf("Score %v != Inspect score %v for identical rng", s1, v.Score)
+	}
+}
+
+// TestScoreWithSpansMatchesScore proves the per-call span path computes
+// the same score as the segmenter path when given the segmenter's spans.
+func TestScoreWithSpansMatchesScore(t *testing.T) {
+	spans, legitVA, legitWear, _, _ := buildScenario(t, 21)
+	d, err := NewDefense(DefaultConfig(device.NewFossilGen5(), &detector.StaticSegmenter{Spans: spans}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaSegmenter, err := d.Score(legitVA, legitWear, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaSpans, err := d.ScoreWithSpans(legitVA, legitWear, spans, rand.New(rand.NewSource(5)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(viaSegmenter) != math.Float64bits(viaSpans) {
+		t.Errorf("Score %v != ScoreWithSpans %v for identical spans and rng", viaSegmenter, viaSpans)
+	}
+}
+
+// TestScoreRequiresSegmenter: a nil-segmenter MethodFull defense is valid
+// (the parallel engine supplies spans per call) but its Score entry point
+// must fail loudly rather than segment nothing. When the segmenter and
+// the alignment both fail, Score reports the segmenter's error.
+func TestScoreRequiresSegmenter(t *testing.T) {
+	d, err := NewDefense(DefaultConfig(device.NewFossilGen5(), nil))
+	if err != nil {
+		t.Fatalf("nil segmenter should be constructible: %v", err)
+	}
+	silence := make([]float64, 16000)
+	if _, err := d.Score(silence, silence, rand.New(rand.NewSource(1))); err == nil {
+		t.Error("Score without a segmenter should error")
+	}
+	if _, err := d.ScoreWithSpans(silence, silence, nil, rand.New(rand.NewSource(1))); err != nil {
+		t.Errorf("ScoreWithSpans should work without a segmenter: %v", err)
+	}
+
+	alignErr := errors.New("alignment down")
+	d, err = NewDefense(DefaultConfig(device.NewFossilGen5(), failingSegmenter{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.align = func(_, _ []float64, _, _ float64) ([]float64, int, error) { return nil, 0, alignErr }
+	if _, err := d.Score(silence, silence, rand.New(rand.NewSource(1))); !errors.Is(err, errSegmenterDown) {
+		t.Errorf("Score err %v, want the segmenter's %v", err, errSegmenterDown)
 	}
 }
 

@@ -120,10 +120,6 @@ type Config struct {
 	Method Method
 	// Wearable performs cross-domain sensing (vibration methods).
 	Wearable *device.Wearable
-	// Segmenter provides effective-phoneme spans (MethodFull only). It
-	// may be nil when every score call supplies spans directly through
-	// ScoreWithSpans; Score returns an error in that case.
-	Segmenter Segmenter
 	// Sensing configures vibration feature extraction.
 	Sensing sensing.Config
 	// AudioFFTSize is the STFT size for the audio-domain baseline.
@@ -138,11 +134,10 @@ type Config struct {
 
 // DefaultConfig returns the full-system configuration with the paper's
 // parameters and a threshold calibrated on the evaluation datasets.
-func DefaultConfig(w *device.Wearable, seg Segmenter) Config {
+func DefaultConfig(w *device.Wearable) Config {
 	return Config{
 		Method:       MethodFull,
 		Wearable:     w,
-		Segmenter:    seg,
 		Sensing:      sensing.DefaultConfig(),
 		AudioFFTSize: 256,
 		Threshold:    DefaultThreshold,
@@ -198,27 +193,6 @@ func (d *Detector) Method() Method { return d.cfg.Method }
 // Threshold returns the decision threshold.
 func (d *Detector) Threshold() float64 { return d.cfg.Threshold }
 
-// Score computes the similarity score between the VA recording and the
-// (already synchronized) wearable recording. Higher means more likely
-// legitimate. The rng drives the stochastic cross-domain sensing. For
-// MethodFull the configured Segmenter runs exactly once; callers that
-// already hold the spans (or provide them per call, like the parallel
-// evaluation engine) should use ScoreWithSpans instead.
-func (d *Detector) Score(vaRec, wearRec []float64, rng *rand.Rand) (float64, error) {
-	var spans []segment.Span
-	if d.cfg.Method == MethodFull {
-		if d.cfg.Segmenter == nil {
-			return 0, fmt.Errorf("detector: full method needs a segmenter (or use ScoreWithSpans)")
-		}
-		var err error
-		spans, err = d.cfg.Segmenter.EffectiveSpans(vaRec)
-		if err != nil {
-			return 0, fmt.Errorf("detector: %w", err)
-		}
-	}
-	return d.ScoreWithSpans(vaRec, wearRec, spans, rng)
-}
-
 // ErrNonFiniteScore is returned when a detector produces a NaN or ±Inf
 // similarity score — degenerate features from corrupt input. The defense
 // layer guarantees callers never see a non-finite score as a value, so a
@@ -226,14 +200,16 @@ func (d *Detector) Score(vaRec, wearRec []float64, rng *rand.Rand) (float64, err
 // compares false against every threshold).
 var ErrNonFiniteScore = errors.New("detector: non-finite similarity score")
 
-// ScoreWithSpans scores the pair using caller-provided effective-phoneme
-// spans, bypassing the configured Segmenter entirely. It is the
-// concurrency-safe entry point: the detector reads only immutable
-// configuration, so any number of goroutines may call it at once (each
-// with its own rng). The spans are ignored by the audio- and
-// vibration-domain baselines. The returned score is always finite; a
-// degenerate computation yields ErrNonFiniteScore instead. It is the
-// one-device case of ScoreDevices.
+// ScoreWithSpans computes the similarity score between the VA recording
+// and the (already synchronized) wearable recording, using the
+// effective-phoneme spans of the VA recording (core runs the segmenter).
+// Higher means more likely legitimate; the rng drives the stochastic
+// cross-domain sensing. The detector reads only immutable configuration,
+// so any number of goroutines may call it at once (each with its own
+// rng). The spans are ignored by the audio- and vibration-domain
+// baselines. The returned score is always finite; a degenerate
+// computation yields ErrNonFiniteScore instead. It is the one-device case
+// of ScoreDevices.
 func (d *Detector) ScoreWithSpans(vaRec, wearRec []float64, spans []segment.Span, rng *rand.Rand) (float64, error) {
 	scores, errs := d.ScoreDevices(vaRec, [][]float64{wearRec}, spans, []*rand.Rand{rng})
 	return scores[0], errs[0]

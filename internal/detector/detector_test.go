@@ -30,21 +30,20 @@ func TestMethodString(t *testing.T) {
 
 func TestConfigValidation(t *testing.T) {
 	w := device.NewFossilGen5()
-	seg := &StaticSegmenter{}
 	rate := DefaultSampleRate
 	cases := []Config{
 		{Method: MethodAudio, AudioFFTSize: 100, SampleRate: rate}, // not pow2
 		{Method: MethodVibration, SampleRate: rate},                // no wearable
-		{Method: MethodFull, Wearable: w, Segmenter: seg},          // no sample rate
+		{Method: MethodFull, Wearable: w},                          // no sample rate
 		{Method: Method(9), Wearable: w, SampleRate: rate},         // unknown method
-		{Method: MethodFull, Wearable: w, Segmenter: seg, SampleRate: rate, Sensing: sensing.Config{FFTSize: 63}},
+		{Method: MethodFull, Wearable: w, SampleRate: rate, Sensing: sensing.Config{FFTSize: 63}},
 	}
 	for i, cfg := range cases {
 		if _, err := New(cfg); err == nil {
 			t.Errorf("config %d should be rejected", i)
 		}
 	}
-	good := DefaultConfig(w, seg)
+	good := DefaultConfig(w)
 	d, err := New(good)
 	if err != nil {
 		t.Fatalf("default config rejected: %v", err)
@@ -58,7 +57,7 @@ func TestConfigValidation(t *testing.T) {
 }
 
 func TestDetectUsesThreshold(t *testing.T) {
-	d, err := New(DefaultConfig(device.NewFossilGen5(), &StaticSegmenter{}))
+	d, err := New(DefaultConfig(device.NewFossilGen5()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,18 +107,18 @@ func TestAllMethodsSeparateLegitFromAttack(t *testing.T) {
 	spans := segment.OracleSpans(utt, selection.CanonicalSelected())
 	w := device.NewFossilGen5()
 	for _, method := range []Method{MethodAudio, MethodVibration, MethodFull} {
-		cfg := DefaultConfig(w, &StaticSegmenter{Spans: spans})
+		cfg := DefaultConfig(w)
 		cfg.Method = method
 		d, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rng := rand.New(rand.NewSource(9))
-		legitScore, err := d.Score(legitVA, legitWear, rng)
+		legitScore, err := d.ScoreWithSpans(legitVA, legitWear, spans, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
-		attackScore, err := d.Score(atkVA, atkWear, rng)
+		attackScore, err := d.ScoreWithSpans(atkVA, atkWear, spans, rng)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -130,12 +129,12 @@ func TestAllMethodsSeparateLegitFromAttack(t *testing.T) {
 }
 
 func TestFullScoreNoEffectivePhonemes(t *testing.T) {
-	d, err := New(DefaultConfig(device.NewFossilGen5(), &StaticSegmenter{}))
+	d, err := New(DefaultConfig(device.NewFossilGen5()))
 	if err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(1))
-	score, err := d.Score(make([]float64, 16000), make([]float64, 16000), rng)
+	score, err := d.ScoreWithSpans(make([]float64, 16000), make([]float64, 16000), nil, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +169,7 @@ func TestAudioScoreErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := d.Score(nil, nil, rand.New(rand.NewSource(1))); err == nil {
+	if _, err := d.ScoreWithSpans(nil, nil, nil, rand.New(rand.NewSource(1))); err == nil {
 		t.Error("empty VA recording should error")
 	}
 }
@@ -194,11 +193,11 @@ func TestAudioScoreUsesConfiguredRate(t *testing.T) {
 		x[i] = math.Sin(2 * math.Pi * 3000 * float64(i) / 16000)
 	}
 	rng := rand.New(rand.NewSource(1))
-	at16k, err := mk(16000).Score(x, nil, rng)
+	at16k, err := mk(16000).ScoreWithSpans(x, nil, nil, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
-	at32k, err := mk(32000).Score(x, nil, rng)
+	at32k, err := mk(32000).ScoreWithSpans(x, nil, nil, rng)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -211,50 +210,12 @@ func TestAudioScoreUsesConfiguredRate(t *testing.T) {
 // DefaultConfig must carry the exported constant, and the constant must be
 // the calibrated equal-error value.
 func TestDefaultThresholdUnified(t *testing.T) {
-	cfg := DefaultConfig(device.NewFossilGen5(), &StaticSegmenter{})
+	cfg := DefaultConfig(device.NewFossilGen5())
 	if cfg.Threshold != DefaultThreshold {
 		t.Errorf("DefaultConfig threshold %v != DefaultThreshold %v", cfg.Threshold, DefaultThreshold)
 	}
 	if DefaultThreshold != 0.45 {
 		t.Errorf("DefaultThreshold = %v, want calibrated 0.45", DefaultThreshold)
-	}
-}
-
-// TestScoreWithSpansMatchesScore proves the per-call span path computes
-// the same score as the segmenter path when given the segmenter's spans.
-func TestScoreWithSpansMatchesScore(t *testing.T) {
-	utt, legitVA, legitWear, _, _ := scenario(t, 21)
-	spans := segment.OracleSpans(utt, selection.CanonicalSelected())
-	d, err := New(DefaultConfig(device.NewFossilGen5(), &StaticSegmenter{Spans: spans}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaSegmenter, err := d.Score(legitVA, legitWear, rand.New(rand.NewSource(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaSpans, err := d.ScoreWithSpans(legitVA, legitWear, spans, rand.New(rand.NewSource(5)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaSegmenter != viaSpans {
-		t.Errorf("Score %v != ScoreWithSpans %v for identical spans and rng", viaSegmenter, viaSpans)
-	}
-}
-
-// TestScoreRequiresSegmenter: a nil-segmenter MethodFull detector is valid
-// (the parallel engine supplies spans per call) but its Score entry point
-// must fail loudly rather than segment nothing.
-func TestScoreRequiresSegmenter(t *testing.T) {
-	d, err := New(DefaultConfig(device.NewFossilGen5(), nil))
-	if err != nil {
-		t.Fatalf("nil segmenter should be constructible: %v", err)
-	}
-	if _, err := d.Score(make([]float64, 16000), make([]float64, 16000), rand.New(rand.NewSource(1))); err == nil {
-		t.Error("Score without a segmenter should error")
-	}
-	if _, err := d.ScoreWithSpans(make([]float64, 16000), make([]float64, 16000), nil, rand.New(rand.NewSource(1))); err != nil {
-		t.Errorf("ScoreWithSpans should work without a segmenter: %v", err)
 	}
 }
 
@@ -291,7 +252,7 @@ func TestScoreDevicesBitIdenticalToScoreWithSpans(t *testing.T) {
 	for _, method := range []Method{MethodFull, MethodVibration, MethodAudio} {
 		for _, tc := range cases {
 			t.Run(method.String()+"/"+tc.name, func(t *testing.T) {
-				cfg := DefaultConfig(tc.w, nil)
+				cfg := DefaultConfig(tc.w)
 				cfg.Method = method
 				d, err := New(cfg)
 				if err != nil {

@@ -11,7 +11,7 @@ import (
 // (everything else default).
 func newThresholdDetector(t *testing.T, threshold float64) *Detector {
 	t.Helper()
-	cfg := DefaultConfig(device.NewFossilGen5(), &StaticSegmenter{})
+	cfg := DefaultConfig(device.NewFossilGen5())
 	cfg.Threshold = threshold
 	d, err := New(cfg)
 	if err != nil {

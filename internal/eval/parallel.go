@@ -136,9 +136,9 @@ func (ps *ParallelScorer) ScoreAll(samples []*Sample) ([]float64, error) {
 	batchStart := time.Now()
 
 	out := make([]float64, n)
-	var next atomic.Int64   // next sample index to claim
-	var failed atomic.Bool  // set once any worker errors
-	var firstErr error      // guarded by errOnce
+	var next atomic.Int64  // next sample index to claim
+	var failed atomic.Bool // set once any worker errors
+	var firstErr error     // guarded by errOnce
 	var errOnce sync.Once
 	var wg sync.WaitGroup
 

@@ -1,9 +1,10 @@
 package serve_test
 
 import (
-	"context"
 	"errors"
 	"fmt"
+	"math"
+	"math/rand"
 	"net"
 	"sync"
 	"testing"
@@ -11,6 +12,7 @@ import (
 
 	"vibguard/internal/core"
 	"vibguard/internal/faults"
+	"vibguard/internal/obs"
 	"vibguard/internal/serve"
 	"vibguard/internal/syncnet"
 )
@@ -54,13 +56,20 @@ func (r *faultRouter) dialFunc() syncnet.DialFunc {
 	}
 }
 
-// serverFaultCase is one cell of the server fault matrix.
+// serverFaultCase is one cell of the server fault matrix. Every cell is a
+// single-wearable session (no WearableAddrs): a failure surfaces as its
+// bare typed error, never wrapped in core.ErrNoQuorum, and a verdict is
+// the in-process Inspect verdict under the session seed.
 type serverFaultCase struct {
 	name string
 	// addr is the wearable this session talks to (set during setup).
 	addr string
 	// va is the VA-side recording submitted with the session.
 	va []float64
+	// wear is the recording a completing session's wearable serves.
+	wear []float64
+	// timeout, when set, is the caller's deadline for the session.
+	timeout time.Duration
 	// wantErr is nil for sessions that must complete; otherwise the typed
 	// error the session must fail with (checked via errors.Is).
 	wantErr error
@@ -88,17 +97,22 @@ func TestServerFaultMatrix(t *testing.T) {
 	// non-finite samples, which pipeline validation must reject typed.
 	corrupt := newAgent(t, faults.SignalSpec{Kind: faults.SignalNonFinite, Seed: serveSeed}.Apply(sc.legitWear))
 
+	// A wearable that answers only after the session deadline.
+	slow := newSlowAgent(t, sc.legitWear, 2*time.Second, nil)
+
 	cases := []*serverFaultCase{
 		{
 			name:       "healthy legit",
 			addr:       newAgent(t, sc.legitWear).Addr(),
 			va:         sc.legitVA,
+			wear:       sc.legitWear,
 			wantAttack: false,
 		},
 		{
 			name:       "healthy attack",
 			addr:       newAgent(t, sc.attackWear).Addr(),
 			va:         sc.attackVA,
+			wear:       sc.attackWear,
 			wantAttack: true,
 		},
 		{
@@ -106,6 +120,7 @@ func TestServerFaultMatrix(t *testing.T) {
 			addr: router.fault(newAgent(t, sc.legitWear).Addr(),
 				faults.NetSpec{Seed: faults.Mix(serveSeed, 1), Latency: 2 * time.Millisecond, Jitter: 3 * time.Millisecond}),
 			va:         sc.legitVA,
+			wear:       sc.legitWear,
 			wantAttack: false,
 		},
 		{
@@ -113,6 +128,7 @@ func TestServerFaultMatrix(t *testing.T) {
 			addr: router.fault(newAgent(t, sc.attackWear).Addr(),
 				faults.NetSpec{Seed: faults.Mix(serveSeed, 2), ReadChunk: 61}),
 			va:         sc.attackVA,
+			wear:       sc.attackWear,
 			wantAttack: true,
 		},
 		{
@@ -120,6 +136,7 @@ func TestServerFaultMatrix(t *testing.T) {
 			addr: router.fault(newAgent(t, sc.legitWear).Addr(),
 				faults.NetSpec{Seed: faults.Mix(serveSeed, 3), ResetConnections: 1, ResetAfterBytes: 4096}),
 			va:         sc.legitVA,
+			wear:       sc.legitWear,
 			wantAttack: false,
 		},
 		{
@@ -137,6 +154,12 @@ func TestServerFaultMatrix(t *testing.T) {
 			wantErr: syncnet.ErrRetriesExhausted,
 		},
 		{
+			name:    "dead address",
+			addr:    deadAddr(t),
+			va:      sc.legitVA,
+			wantErr: syncnet.ErrRetriesExhausted,
+		},
+		{
 			name:            "wearable sensor error",
 			addr:            failing.Addr(),
 			va:              sc.legitVA,
@@ -147,6 +170,13 @@ func TestServerFaultMatrix(t *testing.T) {
 			addr:    corrupt.Addr(),
 			va:      sc.legitVA,
 			wantErr: core.ErrNonFiniteRecording,
+		},
+		{
+			name:    "deadline during fetch",
+			addr:    slow,
+			va:      sc.legitVA,
+			timeout: 500 * time.Millisecond,
+			wantErr: serve.ErrSessionTimeout,
 		},
 	}
 
@@ -162,13 +192,21 @@ func TestServerFaultMatrix(t *testing.T) {
 		verdict *core.Verdict
 		err     error
 	}
+	fusionDevices := obs.Default().Histogram("fusion.devices")
+	fusedBefore := fusionDevices.Count()
 	results := make([]outcome, len(cases))
 	var wg sync.WaitGroup
 	for i, c := range cases {
 		wg.Add(1)
 		go func(i int, c *serverFaultCase) {
 			defer wg.Done()
-			v, err := srv.Submit(context.Background(), serve.Request{
+			timeout := c.timeout
+			if timeout == 0 {
+				timeout = time.Minute
+			}
+			ctx, cancel := contextWithTimeout(timeout)
+			defer cancel()
+			v, err := srv.Submit(ctx, serve.Request{
 				WearableAddr: c.addr,
 				VARecording:  c.va,
 				RNGSeed:      serve.SessionSeed(serveSeed, uint64(2000+i)),
@@ -177,9 +215,19 @@ func TestServerFaultMatrix(t *testing.T) {
 		}(i, c)
 	}
 	wg.Wait()
+	if n := fusionDevices.Count() - fusedBefore; n != 0 {
+		t.Errorf("single-wearable sessions recorded %d fusion.devices observations, want 0", n)
+	}
+	defense, err := sc.defenseFactory()()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	for i, c := range cases {
 		res := results[i]
+		if errors.Is(res.err, core.ErrNoQuorum) {
+			t.Errorf("%s: err = %v, a single-wearable error wrapped in ErrNoQuorum", c.name, res.err)
+		}
 		switch {
 		case c.wantWearableErr:
 			var wearErr *syncnet.WearableError
@@ -204,6 +252,14 @@ func TestServerFaultMatrix(t *testing.T) {
 			if res.verdict.Attack != c.wantAttack {
 				t.Errorf("%s: attack = %v (score %v), want %v",
 					c.name, res.verdict.Attack, res.verdict.Score, c.wantAttack)
+			}
+			want, err := defense.Inspect(c.va, c.wear, rand.New(rand.NewSource(serve.SessionSeed(serveSeed, uint64(2000+i)))))
+			if err != nil {
+				t.Fatalf("%s: in-process Inspect: %v", c.name, err)
+			}
+			if math.Float64bits(res.verdict.Score) != math.Float64bits(want.Score) ||
+				res.verdict.Attack != want.Attack || res.verdict.SyncOffset != want.SyncOffset {
+				t.Errorf("%s: served verdict %+v, in-process Inspect %+v", c.name, res.verdict, want)
 			}
 		}
 	}

@@ -53,7 +53,7 @@ func TestSubmitUserIDRequired(t *testing.T) {
 	}
 
 	// Across the wire: the rejection must come back as the same sentinel
-	// (kind "user_required"), not an opaque RemoteError.
+	// (code user_required), not an opaque RemoteError.
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

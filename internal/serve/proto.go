@@ -1,8 +1,6 @@
 package serve
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 
@@ -11,28 +9,10 @@ import (
 	"vibguard/internal/syncnet"
 )
 
-// Error-kind vocabulary of the wire protocol and the typed-sentinel
-// mapping shared by the binary codec (wire.go) and the retired gob codec
-// below. Failures cross the wire as stable kinds that the client maps
-// back to the same typed sentinels, so errors.Is/As work across the wire
-// exactly as they do in-process.
-
-// Error kinds. Stable strings, not iota: both ends may be rebuilt
-// independently. The binary protocol sends the code* constants instead;
-// codeToKind in wire.go ties the two vocabularies together.
-const (
-	kindOverloaded   = "overloaded"
-	kindDraining     = "draining"
-	kindTimeout      = "timeout"
-	kindTransport    = "transport"
-	kindWearable     = "wearable"
-	kindNonFinite    = "nonfinite_score"
-	kindBadRecording = "bad_recording"
-	kindInternal     = "internal"
-	kindNodeLost     = "node_lost"
-	kindNoNodes      = "no_nodes"
-	kindUserRequired = "user_required"
-)
+// The typed-sentinel mapping of the wire protocol: failures cross the
+// wire as stable error codes (the code* constants of wire.go) that the
+// client maps back to the same typed sentinels, so errors.Is/As work
+// across the wire exactly as they do in-process.
 
 // Routing-tier sentinels. They live here, next to the rest of the wire
 // error vocabulary, because the wire protocol must carry them between a
@@ -65,135 +45,71 @@ func (e *NodeError) Error() string { return "node " + e.Node + ": " + e.Err.Erro
 // Unwrap exposes the wrapped error.
 func (e *NodeError) Unwrap() error { return e.Err }
 
-// errKind classifies a session error for the wire.
-func errKind(err error) string {
+// errCode classifies a session error for the wire.
+func errCode(err error) byte {
 	var wearErr *syncnet.WearableError
 	var issue *core.RecordingIssue
 	switch {
 	case errors.Is(err, ErrNodeLost):
-		return kindNodeLost
+		return codeNodeLost
 	case errors.Is(err, ErrNoNodes):
-		return kindNoNodes
+		return codeNoNodes
 	case errors.Is(err, ErrUserIDRequired):
-		return kindUserRequired
+		return codeUserRequired
 	case errors.Is(err, ErrOverloaded):
-		return kindOverloaded
+		return codeOverloaded
 	case errors.Is(err, ErrDraining):
-		return kindDraining
+		return codeDraining
 	case errors.Is(err, ErrSessionTimeout):
-		return kindTimeout
+		return codeTimeout
 	case errors.Is(err, syncnet.ErrRetriesExhausted):
-		return kindTransport
+		return codeTransport
 	case errors.As(err, &wearErr):
-		return kindWearable
+		return codeWearable
 	case errors.Is(err, detector.ErrNonFiniteScore):
-		return kindNonFinite
+		return codeNonFinite
 	case errors.As(err, &issue):
-		return kindBadRecording
+		return codeBadRecording
 	default:
-		return kindInternal
+		return codeInternal
 	}
 }
 
-// RemoteError is a server-side session failure whose kind has no local
-// typed equivalent (or an unrecognized kind from a newer server).
+// RemoteError is a server-side session failure whose code has no local
+// typed equivalent (or an unrecognized code from a newer server).
 type RemoteError struct {
-	// Kind is the wire error kind.
-	Kind string
+	// Code is the wire error code.
+	Code byte
 	// Msg is the server's error text.
 	Msg string
 }
 
 // Error implements the error interface.
-func (e *RemoteError) Error() string { return "serve: remote " + e.Kind + ": " + e.Msg }
+func (e *RemoteError) Error() string { return fmt.Sprintf("serve: remote error %d: %s", e.Code, e.Msg) }
 
 // remoteError maps a wire failure back to the matching typed error, so
 // errors.Is/As work across the wire exactly as they do in-process.
-func remoteError(kind, msg string) error {
-	switch kind {
-	case kindOverloaded:
+func remoteError(code byte, msg string) error {
+	switch code {
+	case codeOverloaded:
 		return fmt.Errorf("%w (remote: %s)", ErrOverloaded, msg)
-	case kindDraining:
+	case codeDraining:
 		return fmt.Errorf("%w (remote: %s)", ErrDraining, msg)
-	case kindTimeout:
+	case codeTimeout:
 		return fmt.Errorf("%w (remote: %s)", ErrSessionTimeout, msg)
-	case kindTransport:
+	case codeTransport:
 		return fmt.Errorf("%w (remote: %s)", syncnet.ErrRetriesExhausted, msg)
-	case kindNonFinite:
+	case codeNonFinite:
 		return fmt.Errorf("%w (remote: %s)", detector.ErrNonFiniteScore, msg)
-	case kindWearable:
+	case codeWearable:
 		return &syncnet.WearableError{Msg: msg}
-	case kindNodeLost:
+	case codeNodeLost:
 		return fmt.Errorf("%w (remote: %s)", ErrNodeLost, msg)
-	case kindNoNodes:
+	case codeNoNodes:
 		return fmt.Errorf("%w (remote: %s)", ErrNoNodes, msg)
-	case kindUserRequired:
+	case codeUserRequired:
 		return fmt.Errorf("%w (remote: %s)", ErrUserIDRequired, msg)
 	default:
-		return &RemoteError{Kind: kind, Msg: msg}
+		return &RemoteError{Code: code, Msg: msg}
 	}
-}
-
-// --- Legacy gob codec ------------------------------------------------
-//
-// The original front-end spoke gob: one wireRequest/wireResponse pair at
-// a time per connection, with gob's per-connection type negotiation paid
-// on every fresh connection. The serving path now speaks the framed
-// binary protocol (wire.go, mux.go); this codec is retained only so the
-// equivalence suite can pin that every typed error kind and a verdict
-// round-trip through BOTH codecs to identical client-side sentinels —
-// the cutover stays pinned until the gob path is deleted outright.
-
-// wireRequest is one legacy session submission frame.
-type wireRequest struct {
-	// ID correlates the response; chosen by the client.
-	ID uint64
-	// WearableAddr, VASamples, RNGSeed mirror Request.
-	WearableAddr string
-	VASamples    []float64
-	RNGSeed      int64
-}
-
-// wireResponse is one legacy verdict (or typed failure) frame.
-type wireResponse struct {
-	ID uint64
-	OK bool
-	// Verdict fields (OK only). Spans carries the span count; the spans
-	// themselves stay server-side.
-	Score      float64
-	Attack     bool
-	SyncOffset int
-	Spans      int
-	// ErrKind and Err describe the failure (!OK only).
-	ErrKind string
-	Err     string
-}
-
-// gobEncodeSession encodes one request/response pair the way the legacy
-// front-end did on a fresh connection: a new encoder per direction, so
-// the buffer includes gob's type-descriptor negotiation — the per-session
-// cost the binary protocol removes.
-func gobEncodeSession(req wireRequest, resp wireResponse) (reqBuf, respBuf []byte, err error) {
-	var rb, pb bytes.Buffer
-	if err := gob.NewEncoder(&rb).Encode(&req); err != nil {
-		return nil, nil, err
-	}
-	if err := gob.NewEncoder(&pb).Encode(&resp); err != nil {
-		return nil, nil, err
-	}
-	return rb.Bytes(), pb.Bytes(), nil
-}
-
-// gobDecodeSession decodes the pair with fresh decoders, mirroring the
-// legacy client.
-func gobDecodeSession(reqBuf, respBuf []byte) (wireRequest, wireResponse, error) {
-	var req wireRequest
-	var resp wireResponse
-	if err := gob.NewDecoder(bytes.NewReader(reqBuf)).Decode(&req); err != nil {
-		return req, resp, err
-	}
-	if err := gob.NewDecoder(bytes.NewReader(respBuf)).Decode(&resp); err != nil {
-		return req, resp, err
-	}
-	return req, resp, nil
 }

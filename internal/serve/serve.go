@@ -1,11 +1,12 @@
 // Package serve is the session-oriented detection server: the long-running
 // deployment shape of Section VI-A, where a VA device continuously guards
 // voice commands against thru-barrier attacks with the help of a paired
-// wearable. Each session carries one VA recording and the address of the
-// wearable that heard the same command; the server fetches the wearable
-// recording through the hardened syncnet.ReliableClient, aligns it with
-// the Eq. (5) cross-correlation, and runs core.Defense.Inspect — all on a
-// bounded worker pool with explicit load-shedding, so sustained probing
+// wearable. Each session carries one VA recording (whole, or streamed in
+// chunks) and the addresses of the wearables that heard the same command;
+// the server fetches each wearable recording through the hardened
+// syncnet.ReliableClient, aligns it with the Eq. (5) cross-correlation,
+// and scores all of them in one core.Defense.InspectDevices call — all on
+// a bounded worker pool with explicit load-shedding, so sustained probing
 // (the BarrierBypass attack model) degrades service to typed rejections
 // instead of unbounded goroutines.
 //
@@ -19,6 +20,15 @@
 //     core.Defense (the per-worker pattern of eval.ParallelScorer) and a
 //     private per-address cache of ReliableClients, so the hot path takes
 //     no shared locks.
+//   - One session path: batch or streamed, with one wearable or several,
+//     every session runs through the same worker function. A streamed
+//     session runs its primary wearable through core.StreamInspector
+//     (early exit included) before the rest are scored; every session
+//     ends in one decision step that fuses the per-device verdicts
+//     (core.FuseVerdicts) at the user's calibrated threshold. A session
+//     without WearableAddrs differs in two ways only: its device's error
+//     surfaces bare, never wrapped in core.ErrNoQuorum, and it records no
+//     fusion.devices observation.
 //   - Deadlines: every session gets a context deadline at admission.
 //     Sessions that expire while queued are abandoned without wasting a
 //     worker; in-flight fetches abort their retries and backoff sleeps
@@ -64,7 +74,7 @@ var (
 	// tier's legacy fallback — hashing WearableAddr when UserID is empty —
 	// would scatter a multi-wearable user's sessions across nodes by
 	// whichever address came first. The error crosses the wire typed
-	// (kind "user_required").
+	// (code user_required).
 	ErrUserIDRequired = errors.New("serve: profile-backed session needs a user id")
 )
 
@@ -72,7 +82,8 @@ var (
 // heard the same command.
 type Request struct {
 	// UserID identifies the wearable-paired user the session belongs to.
-	// The server ignores it; the routing tier consistent-hashes it to
+	// With the profile layer on, the server keys the user's calibrated
+	// threshold by it. The routing tier consistent-hashes it to
 	// pick the serving node (falling back to WearableAddr when empty), so
 	// one user's sessions — and any per-user state a node caches — stay
 	// on one node.
@@ -81,9 +92,11 @@ type Request struct {
 	// user's primary wearable).
 	WearableAddr string
 	// WearableAddrs lists additional paired wearables (earbud, second
-	// watch, …) whose recordings are scored as Inspect scores each alone
-	// and fused at the score level (core.FuseVerdicts). A session carrying any is
-	// profile-backed and must set UserID (ErrUserIDRequired otherwise).
+	// watch, …). Their recordings are scored with the primary's in one
+	// core.Defense.InspectDevices call, each under its own seed, and the
+	// verdicts fuse at the score level (core.FuseVerdicts). A session
+	// carrying any is profile-backed and must set UserID
+	// (ErrUserIDRequired otherwise).
 	// On the wire the list travels in a backward-compatible trailing
 	// extension of the request payload: a request without extras encodes
 	// byte-identically to the pre-extension protocol.
@@ -185,9 +198,9 @@ func SessionSeed(seed int64, sessionID uint64) int64 {
 // deviceSeed derives the RNG seed of device i in a fused multi-wearable
 // session from the session seed, with the same SplitMix64 finalizer but
 // an XOR pre-whitening distinct from core's provisional-evaluation
-// derivation. Device 0 keeps the session seed untouched, so a fused
-// session with a single contributing device scores bit-identically to
-// the single-wearable path.
+// derivation. Device 0 keeps the session seed untouched, so the primary
+// wearable scores under the session seed whether or not extras ride
+// along.
 func deviceSeed(seed int64, device uint64) int64 {
 	if device == 0 {
 		return seed

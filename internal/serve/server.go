@@ -11,7 +11,6 @@ import (
 	"time"
 
 	"vibguard/internal/core"
-	"vibguard/internal/detector"
 	"vibguard/internal/profile"
 	"vibguard/internal/syncnet"
 )
@@ -250,9 +249,14 @@ func (s *Server) effectiveThreshold(defense *core.Defense, cache *profile.LRU, u
 }
 
 // process runs one session end to end: deadline check, wearable fetch
-// through the cached hardened clients, then the full Inspect pipeline —
-// one InspectDevices call over every wearable of a profile-backed
-// multi-wearable session, with the per-device verdicts fused.
+// through the cached hardened clients, then the full Inspect pipeline.
+// Every session has the same shape: its devices are the primary wearable
+// plus WearableAddrs, duplicates removed, and all the recordings not
+// streamed are scored in one InspectDevices call, recording j under
+// deviceSeed(seed, j). A streamed session first runs the primary (the
+// first device fetched) through the streaming pipeline; an early exit
+// decides the session on the primary alone, and a stream that runs to the
+// end leaves the extras to the InspectDevices call on the buffered audio.
 func (s *Server) process(defense *core.Defense, clients map[string]*syncnet.ReliableClient, cache *profile.LRU, sess *session) {
 	if err := sess.ctx.Err(); err != nil {
 		s.finish(sess, nil, sessionCtxError(err))
@@ -262,56 +266,11 @@ func (s *Server) process(defense *core.Defense, clients map[string]*syncnet.Reli
 	if seed == 0 {
 		seed = SessionSeed(s.cfg.Seed, sess.id)
 	}
-	if len(sess.req.WearableAddrs) == 0 {
-		// Single-wearable path, unchanged from the pre-profile protocol:
-		// fetch and inspection errors surface directly, and with the
-		// profile layer off the verdict is bit-identical to the seed
-		// deployment.
-		client, err := s.clientFor(clients, sess.req.WearableAddr)
-		if err != nil {
-			s.finish(sess, nil, err)
-			return
-		}
-		wear, err := client.RequestRecordingContext(sess.ctx)
-		if err != nil {
-			if ctxErr := sess.ctx.Err(); ctxErr != nil {
-				err = fmt.Errorf("%w (fetch: %v)", sessionCtxError(ctxErr), err)
-			}
-			s.finish(sess, nil, err)
-			return
-		}
-		if sess.chunks != nil {
-			s.processStream(defense, sess, wear, seed)
-			return
-		}
-		verdict, err := defense.Inspect(sess.req.VARecording, wear, rand.New(rand.NewSource(seed)))
-		if err == nil {
-			thr, calibrated := s.effectiveThreshold(defense, cache, sess.req.UserID)
-			if calibrated {
-				verdict.Attack = detector.DetectAt(verdict.Score, thr)
-				s.observeSession(defense, cache, sess, verdict, thr)
-			}
-		}
-		s.finish(sess, verdict, err)
-		return
-	}
-	s.processFused(defense, clients, cache, sess, seed)
-}
-
-// processFused runs a profile-backed multi-wearable session: every
-// wearable's recording is fetched and all are scored in one InspectDevices
-// call (each under its own SplitMix64-derived seed, so the sensing streams
-// are decorrelated), and the per-device verdicts fuse by weighted mean
-// under the quorum rule — any single finite score still decides the
-// session. Streamed sessions are admitted but fuse only after
-// the stream: the chunked VA audio feeds the primary device's streaming
-// pipeline unchanged, and the extras are scored batch-style on the full
-// recording only if no early exit fired.
-func (s *Server) processFused(defense *core.Defense, clients map[string]*syncnet.ReliableClient, cache *profile.LRU, sess *session, seed int64) {
 	addrs := append([]string{sess.req.WearableAddr}, sess.req.WearableAddrs...)
 	seen := make(map[string]bool, len(addrs))
 	devices := make([]core.DeviceVerdict, 0, len(addrs))
-	recordings := make([][]float64, 0, len(addrs))
+	var recordings [][]float64
+	var fetched []int // the device of each recording
 	for _, addr := range addrs {
 		if addr == "" || seen[addr] {
 			continue
@@ -333,106 +292,99 @@ func (s *Server) processFused(defense *core.Defense, clients map[string]*syncnet
 			devices = append(devices, core.DeviceVerdict{Addr: addr, Err: err})
 			continue
 		}
+		fetched = append(fetched, len(devices))
 		devices = append(devices, core.DeviceVerdict{Addr: addr})
 		recordings = append(recordings, wear)
 	}
-	thr, calibrated := s.effectiveThreshold(defense, cache, sess.req.UserID)
-	if sess.chunks != nil {
-		s.processFusedStream(defense, sess, devices, recordings, seed, thr, cache, calibrated)
-		return
-	}
-	inspectUnscored(defense, sess.req.VARecording, devices, recordings, 0, seed)
-	s.finishFused(defense, cache, sess, devices, thr, calibrated)
-}
-
-// inspectUnscored scores recordings[first:] in one InspectDevices call,
-// recording j under deviceSeed(seed, j), onto the devices that have neither
-// verdict nor error yet (the fetched devices not yet scored, in order).
-func inspectUnscored(defense *core.Defense, va []float64, devices []core.DeviceVerdict, recordings [][]float64, first int, seed int64) {
-	rngs := make([]*rand.Rand, len(recordings)-first)
-	for j := range rngs {
-		rngs[j] = rand.New(rand.NewSource(deviceSeed(seed, uint64(first+j))))
-	}
-	verdicts, errs := defense.InspectDevices(va, recordings[first:], rngs)
-	j := 0
-	for i := range devices {
-		if devices[i].Err == nil && devices[i].Verdict == nil {
-			devices[i].Verdict, devices[i].Err = verdicts[j], errs[j]
-			j++
+	va, first := sess.req.VARecording, 0
+	if sess.chunks != nil && len(recordings) > 0 {
+		primary := &devices[fetched[0]]
+		var err error
+		if va, err = s.streamPrimary(defense, sess, recordings[0], seed, primary, len(recordings) > 1); err != nil {
+			s.finish(sess, nil, err)
+			return
+		}
+		first = 1
+		if primary.Verdict != nil && primary.Verdict.Early {
+			// The extras' full-recording scores could shift a verdict the
+			// early exit already committed, so they stay unscored.
+			first = len(recordings)
 		}
 	}
+	if first < len(recordings) {
+		rngs := make([]*rand.Rand, len(recordings)-first)
+		for j := range rngs {
+			rngs[j] = rand.New(rand.NewSource(deviceSeed(seed, uint64(first+j))))
+		}
+		verdicts, errs := defense.InspectDevices(va, recordings[first:], rngs)
+		for j, i := range fetched[first:] {
+			devices[i].Verdict, devices[i].Err = verdicts[j], errs[j]
+		}
+	}
+	s.decide(defense, cache, sess, devices)
 }
 
-// processFusedStream is the streamed shape of processFused: the primary
-// device (the first fetched) runs the streaming pipeline on the chunked
-// VA audio; an early exit decides the session on the primary alone (the
-// extras' full-recording scores could shift a verdict the early exit
-// already committed), while a stream that runs to completion scores the
-// extras batch-style on the buffered recording and fuses all devices.
-func (s *Server) processFusedStream(defense *core.Defense, sess *session, devices []core.DeviceVerdict, recordings [][]float64, seed int64, thr float64, cache *profile.LRU, calibrated bool) {
-	if len(recordings) == 0 {
-		// Every fetch failed; fuse immediately for the typed quorum error.
-		s.finishFused(defense, cache, sess, devices, thr, calibrated)
-		return
-	}
+// streamPrimary feeds the session's VA chunks through the streaming
+// pipeline against the primary's recording, under deviceSeed(seed, 0),
+// and sets the primary's verdict (an early exit's, or the batch
+// fallback's) or error. It returns the VA audio, buffered only when keep
+// is set, and a session-level failure: an expired deadline, even
+// mid-stream, or a pipeline that rejects the stream.
+func (s *Server) streamPrimary(defense *core.Defense, sess *session, wear []float64, seed int64, primary *core.DeviceVerdict, keep bool) ([]float64, error) {
 	si, err := defense.NewStreamInspector(s.cfg.Stream, deviceSeed(seed, 0))
 	if err != nil {
-		s.finish(sess, nil, err)
-		return
+		return nil, err
 	}
-	if err := si.FeedWearable(recordings[0]); err != nil {
-		s.finish(sess, nil, err)
-		return
-	}
-	p := 0 // the primary: the first device fetched
-	for devices[p].Err != nil {
-		p++
+	if err := si.FeedWearable(wear); err != nil {
+		return nil, err
 	}
 	var va []float64
 	for {
 		select {
 		case <-sess.ctx.Done():
-			s.finish(sess, nil, sessionCtxError(sess.ctx.Err()))
-			return
+			return nil, sessionCtxError(sess.ctx.Err())
 		case chunk, ok := <-sess.chunks:
 			if !ok {
-				v, err := si.Finish()
-				devices[p].Verdict, devices[p].Err = v, err
-				inspectUnscored(defense, va, devices, recordings, 1, seed)
-				s.finishFused(defense, cache, sess, devices, thr, calibrated)
-				return
+				primary.Verdict, primary.Err = si.Finish()
+				return va, nil
 			}
-			va = append(va, chunk...)
+			if keep {
+				va = append(va, chunk...)
+			}
 			v, err := si.Feed(chunk)
 			if err != nil {
-				s.finish(sess, nil, err)
-				return
+				return nil, err
 			}
 			if v != nil {
 				metStreamSessionsEarly.Inc()
-				devices[p].Verdict = v
-				// The unscored extras carry neither verdict nor error, so
-				// the fusion sees exactly one contributing device.
-				s.finishFused(defense, cache, sess, devices, thr, calibrated)
-				return
+				primary.Verdict = v
+				return va, nil
 			}
 		}
 	}
 }
 
-// finishFused fuses the per-device verdicts, feeds the profile layer, and
-// delivers the session result.
-func (s *Server) finishFused(defense *core.Defense, cache *profile.LRU, sess *session, devices []core.DeviceVerdict, thr float64, calibrated bool) {
-	fused, contributing, err := core.FuseVerdicts(devices, thr)
-	if err != nil {
-		s.finish(sess, nil, err)
-		return
+// decide ends every session that reached scoring: the per-device verdicts
+// fuse at the session's effective threshold (with one device, that
+// device's verdict re-decided at it), and a calibrated session feeds the
+// profile layer. A session without WearableAddrs keeps the
+// single-wearable contract: its device's error surfaces bare, not wrapped
+// in core.ErrNoQuorum, and it records no fusion.devices observation.
+func (s *Server) decide(defense *core.Defense, cache *profile.LRU, sess *session, devices []core.DeviceVerdict) {
+	thr, calibrated := s.effectiveThreshold(defense, cache, sess.req.UserID)
+	v, contributing, err := core.FuseVerdicts(devices, thr)
+	switch {
+	case len(sess.req.WearableAddrs) == 0:
+		if devices[0].Err != nil {
+			err = devices[0].Err
+		}
+	case err == nil:
+		histFusionDevices.Observe(float64(contributing))
 	}
-	histFusionDevices.Observe(float64(contributing))
-	if calibrated {
-		s.observeSession(defense, cache, sess, fused, thr)
+	if err == nil && calibrated {
+		s.observeSession(defense, cache, sess, v, thr)
 	}
-	s.finish(sess, fused, nil)
+	s.finish(sess, v, err)
 }
 
 // observeSession feeds a completed session back into the profile layer:
@@ -450,47 +402,6 @@ func (s *Server) observeSession(defense *core.Defense, cache *profile.LRU, sess 
 	s.cfg.Profiles.AddDevices(sess.req.UserID, sess.req.WearableAddr)
 	s.cfg.Profiles.AddDevices(sess.req.UserID, sess.req.WearableAddrs...)
 	cache.Put(sess.req.UserID, defense.Threshold()+p.Offset)
-}
-
-// processStream runs one streamed session: the wearable recording seeds
-// the inspector up front (it is fetched whole, like a batch session's),
-// then VA chunks feed the streaming pipeline until an early exit fires or
-// the stream closes and the batch fallback decides. The session deadline
-// keeps covering the stream: an expired context fails the session even
-// mid-stream.
-func (s *Server) processStream(defense *core.Defense, sess *session, wear []float64, seed int64) {
-	si, err := defense.NewStreamInspector(s.cfg.Stream, seed)
-	if err != nil {
-		s.finish(sess, nil, err)
-		return
-	}
-	if err := si.FeedWearable(wear); err != nil {
-		s.finish(sess, nil, err)
-		return
-	}
-	for {
-		select {
-		case <-sess.ctx.Done():
-			s.finish(sess, nil, sessionCtxError(sess.ctx.Err()))
-			return
-		case chunk, ok := <-sess.chunks:
-			if !ok {
-				v, err := si.Finish()
-				s.finish(sess, v, err)
-				return
-			}
-			v, err := si.Feed(chunk)
-			if err != nil {
-				s.finish(sess, nil, err)
-				return
-			}
-			if v != nil {
-				metStreamSessionsEarly.Inc()
-				s.finish(sess, v, nil)
-				return
-			}
-		}
-	}
 }
 
 // sessionCtxError maps a session-context error to the typed server error.

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"vibguard/internal/core"
+	"vibguard/internal/profile"
 	"vibguard/internal/serve"
 )
 
@@ -242,5 +243,39 @@ func TestStreamUnsupportedPeer(t *testing.T) {
 	}
 	if v.Score != 0.9 {
 		t.Fatalf("batch verdict score = %v after a rejected stream", v.Score)
+	}
+}
+
+// TestStreamedSessionCalibrated pins the profile layer on the streamed
+// single-wearable path: with early exit off, a legitimate streamed
+// session returns the batch session's score bits and verdict, and, like
+// the batch session, moves the user's calibration sample count.
+func TestStreamedSessionCalibrated(t *testing.T) {
+	sc := scenarioFor(t)
+	agent := newAgent(t, sc.legitWear)
+	store := profile.NewStore(profile.Config{})
+	srv := newServer(t, serve.Config{Workers: 1, Seed: serveSeed, Profiles: store,
+		Stream: core.StreamConfig{DisableEarlyExit: true}})
+	req := serve.Request{UserID: "carol", WearableAddr: agent.Addr(), RNGSeed: serveSeed + 20}
+	batchReq := req
+	batchReq.VARecording = sc.legitVA
+	ctx, cancel := contextWithTimeout(20 * time.Second)
+	defer cancel()
+	want, err := srv.Submit(ctx, batchReq)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if p, _ := store.Lookup("carol"); p.Samples != 1 {
+		t.Fatalf("profile samples %d after the batch session, want 1", p.Samples)
+	}
+	got, err := srv.SubmitStream(ctx, req, chunksOf(sc.legitVA, streamChunk))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Float64bits(got.Score) != math.Float64bits(want.Score) || got.Attack != want.Attack || got.Attack {
+		t.Errorf("streamed %+v, batch %+v", got, want)
+	}
+	if p, _ := store.Lookup("carol"); p.Samples != 2 {
+		t.Errorf("profile samples %d after the streamed session, want 2", p.Samples)
 	}
 }

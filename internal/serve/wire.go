@@ -412,9 +412,9 @@ func DecodeVerdictPayload(p []byte) (wireVerdict, error) {
 //	uvarint len + bytes  error message
 
 // Error-kind codes. Explicit constants, not iota: both ends may be
-// rebuilt independently, so the numbering is part of the protocol. They
-// are the binary counterpart of the legacy gob kind strings, and both
-// map to the same typed sentinels (pinned by the equivalence tests).
+// rebuilt independently, so the numbering is part of the protocol. errCode
+// (proto.go) classifies a session error onto them, and remoteError maps
+// each back to its typed sentinel.
 const (
 	codeOverloaded   = byte(1)
 	codeDraining     = byte(2)
@@ -428,50 +428,6 @@ const (
 	codeNoNodes      = byte(10)
 	codeUserRequired = byte(11)
 )
-
-// codeToKind maps wire codes to the stable kind strings shared with the
-// legacy gob codec (RemoteError.Kind stays meaningful either way).
-var codeToKind = map[byte]string{
-	codeOverloaded:   kindOverloaded,
-	codeDraining:     kindDraining,
-	codeTimeout:      kindTimeout,
-	codeTransport:    kindTransport,
-	codeWearable:     kindWearable,
-	codeNonFinite:    kindNonFinite,
-	codeBadRecording: kindBadRecording,
-	codeInternal:     kindInternal,
-	codeNodeLost:     kindNodeLost,
-	codeNoNodes:      kindNoNodes,
-	codeUserRequired: kindUserRequired,
-}
-
-// errCode classifies a session error for the wire, mirroring errKind.
-func errCode(err error) byte {
-	switch errKind(err) {
-	case kindOverloaded:
-		return codeOverloaded
-	case kindDraining:
-		return codeDraining
-	case kindTimeout:
-		return codeTimeout
-	case kindTransport:
-		return codeTransport
-	case kindWearable:
-		return codeWearable
-	case kindNonFinite:
-		return codeNonFinite
-	case kindBadRecording:
-		return codeBadRecording
-	case kindNodeLost:
-		return codeNodeLost
-	case kindNoNodes:
-		return codeNoNodes
-	case kindUserRequired:
-		return codeUserRequired
-	default:
-		return codeInternal
-	}
-}
 
 // AppendErrorPayload appends the encoded session failure to dst. The
 // node identity is taken from a wrapping NodeError, if any.
@@ -503,11 +459,7 @@ func DecodeErrorPayload(p []byte) (error, error) {
 	if err != nil {
 		return nil, err
 	}
-	kind, ok := codeToKind[code]
-	if !ok {
-		kind = fmt.Sprintf("code_%d", code)
-	}
-	sessErr := remoteError(kind, msg)
+	sessErr := remoteError(code, msg)
 	if node != "" {
 		sessErr = &NodeError{Node: node, Err: sessErr}
 	}

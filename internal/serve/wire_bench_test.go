@@ -7,12 +7,9 @@ import (
 
 // Wire-protocol benchmarks: one "session" is a request (wearable address,
 // seed, a 2-second 16 kHz VA recording) plus its verdict response,
-// encoded AND decoded — the full serialization cost of one detection
-// round trip. The gob variant uses fresh encoders/decoders per session,
-// exactly as the retired front-end paid it on every connection (gob
-// renegotiates type descriptors per stream); the binary variant is the
-// framed codec the serving path speaks now. bytes/session reports the
-// on-wire size of the pair. Results feed the EXPERIMENTS.md table.
+// encoded AND decoded in the framed binary codec — the full serialization
+// cost of one detection round trip. bytes/session reports the on-wire
+// size of the pair.
 
 // benchSamples is a 2 s, 16 kHz recording — a typical short command.
 const benchSamples = 32000
@@ -23,25 +20,6 @@ func benchRecording() []float64 {
 		rec[i] = math.Sin(float64(i) / 37)
 	}
 	return rec
-}
-
-func BenchmarkGobSessionRoundTrip(b *testing.B) {
-	rec := benchRecording()
-	req := wireRequest{ID: 1, WearableAddr: "127.0.0.1:7700", VASamples: rec, RNGSeed: 42}
-	resp := wireResponse{ID: 1, OK: true, Score: 0.75, Attack: false, SyncOffset: -120, Spans: 4}
-	var bytesPerSession int
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		reqBuf, respBuf, err := gobEncodeSession(req, resp)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, _, err := gobDecodeSession(reqBuf, respBuf); err != nil {
-			b.Fatal(err)
-		}
-		bytesPerSession = len(reqBuf) + len(respBuf)
-	}
-	b.ReportMetric(float64(bytesPerSession), "bytes/session")
 }
 
 func BenchmarkBinarySessionRoundTrip(b *testing.B) {
@@ -72,23 +50,7 @@ func BenchmarkBinarySessionRoundTrip(b *testing.B) {
 	b.ReportMetric(float64(bytesPerSession), "bytes/session")
 }
 
-// The error-path pair: a typed shed crossing the wire, both codecs.
-
-func BenchmarkGobErrorRoundTrip(b *testing.B) {
-	resp := wireResponse{ID: 1, OK: false, ErrKind: kindOverloaded, Err: ErrOverloaded.Error()}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		reqBuf, respBuf, err := gobEncodeSession(wireRequest{ID: 1}, resp)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_, decoded, err := gobDecodeSession(reqBuf, respBuf)
-		if err != nil {
-			b.Fatal(err)
-		}
-		_ = remoteError(decoded.ErrKind, decoded.Err)
-	}
-}
+// The error path: a typed shed crossing the wire.
 
 func BenchmarkBinaryErrorRoundTrip(b *testing.B) {
 	src := &NodeError{Node: "node1", Err: ErrOverloaded}

@@ -11,20 +11,19 @@ import (
 	"vibguard/internal/syncnet"
 )
 
-// The gob→binary cutover pin: every typed error kind and a verdict must
-// round-trip through BOTH codecs — the retired gob framing (proto.go) and
-// the framed binary protocol (wire.go) — to identical client-side
-// sentinels. A client that upgraded across the cutover sees the exact
-// same errors.Is/As behavior either way; any divergence here is a silent
-// protocol break.
+// The error-code pin: every typed session error must classify to its
+// stable wire code and round-trip through the binary error payload to the
+// same client-side sentinel, so errors.Is/As behave across the wire
+// exactly as they do in-process; any divergence here is a silent protocol
+// break.
 
-// equivCase is one error kind's round-trip expectation.
+// equivCase is one error code's round-trip expectation.
 type equivCase struct {
 	name string
 	// err is the server-side session error being classified.
 	err error
-	// wantKind is the stable wire kind both codecs must agree on.
-	wantKind string
+	// wantCode is the stable wire code the error must classify to.
+	wantCode byte
 	// check asserts the decoded client-side error matches the sentinel.
 	check func(t *testing.T, decoded error)
 }
@@ -38,67 +37,48 @@ func isCheck(sentinel error) func(*testing.T, error) {
 	}
 }
 
+// remoteCheck asserts the decoded error is a RemoteError carrying code.
+func remoteCheck(code byte) func(*testing.T, error) {
+	return func(t *testing.T, decoded error) {
+		t.Helper()
+		var re *RemoteError
+		if !errors.As(decoded, &re) || re.Code != code {
+			t.Errorf("decoded error %v is not a RemoteError of code %d", decoded, code)
+		}
+	}
+}
+
 func equivCases() []equivCase {
 	return []equivCase{
-		{"overloaded", fmt.Errorf("session: %w", ErrOverloaded), kindOverloaded, isCheck(ErrOverloaded)},
-		{"draining", ErrDraining, kindDraining, isCheck(ErrDraining)},
-		{"timeout", fmt.Errorf("worker: %w", ErrSessionTimeout), kindTimeout, isCheck(ErrSessionTimeout)},
-		{"transport", fmt.Errorf("fetch: %w", syncnet.ErrRetriesExhausted), kindTransport, isCheck(syncnet.ErrRetriesExhausted)},
-		{"wearable", &syncnet.WearableError{Msg: "mic busy"}, kindWearable, func(t *testing.T, decoded error) {
+		{"overloaded", fmt.Errorf("session: %w", ErrOverloaded), codeOverloaded, isCheck(ErrOverloaded)},
+		{"draining", ErrDraining, codeDraining, isCheck(ErrDraining)},
+		{"timeout", fmt.Errorf("worker: %w", ErrSessionTimeout), codeTimeout, isCheck(ErrSessionTimeout)},
+		{"transport", fmt.Errorf("fetch: %w", syncnet.ErrRetriesExhausted), codeTransport, isCheck(syncnet.ErrRetriesExhausted)},
+		{"wearable", &syncnet.WearableError{Msg: "mic busy"}, codeWearable, func(t *testing.T, decoded error) {
 			t.Helper()
 			var we *syncnet.WearableError
 			if !errors.As(decoded, &we) {
 				t.Errorf("decoded error %v is not a WearableError", decoded)
 			}
 		}},
-		{"nonfinite", fmt.Errorf("inspect: %w", detector.ErrNonFiniteScore), kindNonFinite, isCheck(detector.ErrNonFiniteScore)},
+		{"nonfinite", fmt.Errorf("inspect: %w", detector.ErrNonFiniteScore), codeNonFinite, isCheck(detector.ErrNonFiniteScore)},
 		{"bad_recording", &core.RecordingIssue{Source: "va", Err: errors.New("NaN sample"), Detail: "index 3"},
-			kindBadRecording, func(t *testing.T, decoded error) {
-				t.Helper()
-				var re *RemoteError
-				if !errors.As(decoded, &re) || re.Kind != kindBadRecording {
-					t.Errorf("decoded error %v is not a RemoteError of kind %q", decoded, kindBadRecording)
-				}
-			}},
-		{"internal", errors.New("defense exploded"), kindInternal, func(t *testing.T, decoded error) {
-			t.Helper()
-			var re *RemoteError
-			if !errors.As(decoded, &re) || re.Kind != kindInternal {
-				t.Errorf("decoded error %v is not a RemoteError of kind %q", decoded, kindInternal)
-			}
-		}},
-		{"node_lost", fmt.Errorf("router: %w", ErrNodeLost), kindNodeLost, isCheck(ErrNodeLost)},
-		{"no_nodes", ErrNoNodes, kindNoNodes, isCheck(ErrNoNodes)},
+			codeBadRecording, remoteCheck(codeBadRecording)},
+		{"internal", errors.New("defense exploded"), codeInternal, remoteCheck(codeInternal)},
+		{"node_lost", fmt.Errorf("router: %w", ErrNodeLost), codeNodeLost, isCheck(ErrNodeLost)},
+		{"no_nodes", ErrNoNodes, codeNoNodes, isCheck(ErrNoNodes)},
+		{"user_required", fmt.Errorf("admit: %w", ErrUserIDRequired), codeUserRequired, isCheck(ErrUserIDRequired)},
 	}
 }
 
-// TestErrorKindEquivalenceAcrossCodecs round-trips every kind through the
-// legacy gob frames and through the binary error payload, asserting both
-// paths classify to the same kind and decode to the same sentinel.
-func TestErrorKindEquivalenceAcrossCodecs(t *testing.T) {
+// TestErrorCodeRoundTrip classifies every typed error onto its wire code
+// and round-trips it through the binary error payload to its sentinel.
+func TestErrorCodeRoundTrip(t *testing.T) {
 	for _, tc := range equivCases() {
 		t.Run(tc.name, func(t *testing.T) {
-			if got := errKind(tc.err); got != tc.wantKind {
-				t.Fatalf("errKind = %q, want %q", got, tc.wantKind)
+			if got := errCode(tc.err); got != tc.wantCode {
+				t.Fatalf("errCode = %d, want %d", got, tc.wantCode)
 			}
-
-			// Legacy gob path: kind string + message in a wireResponse.
-			reqBuf, respBuf, err := gobEncodeSession(wireRequest{ID: 1}, wireResponse{
-				ID: 1, OK: false, ErrKind: errKind(tc.err), Err: tc.err.Error(),
-			})
-			if err != nil {
-				t.Fatalf("gob encode: %v", err)
-			}
-			_, resp, err := gobDecodeSession(reqBuf, respBuf)
-			if err != nil {
-				t.Fatalf("gob decode: %v", err)
-			}
-			if resp.ErrKind != tc.wantKind {
-				t.Fatalf("gob carried kind %q, want %q", resp.ErrKind, tc.wantKind)
-			}
-			tc.check(t, remoteError(resp.ErrKind, resp.Err))
-
-			// Binary path: kind code + message in an error payload.
 			decoded, err := DecodeErrorPayload(AppendErrorPayload(nil, tc.err))
 			if err != nil {
 				t.Fatalf("binary decode: %v", err)
@@ -110,8 +90,7 @@ func TestErrorKindEquivalenceAcrossCodecs(t *testing.T) {
 
 // TestErrorPayloadCarriesNodeIdentity pins the binary codec's routing
 // extension: a NodeError wrapping survives the wire with both the node id
-// and the inner sentinel intact. (The gob codec predates the routing tier
-// and never carried node identity — one of the reasons it was retired.)
+// and the inner sentinel intact.
 func TestErrorPayloadCarriesNodeIdentity(t *testing.T) {
 	src := &NodeError{Node: "node3", Err: fmt.Errorf("remote: %w", ErrOverloaded)}
 	decoded, err := DecodeErrorPayload(AppendErrorPayload(nil, src))
@@ -143,75 +122,41 @@ func TestUnknownErrorCodeDegradesGracefully(t *testing.T) {
 	if !errors.As(decoded, &re) {
 		t.Fatalf("decoded error %v is not a RemoteError", decoded)
 	}
-	if re.Kind != "code_238" {
-		t.Errorf("unknown code decoded to kind %q, want code_238", re.Kind)
+	if re.Code != 0xEE {
+		t.Errorf("unknown code decoded to code %d, want 238", re.Code)
 	}
 }
 
-// TestVerdictEquivalenceAcrossCodecs round-trips a verdict through both
-// codecs and asserts the client-visible fields agree bit-for-bit.
-func TestVerdictEquivalenceAcrossCodecs(t *testing.T) {
+// TestVerdictRoundTrip round-trips a verdict through the binary payload
+// and asserts the client-visible fields agree bit-for-bit.
+func TestVerdictRoundTrip(t *testing.T) {
 	want := wireVerdict{Score: 0.8125, Attack: true, SyncOffset: -272, Spans: 5}
-
-	reqBuf, respBuf, err := gobEncodeSession(wireRequest{ID: 2}, wireResponse{
-		ID: 2, OK: true, Score: want.Score, Attack: want.Attack,
-		SyncOffset: want.SyncOffset, Spans: want.Spans,
-	})
-	if err != nil {
-		t.Fatalf("gob encode: %v", err)
-	}
-	_, resp, err := gobDecodeSession(reqBuf, respBuf)
-	if err != nil {
-		t.Fatalf("gob decode: %v", err)
-	}
-	fromGob := wireVerdict{Score: resp.Score, Attack: resp.Attack, SyncOffset: resp.SyncOffset, Spans: resp.Spans}
-
-	fromBinary, err := DecodeVerdictPayload(AppendVerdictPayload(nil, want))
+	got, err := DecodeVerdictPayload(AppendVerdictPayload(nil, want))
 	if err != nil {
 		t.Fatalf("binary decode: %v", err)
 	}
-
-	for name, got := range map[string]wireVerdict{"gob": fromGob, "binary": fromBinary} {
-		if math.Float64bits(got.Score) != math.Float64bits(want.Score) {
-			t.Errorf("%s: score bits %#x, want %#x", name, math.Float64bits(got.Score), math.Float64bits(want.Score))
-		}
-		if got.Attack != want.Attack || got.SyncOffset != want.SyncOffset || got.Spans != want.Spans {
-			t.Errorf("%s: verdict %+v, want %+v", name, got, want)
-		}
+	if math.Float64bits(got.Score) != math.Float64bits(want.Score) {
+		t.Errorf("score bits %#x, want %#x", math.Float64bits(got.Score), math.Float64bits(want.Score))
+	}
+	if got.Attack != want.Attack || got.SyncOffset != want.SyncOffset || got.Spans != want.Spans {
+		t.Errorf("verdict %+v, want %+v", got, want)
 	}
 }
 
-// TestRequestEquivalenceAcrossCodecs round-trips a request through both
-// codecs: same wearable address, same seed, bit-identical samples.
-func TestRequestEquivalenceAcrossCodecs(t *testing.T) {
+// TestRequestRoundTrip round-trips a request through the binary payload:
+// same user, wearable address and seed, bit-identical samples.
+func TestRequestRoundTrip(t *testing.T) {
 	samples := []float64{0.5, -0.25, 1e-9, math.Pi}
 	wantReq := Request{UserID: "user-a", WearableAddr: "10.0.0.5:7700", VARecording: samples, RNGSeed: -77}
-
-	reqBuf, respBuf, err := gobEncodeSession(wireRequest{
-		ID: 3, WearableAddr: wantReq.WearableAddr, VASamples: samples, RNGSeed: wantReq.RNGSeed,
-	}, wireResponse{ID: 3, OK: true})
-	if err != nil {
-		t.Fatalf("gob encode: %v", err)
-	}
-	gotGob, _, err := gobDecodeSession(reqBuf, respBuf)
-	if err != nil {
-		t.Fatalf("gob decode: %v", err)
-	}
-	if gotGob.WearableAddr != wantReq.WearableAddr || gotGob.RNGSeed != wantReq.RNGSeed {
-		t.Fatalf("gob request round trip: %+v", gotGob)
-	}
-	for i, s := range gotGob.VASamples {
-		if math.Float64bits(s) != math.Float64bits(samples[i]) {
-			t.Errorf("gob sample %d: bits %#x, want %#x", i, math.Float64bits(s), math.Float64bits(samples[i]))
-		}
-	}
-
 	gotBin, err := DecodeRequestPayload(AppendRequestPayload(nil, wantReq))
 	if err != nil {
 		t.Fatalf("binary decode: %v", err)
 	}
 	if gotBin.UserID != wantReq.UserID || gotBin.WearableAddr != wantReq.WearableAddr || gotBin.RNGSeed != wantReq.RNGSeed {
 		t.Fatalf("binary request round trip: %+v", gotBin)
+	}
+	if len(gotBin.VARecording) != len(samples) {
+		t.Fatalf("binary request carried %d samples, want %d", len(gotBin.VARecording), len(samples))
 	}
 	for i, s := range gotBin.VARecording {
 		if math.Float64bits(s) != math.Float64bits(samples[i]) {

@@ -103,14 +103,11 @@ func TestRequestPayloadExtensionMalformed(t *testing.T) {
 }
 
 // TestUserRequiredErrorCode pins the new wire code end to end through the
-// error payload codec: ErrUserIDRequired classifies as code 11 / kind
-// "user_required" and decodes back to the same sentinel.
+// error payload codec: ErrUserIDRequired classifies as code 11
+// (user_required) and decodes back to the same sentinel.
 func TestUserRequiredErrorCode(t *testing.T) {
 	if got := errCode(ErrUserIDRequired); got != codeUserRequired {
 		t.Fatalf("errCode(ErrUserIDRequired) = %d, want %d", got, codeUserRequired)
-	}
-	if got := errKind(ErrUserIDRequired); got != kindUserRequired {
-		t.Fatalf("errKind(ErrUserIDRequired) = %q, want %q", got, kindUserRequired)
 	}
 	payload := AppendErrorPayload(nil, ErrUserIDRequired)
 	if payload[0] != codeUserRequired {
