@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test check race fuzz bench bench-scoring bench-dsp bench-brnn benchgen obs-smoke serve-smoke serve-race race-brnn pins-gomaxprocs1 route-race route-smoke stream-race stream-smoke bench-stream profile-race profile-smoke attack-race
+.PHONY: build test check race fuzz bench bench-scoring bench-dsp bench-brnn benchgen obs-smoke serve-smoke serve-race race-brnn pins-gomaxprocs1 route-race route-smoke stream-race stream-smoke bench-stream profile-race profile-smoke attack-race race-eval
 
 build:
 	$(GO) build ./...
@@ -23,9 +23,11 @@ race:
 	$(GO) test -race -short ./...
 
 # Short fuzz runs of the WAV decoder, the Eq. (5) alignment, the detector
-# deserializer, the session wire-protocol frame decoder, and the
-# barrier-response estimator; the checked-in corpora under testdata/fuzz/
-# replay in plain `make test` too.
+# deserializer, the frame decoder every network hop shares (session
+# frames and the wearable link's trigger, recording and wearable-error
+# frames, with their payload decoders), and the barrier-response
+# estimator; the checked-in corpora under testdata/fuzz/ replay in plain
+# `make test` too.
 fuzz:
 	$(GO) test -fuzz=FuzzRead -fuzztime=30s ./internal/wavio/
 	$(GO) test -fuzz=FuzzAlignRecordings -fuzztime=30s ./internal/syncnet/
@@ -94,14 +96,14 @@ benchgen:
 # /healthz and /metrics, and assert the Inspect stage spans and syncnet
 # attempt counters are populated after the scenario pass.
 obs-smoke:
-	./scripts/obs_smoke.sh
+	./scripts/smoke.sh obs
 
-# Session-server smoke test: boot vibguardd -serve against a simulated
+# Session-server smoke test: boot vibguardd -mode serve against a simulated
 # wearable fleet, assert the concurrent fleet pass completes with matching
 # verdicts, scrape the serve counters from /metrics, and require a clean
 # drain on SIGTERM.
 serve-smoke:
-	./scripts/serve_smoke.sh
+	./scripts/smoke.sh serve
 
 # Race gate for the session server and its daemon wiring: the 64-session
 # soak, the fault matrix, and the drain suite all run under the race
@@ -118,11 +120,11 @@ route-race:
 	$(GO) vet ./internal/router/
 	$(GO) test -race -timeout 10m ./internal/router/
 
-# Multi-node routing smoke test: boot vibguardd -route with 3 nodes, kill
+# Multi-node routing smoke test: boot vibguardd -mode route with 3 nodes, kill
 # one mid-burst, and assert sessions complete on the survivors with typed
 # node-loss errors, zero mismatches, and a clean router-then-nodes drain.
 route-smoke:
-	./scripts/route_smoke.sh
+	./scripts/smoke.sh route
 
 # Streaming-pipeline race gate: vet plus the race detector over every
 # layer the chunked ingest path crosses (streaming STFT and VAD, the
@@ -132,11 +134,11 @@ stream-race:
 	$(GO) vet ./...
 	$(GO) test -race -timeout 10m ./internal/dsp/ ./internal/syncnet/ ./internal/core/ ./internal/serve/ ./internal/segment/
 
-# Streaming smoke test: boot vibguardd -serve -stream, cross-check every
+# Streaming smoke test: boot vibguardd -mode stream, cross-check every
 # streamed verdict against its batch twin, and assert the early-exit and
 # VAD counters moved on /metrics.
 stream-smoke:
-	./scripts/stream_smoke.sh
+	./scripts/smoke.sh stream
 
 # Per-user profile race gate: the race detector over the profile store
 # (concurrent observe/evict/snapshot), the fused serve path, and the
@@ -145,11 +147,11 @@ profile-race:
 	$(GO) vet ./...
 	$(GO) test -race -timeout 10m ./internal/profile/ ./internal/serve/ ./internal/router/ ./internal/core/
 
-# Per-user profile smoke test: boot vibguardd -profiles, assert the
+# Per-user profile smoke test: boot vibguardd -mode profiles, assert the
 # second calibration pass hits the threshold cache, fused scores
 # reproduce bit-for-bit, and the store snapshot round-trips.
 profile-smoke:
-	./scripts/profile_smoke.sh
+	./scripts/smoke.sh profile
 
 # Time-to-verdict baseline: batch vs streamed arms over the trained-BRNN
 # acoustic corpus at real-time pace, regenerating the checked-in

@@ -1,24 +1,41 @@
 // Command vibguardd demonstrates the distributed deployment of the
-// defense: a wearable agent serves recordings over a real TCP connection
-// (the paper's WiFi link), and the VA side triggers it upon a wake word,
-// aligns the recordings with Eq. (5), and runs the full detection
-// pipeline on a simulated legitimate command and a simulated thru-barrier
-// replay attack.
+// defense against one simulated fleet: a synthesized voice command
+// rendered along four acoustic paths (the legitimate command and a
+// thru-barrier replay, each as heard at the VA and at a wearable), with
+// every wearable a live TCP agent (the paper's WiFi link) that serves its
+// recording after its own seeded network delay. -mode picks what drives
+// the fleet:
 //
-// The VA side fetches recordings through the hardened syncnet client:
-// bounded retries with exponential backoff and per-attempt deadlines, so a
-// flaky WiFi link degrades to a typed error instead of a hang. One agent
-// and one client serve the whole scenario pass — the wearable link is a
-// persistent session, not a per-command connection.
+//   - scenario (default): the VA side triggers one wearable agent upon a
+//     wake word for each of the two commands, aligns the recordings with
+//     Eq. (5), and runs the full detection pipeline. Recordings arrive
+//     through the hardened syncnet client (bounded retries with
+//     exponential backoff and per-attempt deadlines), and one agent and
+//     one client serve the whole pass: the wearable link is a persistent
+//     session, not a per-command connection.
+//   - serve: one session-oriented detection node (internal/serve) takes a
+//     burst of concurrent sessions through its TCP front-end.
+//   - stream: the serve burst, with each session also streamed in
+//     -chunk-ms chunks; the server may answer with an early verdict
+//     before the recording ends, and every streamed verdict must match
+//     the batch verdict of the identical seeded session.
+//   - route: -nodes detection nodes behind the consistent-hash session
+//     router (internal/router) take the burst through the router's
+//     front-door; -chaos-kill hard-kills one node mid-burst to show typed
+//     node-loss errors and failover.
+//   - profiles: one node with the per-user profile store runs two
+//     calibration passes of fused two-wearable sessions per simulated
+//     user. The second pass must hit the worker's threshold cache and
+//     reproduce every fused score bit-for-bit, calibrated users must
+//     still reject a fused replay, and the store round-trips through its
+//     snapshot file.
 //
-// With -serve the daemon instead boots the session-oriented detection
-// server (internal/serve) against a simulated wearable fleet and drives a
-// burst of concurrent sessions through its TCP front-end; see serve.go.
-//
-// With -debug-addr the daemon serves its observability surface over HTTP
-// (/metrics pipeline counters and stage-latency quantiles as JSON,
-// /healthz, /debug/vars, /debug/pprof) and stays alive after the scenario
-// pass until SIGINT/SIGTERM, so the endpoints remain scrapeable.
+// Every node's workers share one trained BRNN behind one coalescing
+// segmenter. With -debug-addr the daemon serves its observability surface
+// over HTTP (/metrics pipeline counters and stage-latency quantiles as
+// JSON, /healthz, /debug/vars, /debug/pprof) and stays alive after the
+// pass until SIGINT/SIGTERM, so the endpoints remain scrapeable; nodes
+// drain after that.
 //
 // Runs are reproducible: -seed pins every random choice, and the chosen
 // seed (time-derived when the flag is 0) is always logged at startup so
@@ -26,33 +43,16 @@
 //
 // Usage:
 //
-//	vibguardd [-addr 127.0.0.1:0] [-spl 80] [-retries 4]
+//	vibguardd [-mode scenario] [-addr 127.0.0.1:0] [-spl 80] [-retries 4]
 //	          [-retry-base 25ms] [-retry-max 500ms]
 //	          [-seed 0] [-debug-addr 127.0.0.1:6060] [-log-format text]
-//	vibguardd -serve [-serve-addr 127.0.0.1:0] [-sessions 64]
+//	vibguardd -mode serve|stream [-serve-addr 127.0.0.1:0] [-sessions 64]
 //	          [-wearables 8] [-serve-workers 0] [-queue-depth 0]
-//	          [-stream] [-chunk-ms 100]
-//	vibguardd -route [-nodes 3] [-chaos-kill -1] [-serve-addr 127.0.0.1:0]
-//	          [-sessions 48] [-wearables 8]
-//	vibguardd -profiles [-users 4] [-serve-addr 127.0.0.1:0]
+//	          [-chunk-ms 100]
+//	vibguardd -mode route [-nodes 3] [-chaos-kill -1] [-sessions 64]
+//	          [-wearables 8] [-serve-addr 127.0.0.1:0]
+//	vibguardd -mode profiles [-users 4] [-serve-addr 127.0.0.1:0]
 //	          [-serve-workers 1]
-//
-// With -route the daemon boots N in-process detection nodes behind the
-// consistent-hash session router (internal/router) and drives the burst
-// through the router's multiplexed TCP front-door; -chaos-kill hard-kills
-// one node mid-burst to demonstrate typed node-loss errors and failover.
-//
-// With -profiles the daemon boots the session server with the per-user
-// profile store enabled and drives two calibration passes of fused
-// two-wearable sessions per simulated user: the second pass must hit the
-// worker's threshold cache and reproduce every fused score bit-for-bit,
-// and the store round-trips through its snapshot file; see profiles.go.
-//
-// With -serve -stream each session additionally runs through the chunked
-// streaming protocol: audio crosses the wire in -chunk-ms chunks and the
-// server may answer with an early verdict before the recording ends. The
-// pass cross-checks every streamed verdict against the batch verdict of
-// the identical seeded session and reports the early-exit count.
 package main
 
 import (
@@ -69,33 +69,49 @@ import (
 	"time"
 
 	"vibguard"
-	"vibguard/internal/acoustics"
 	"vibguard/internal/obs"
 	"vibguard/internal/syncnet"
 )
 
+// options is the parsed command line.
+type options struct {
+	mode       string
+	seed       int64
+	debugAddr  string
+	attackSPL  float64
+	agentAddr  string
+	policy     syncnet.RetryPolicy
+	serveAddr  string
+	sessions   int
+	wearables  int
+	workers    int
+	queueDepth int
+	chunkMs    int
+	nodes      int
+	chaosKill  int
+	users      int
+}
+
 func main() {
-	addr := flag.String("addr", "127.0.0.1:0", "wearable agent listen address")
-	attackSPL := flag.Float64("spl", 80, "attack playback level in dB SPL")
-	retries := flag.Int("retries", 4, "total transport attempts per recording request")
-	retryBase := flag.Duration("retry-base", 25*time.Millisecond, "backoff before the second attempt")
-	retryMax := flag.Duration("retry-max", 500*time.Millisecond, "cap on the exponential backoff")
-	seed := flag.Int64("seed", 0, "RNG seed; 0 derives one from the clock (the seed is always logged, so any run can be replayed with -seed)")
-	debugAddr := flag.String("debug-addr", "", "serve /metrics, /healthz, /debug/vars and /debug/pprof on this address (empty = off)")
+	var o options
+	flag.StringVar(&o.mode, "mode", "scenario", "what drives the fleet: scenario, serve, stream, route or profiles")
+	flag.StringVar(&o.agentAddr, "addr", "127.0.0.1:0", "wearable agent listen address (scenario)")
+	flag.Float64Var(&o.attackSPL, "spl", 80, "attack playback level in dB SPL")
+	retries := flag.Int("retries", 4, "total transport attempts per recording request (scenario)")
+	retryBase := flag.Duration("retry-base", 25*time.Millisecond, "backoff before the second attempt (scenario)")
+	retryMax := flag.Duration("retry-max", 500*time.Millisecond, "cap on the exponential backoff (scenario)")
+	flag.Int64Var(&o.seed, "seed", 0, "RNG seed; 0 derives one from the clock (the seed is always logged, so any run can be replayed with -seed)")
+	flag.StringVar(&o.debugAddr, "debug-addr", "", "serve /metrics, /healthz, /debug/vars and /debug/pprof on this address (empty = off)")
 	logFormat := flag.String("log-format", "text", "log output format: text or json")
-	serveMode := flag.Bool("serve", false, "run the session-oriented detection server against a simulated wearable fleet")
-	serveAddr := flag.String("serve-addr", "127.0.0.1:0", "session front-end listen address (-serve / -route)")
-	sessions := flag.Int("sessions", 64, "concurrent sessions to fire at the server (-serve / -route)")
-	wearables := flag.Int("wearables", 8, "simulated wearable fleet size (-serve / -route)")
-	serveWorkers := flag.Int("serve-workers", 0, "detection worker pool size, 0 = GOMAXPROCS (-serve / -route)")
-	queueDepth := flag.Int("queue-depth", 0, "admission queue depth, 0 = sized so the demo burst is never shed (-serve / -route)")
-	streamMode := flag.Bool("stream", false, "stream each session's audio in chunks and cross-check early verdicts against the batch pipeline (-serve)")
-	chunkMs := flag.Int("chunk-ms", 100, "streamed chunk duration in milliseconds (-serve -stream)")
-	routeMode := flag.Bool("route", false, "boot N in-process serve nodes behind the consistent-hash router and drive the burst through its front-door")
-	nodeCount := flag.Int("nodes", 3, "serve node count behind the router (-route)")
-	chaosKill := flag.Int("chaos-kill", -1, "node index to hard-kill mid-burst, -1 = none (-route)")
-	profileMode := flag.Bool("profiles", false, "run the session server with the per-user profile store and drive two fused multi-wearable calibration passes")
-	profileUsers := flag.Int("users", 4, "simulated wearable-paired user count (-profiles)")
+	flag.StringVar(&o.serveAddr, "serve-addr", "127.0.0.1:0", "session front-end listen address: the node, or the router in route mode")
+	flag.IntVar(&o.sessions, "sessions", 64, "concurrent sessions in the burst (serve, stream, route)")
+	flag.IntVar(&o.wearables, "wearables", 8, "simulated wearable fleet size (serve, stream, route)")
+	flag.IntVar(&o.workers, "serve-workers", 0, "detection worker pool size per node, 0 = GOMAXPROCS (1 in profiles mode)")
+	flag.IntVar(&o.queueDepth, "queue-depth", 0, "admission queue depth per node, 0 = sized so the demo burst is never shed (serve, stream, route)")
+	flag.IntVar(&o.chunkMs, "chunk-ms", 100, "streamed chunk duration in milliseconds (stream)")
+	flag.IntVar(&o.nodes, "nodes", 3, "detection node count behind the router (route)")
+	flag.IntVar(&o.chaosKill, "chaos-kill", -1, "node index to hard-kill mid-burst, -1 = none (route)")
+	flag.IntVar(&o.users, "users", 4, "simulated wearable-paired user count (profiles)")
 	flag.Parse()
 
 	logger, err := newLogger(*logFormat)
@@ -104,65 +120,23 @@ func main() {
 		os.Exit(2)
 	}
 	slog.SetDefault(logger)
+	run := map[string]func(*slog.Logger, options) error{
+		"scenario": runScenario, "serve": runFleet, "stream": runFleet, "route": runFleet, "profiles": runProfiles,
+	}[o.mode]
+	if run == nil {
+		fmt.Fprintf(os.Stderr, "vibguardd: unknown -mode %q (want scenario, serve, stream, route or profiles)\n", o.mode)
+		os.Exit(2)
+	}
 
-	policy := syncnet.DefaultRetryPolicy()
-	policy.MaxAttempts = *retries
-	policy.BaseDelay = *retryBase
-	policy.MaxDelay = *retryMax
-
-	if *seed == 0 {
-		*seed = time.Now().UnixNano()
+	o.policy = syncnet.DefaultRetryPolicy()
+	o.policy.MaxAttempts = *retries
+	o.policy.BaseDelay = *retryBase
+	o.policy.MaxDelay = *retryMax
+	if o.seed == 0 {
+		o.seed = time.Now().UnixNano()
 	}
-	logger.Info("starting", "seed", *seed, "spl", *attackSPL, "retries", *retries, "serve", *serveMode, "route", *routeMode)
-
-	if *profileMode {
-		opts := profileOptions{
-			addr:      *serveAddr,
-			users:     *profileUsers,
-			workers:   *serveWorkers,
-			attackSPL: *attackSPL,
-		}
-		if err := runProfiles(logger, opts, *debugAddr, *seed); err != nil {
-			logger.Error("fatal", "err", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *routeMode {
-		opts := routeOptions{
-			addr:       *serveAddr,
-			nodes:      *nodeCount,
-			sessions:   *sessions,
-			wearables:  *wearables,
-			workers:    *serveWorkers,
-			queueDepth: *queueDepth,
-			attackSPL:  *attackSPL,
-			chaosKill:  *chaosKill,
-		}
-		if err := runRoute(logger, opts, *debugAddr, *seed); err != nil {
-			logger.Error("fatal", "err", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *serveMode {
-		opts := serveOptions{
-			addr:       *serveAddr,
-			sessions:   *sessions,
-			wearables:  *wearables,
-			workers:    *serveWorkers,
-			queueDepth: *queueDepth,
-			attackSPL:  *attackSPL,
-			stream:     *streamMode,
-			chunkMs:    *chunkMs,
-		}
-		if err := runServe(logger, opts, *debugAddr, *seed); err != nil {
-			logger.Error("fatal", "err", err)
-			os.Exit(1)
-		}
-		return
-	}
-	if err := run(logger, *addr, *debugAddr, *attackSPL, *seed, policy); err != nil {
+	logger.Info("starting", "seed", o.seed, "spl", o.attackSPL, "retries", *retries, "mode", o.mode)
+	if err := run(logger, o); err != nil {
 		logger.Error("fatal", "err", err)
 		os.Exit(1)
 	}
@@ -180,12 +154,11 @@ func newLogger(format string) (*slog.Logger, error) {
 	}
 }
 
-// serveDebug mounts the observability surface on debugAddr and returns the
-// resolved listen address.
-func serveDebug(logger *slog.Logger, debugAddr string) (string, error) {
+// serveDebug mounts the observability surface on debugAddr.
+func serveDebug(logger *slog.Logger, debugAddr string) error {
 	ln, err := net.Listen("tcp", debugAddr)
 	if err != nil {
-		return "", fmt.Errorf("debug listener: %w", err)
+		return fmt.Errorf("debug listener: %w", err)
 	}
 	srv := &http.Server{Handler: obs.DebugMux(obs.Default())}
 	go func() {
@@ -196,11 +169,24 @@ func serveDebug(logger *slog.Logger, debugAddr string) (string, error) {
 	logger.Info("debug endpoints serving",
 		"addr", ln.Addr().String(),
 		"endpoints", "/metrics /healthz /debug/vars /debug/pprof")
-	return ln.Addr().String(), nil
+	return nil
 }
 
-// scenario is one acoustic situation of the demo pass: the command heard
-// at the VA and at the wearable (network delay already applied).
+// holdDebug keeps the debug endpoints up after a pass until SIGINT or
+// SIGTERM, so /metrics can be scraped; it returns at once when they are
+// off.
+func holdDebug(logger *slog.Logger, debugAddr, pass string) {
+	if debugAddr == "" {
+		return
+	}
+	stop := make(chan os.Signal, 1)
+	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
+	logger.Info(pass + " complete; debug endpoints still serving (SIGINT/SIGTERM to exit)")
+	<-stop
+}
+
+// scenario is one acoustic situation of the scenario pass: the command
+// heard at the VA and at the wearable (network delay already applied).
 type scenario struct {
 	name         string
 	vaRec        []float64
@@ -208,56 +194,14 @@ type scenario struct {
 	expectAttack bool
 }
 
-// buildScenarios synthesizes the demo command and renders both acoustic
-// scenarios up front, so the serving loop only moves recordings around.
-// The synthesized utterance is returned alongside for callers that need
-// its ground-truth phoneme alignment.
-func buildScenarios(logger *slog.Logger, rng *rand.Rand, attackSPL float64) ([]scenario, *vibguard.Utterance, error) {
-	user := vibguard.NewVoicePool(1, rng.Int63())[0]
-	synth, err := vibguard.NewSynthesizer(user)
-	if err != nil {
-		return nil, nil, err
+// scenarios renders the scenario pass from the fixture: the legitimate
+// command, then the thru-barrier replay, each with its wearable's own
+// seeded network delay.
+func (f *fixture) scenarios() []scenario {
+	return []scenario{
+		{"legitimate command", f.legitVA, f.wearRec(false), false},
+		{"thru-barrier replay attack", f.attackVA, f.wearRec(true), true},
 	}
-	cmd := vibguard.Commands()[rng.Intn(len(vibguard.Commands()))]
-	utt, err := synth.Synthesize(cmd)
-	if err != nil {
-		return nil, nil, err
-	}
-	room := vibguard.Rooms()[0]
-	logger.Info("scenario setup",
-		"command", cmd.Text, "speaker", user.Name,
-		"room", room.Name, "barrier", room.Barrier.Name)
-
-	transmit := func(spl, dist float64, thru bool) ([]float64, error) {
-		return room.Transmit(utt.Samples, acoustics.PathConfig{
-			SourceSPL: spl, DistanceM: dist, ThroughBarrier: thru,
-			SampleRate: vibguard.SampleRate,
-		}, rng)
-	}
-	specs := []struct {
-		name         string
-		spl, vaDist  float64
-		wearDist     float64
-		thru         bool
-		expectAttack bool
-	}{
-		{"legitimate command", 72, 1.5, 0.3, false, false},
-		{"thru-barrier replay attack", attackSPL, 2.1, 2.4, true, true},
-	}
-	out := make([]scenario, 0, len(specs))
-	for _, sp := range specs {
-		vaRec, err := transmit(sp.spl, sp.vaDist, sp.thru)
-		if err != nil {
-			return nil, nil, err
-		}
-		wearRec, err := transmit(sp.spl, sp.wearDist, sp.thru)
-		if err != nil {
-			return nil, nil, err
-		}
-		wearRec = vibguard.SimulateNetworkDelay(wearRec, 0.05+rng.Float64()*0.1, rng)
-		out = append(out, scenario{name: sp.name, vaRec: vaRec, wearRec: wearRec, expectAttack: sp.expectAttack})
-	}
-	return out, utt, nil
 }
 
 // stagedAgent starts one wearable agent whose served recording can be
@@ -316,35 +260,34 @@ func scenarioPass(logger *slog.Logger, defense *vibguard.Defense, client *syncne
 	return mismatches, nil
 }
 
-func run(logger *slog.Logger, addr, debugAddr string, attackSPL float64, seed int64, policy syncnet.RetryPolicy) error {
-	rng := rand.New(rand.NewSource(seed))
-
-	if debugAddr != "" {
-		if _, err := serveDebug(logger, debugAddr); err != nil {
-			return err
-		}
-	}
-
-	logger.Info("training phoneme detector")
-	defense, err := vibguard.NewDefense(vibguard.Options{TrainSeed: rng.Int63()})
+// runScenario is the scenario mode: both commands through one staged
+// agent and one hardened client.
+func runScenario(logger *slog.Logger, o options) error {
+	rng := rand.New(rand.NewSource(o.seed))
+	coal, err := setup(logger, o, rng)
 	if err != nil {
 		return err
 	}
-
-	scenarios, _, err := buildScenarios(logger, rng, attackSPL)
+	defer coal.Close()
+	defense, err := newDefense(coal)
 	if err != nil {
 		return err
 	}
+	fx, err := buildFixture(logger, rng, o.attackSPL)
+	if err != nil {
+		return err
+	}
+	scenarios := fx.scenarios()
 
 	// One agent serves the whole pass over one TCP connection; the VA side
 	// fetches every recording through one hardened client, as in the real
 	// deployment where the wearable link is persistent.
-	agent, stage, err := stagedAgent(logger, addr)
+	agent, stage, err := stagedAgent(logger, o.agentAddr)
 	if err != nil {
 		return err
 	}
 	defer func() { _ = agent.Close() }()
-	client, err := syncnet.NewReliableClient(agent.Addr(), syncnet.WithRetryPolicy(policy))
+	client, err := syncnet.NewReliableClient(agent.Addr(), syncnet.WithRetryPolicy(o.policy))
 	if err != nil {
 		return err
 	}
@@ -357,15 +300,6 @@ func run(logger *slog.Logger, addr, debugAddr string, attackSPL float64, seed in
 	logger.Info("scenario pass complete",
 		"scenarios", len(scenarios), "mismatches", mismatches,
 		"conn_errors", agent.ConnErrors(), "redials", client.Redials())
-
-	if debugAddr != "" {
-		// Keep the observability surface alive until the operator stops us,
-		// so /metrics can be scraped after the scenario pass.
-		stop := make(chan os.Signal, 1)
-		signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-		logger.Info("scenarios complete; debug endpoints still serving (SIGINT/SIGTERM to exit)")
-		<-stop
-		logger.Info("shutting down")
-	}
+	holdDebug(logger, o.debugAddr, "scenarios")
 	return nil
 }

@@ -18,17 +18,18 @@ func TestScenarioPassReusesConnection(t *testing.T) {
 	logger := slog.New(slog.NewTextHandler(io.Discard, nil))
 	rng := rand.New(rand.NewSource(7))
 
-	scenarios, utt, err := buildScenarios(logger, rng, 80)
+	fx, err := buildFixture(logger, rng, 80)
 	if err != nil {
 		t.Fatal(err)
 	}
+	scenarios := fx.scenarios()
 	if len(scenarios) < 2 {
 		t.Fatalf("expected both acoustic scenarios, got %d", len(scenarios))
 	}
 
 	// A cheap defense: the scenario utterance's oracle spans instead of
 	// BRNN training keep this a plumbing test, not a model test.
-	spans := vibguard.OracleSpans(utt, vibguard.SelectedPhonemes())
+	spans := vibguard.OracleSpans(fx.utt, vibguard.SelectedPhonemes())
 	defense, err := vibguard.NewDefense(vibguard.Options{Segmenter: vibguard.StaticSegmenter(spans)})
 	if err != nil {
 		t.Fatal(err)

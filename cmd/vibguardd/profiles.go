@@ -1,7 +1,6 @@
 package main
 
 import (
-	"context"
 	"fmt"
 	"log/slog"
 	"math"
@@ -10,198 +9,59 @@ import (
 	"path/filepath"
 	"time"
 
-	"vibguard"
 	"vibguard/internal/core"
-	"vibguard/internal/device"
 	"vibguard/internal/obs"
 	"vibguard/internal/profile"
-	"vibguard/internal/segment"
 	"vibguard/internal/serve"
-	"vibguard/internal/syncnet"
 )
 
-// profileOptions configures the -profiles fleet pass.
-type profileOptions struct {
-	addr      string
-	users     int
-	workers   int
-	attackSPL float64
-}
-
-// profileUser is one simulated wearable-paired user of the -profiles
-// pass: a watch and an earbud that both heard the same command, each with
-// its own seeded network delay.
-type profileUser struct {
-	id     string
-	watch  *syncnet.WearableAgent
-	earbud *syncnet.WearableAgent
-}
-
-// profileFleet is the -profiles pass fixture: per-user legitimate agent
-// pairs, one shared attack pair, and the matching VA-side recordings.
-type profileFleet struct {
-	users    []*profileUser
-	attacker *profileUser
-	legitVA  []float64
-	attackVA []float64
-	close    func()
-}
-
-// buildProfileFleet synthesizes one command, renders the legitimate and
-// thru-barrier acoustic paths, and boots a watch+earbud agent pair per
-// user (legitimate audio) plus one shared attack pair, so the pass can
-// demonstrate fused detection on both kinds of sessions.
-func buildProfileFleet(logger *slog.Logger, rng *rand.Rand, users int, attackSPL float64) (*profileFleet, error) {
-	user := vibguard.NewVoicePool(1, rng.Int63())[0]
-	synth, err := vibguard.NewSynthesizer(user)
-	if err != nil {
-		return nil, err
-	}
-	cmd := vibguard.Commands()[rng.Intn(len(vibguard.Commands()))]
-	utt, err := synth.Synthesize(cmd)
-	if err != nil {
-		return nil, err
-	}
-	room := vibguard.Rooms()[0]
-	logger.Info("profile fleet setup",
-		"command", cmd.Text, "speaker", user.Name, "room", room.Name, "users", users)
-
-	transmit := func(spl, dist float64, thru bool) ([]float64, error) {
-		return room.Transmit(utt.Samples, vibguard.PathConfig{
-			SourceSPL: spl, DistanceM: dist, ThroughBarrier: thru,
-			SampleRate: vibguard.SampleRate,
-		}, rng)
-	}
-	legitVA, err := transmit(72, 1.5, false)
-	if err != nil {
-		return nil, err
-	}
-	legitNear, err := transmit(72, 0.3, false)
-	if err != nil {
-		return nil, err
-	}
-	attackVA, err := transmit(attackSPL, 2.1, true)
-	if err != nil {
-		return nil, err
-	}
-	attackNear, err := transmit(attackSPL, 2.4, true)
-	if err != nil {
-		return nil, err
-	}
-
-	var agents []*syncnet.WearableAgent
-	closeAll := func() {
-		for _, a := range agents {
-			_ = a.Close()
-		}
-	}
-	newWearable := func(near []float64) (*syncnet.WearableAgent, error) {
-		rec := vibguard.SimulateNetworkDelay(near, 0.05+rng.Float64()*0.1, rng)
-		a, err := syncnet.NewWearableAgent("127.0.0.1:0", func(uint64) ([]float64, error) {
-			return rec, nil
-		})
-		if err != nil {
-			return nil, err
-		}
-		agents = append(agents, a)
-		return a, nil
-	}
-
-	fleet := make([]*profileUser, 0, users)
-	for i := 0; i < users; i++ {
-		watch, err := newWearable(legitNear)
-		if err != nil {
-			closeAll()
-			return nil, err
-		}
-		earbud, err := newWearable(legitNear)
-		if err != nil {
-			closeAll()
-			return nil, err
-		}
-		fleet = append(fleet, &profileUser{
-			id: fmt.Sprintf("user-%d", i), watch: watch, earbud: earbud,
-		})
-	}
-	attackWatch, err := newWearable(attackNear)
-	if err != nil {
-		closeAll()
-		return nil, err
-	}
-	attackEarbud, err := newWearable(attackNear)
-	if err != nil {
-		closeAll()
-		return nil, err
-	}
-	return &profileFleet{
-		users:    fleet,
-		attacker: &profileUser{id: "attacker", watch: attackWatch, earbud: attackEarbud},
-		legitVA:  legitVA,
-		attackVA: attackVA,
-		close:    closeAll,
-	}, nil
-}
-
-// runProfiles boots the session server with the per-user profile store
-// enabled and drives two calibration passes of fused two-wearable
-// sessions over a simulated user fleet through the TCP front-end: the
+// runProfiles is the profiles mode: one node with the per-user profile
+// store enabled takes two calibration passes of fused two-wearable
+// sessions over a simulated user fleet through its TCP front-end. The
 // first pass populates the worker's threshold cache and each user's
-// profile, the second pass must hit the cache and reproduce every fused
-// score bit-for-bit (same pinned per-session seed). A final fused attack
+// profile, the second must hit the cache and reproduce every fused score
+// bit-for-bit (same pinned per-session seed). A final fused attack
 // session per user shows calibrated thresholds still reject thru-barrier
 // replays, and the store round-trips through its snapshot file.
-func runProfiles(logger *slog.Logger, opts profileOptions, debugAddr string, seed int64) error {
-	if opts.users < 1 {
+func runProfiles(logger *slog.Logger, o options) error {
+	if o.users < 1 {
 		return fmt.Errorf("-users must be >= 1")
 	}
-	if opts.workers <= 0 {
+	if o.workers <= 0 {
 		// One worker by default: every session consults the same LRU, so
 		// the second pass deterministically hits the cache.
-		opts.workers = 1
+		o.workers = 1
 	}
-	rng := rand.New(rand.NewSource(seed))
-
-	if debugAddr != "" {
-		if _, err := serveDebug(logger, debugAddr); err != nil {
+	rng := rand.New(rand.NewSource(o.seed))
+	coal, err := setup(logger, o, rng)
+	if err != nil {
+		return err
+	}
+	defer coal.Close()
+	fx, err := buildFixture(logger, rng, o.attackSPL)
+	if err != nil {
+		return err
+	}
+	defer fx.close()
+	// A watch and an earbud per user heard the legitimate command; one
+	// shared attack pair heard the replay. Each has its own delay.
+	watches := make([]string, o.users+1)
+	earbuds := make([]string, o.users+1)
+	for i := range watches {
+		attack := i == o.users
+		if watches[i], err = fx.wearable(attack); err != nil {
+			return err
+		}
+		if earbuds[i], err = fx.wearable(attack); err != nil {
 			return err
 		}
 	}
 
-	logger.Info("training phoneme detector")
-	det, err := vibguard.TrainPhonemeDetector(vibguard.DetectorTraining{Seed: rng.Int63()})
-	if err != nil {
-		return err
-	}
-	coal := segment.NewCoalescer(det, 0)
-	defer coal.Close()
-
-	fleet, err := buildProfileFleet(logger, rng, opts.users, opts.attackSPL)
-	if err != nil {
-		return err
-	}
-	defer fleet.close()
-
 	store := profile.NewStore(profile.Config{})
-	srv, err := serve.NewServer(serve.Config{
-		NewDefense: func() (*core.Defense, error) {
-			return core.NewDefense(core.DefaultConfig(device.NewFossilGen5(), coal))
-		},
-		Workers:        opts.workers,
-		QueueDepth:     2 * opts.users,
-		SessionTimeout: 2 * time.Minute,
-		Seed:           seed,
-		Profiles:       store,
-	})
+	srv, addr, err := newNode(logger, coal, o, o.serveAddr, 2*o.users, store)
 	if err != nil {
 		return err
 	}
-	addr, err := srv.Listen(opts.addr)
-	if err != nil {
-		return err
-	}
-	logger.Info("session server serving",
-		"addr", addr, "workers", srv.Workers(), "profiles", true)
-
 	client, err := serve.DialServer(addr, 5*time.Second)
 	if err != nil {
 		return err
@@ -211,39 +71,43 @@ func runProfiles(logger *slog.Logger, opts profileOptions, debugAddr string, see
 	hits := obs.Default().Counter("profile.cache.hits")
 	misses := obs.Default().Counter("profile.cache.misses")
 	h0, m0 := hits.Value(), misses.Value()
+	// inspect runs user i's fused session against wearable pair w.
+	inspect := func(i, w int, seedIndex uint64) (*core.Verdict, error) {
+		return client.Inspect(serve.Request{
+			UserID:        fmt.Sprintf("user-%d", i),
+			WearableAddr:  watches[w],
+			WearableAddrs: []string{earbuds[w]},
+			VARecording:   fx.va(w == o.users),
+			RNGSeed:       serve.SessionSeed(o.seed, seedIndex),
+		})
+	}
 
 	// Two identical calibration passes of fused legitimate sessions. The
 	// per-session seed is pinned per user, so the fused score of pass 2
 	// must reproduce pass 1 bit-for-bit — any divergence is a fusion
 	// determinism bug, not acoustics.
 	var failed, verdictMismatches, fusionMismatches int
-	scoreBits := make(map[string]uint64, opts.users)
+	scoreBits := make([]uint64, o.users)
 	for pass := 1; pass <= 2; pass++ {
-		for i, u := range fleet.users {
-			v, err := client.Inspect(serve.Request{
-				UserID:        u.id,
-				WearableAddr:  u.watch.Addr(),
-				WearableAddrs: []string{u.earbud.Addr()},
-				VARecording:   fleet.legitVA,
-				RNGSeed:       serve.SessionSeed(seed, uint64(i)),
-			})
+		for i := range scoreBits {
+			v, err := inspect(i, i, uint64(i))
 			if err != nil {
 				failed++
-				logger.Error("fused session failed", "pass", pass, "user", u.id, "err", err)
+				logger.Error("fused session failed", "pass", pass, "user", i, "err", err)
 				continue
 			}
 			if v.Attack {
 				verdictMismatches++
 				logger.Error("legitimate fused session flagged",
-					"pass", pass, "user", u.id, "score", v.Score)
+					"pass", pass, "user", i, "score", v.Score)
 			}
 			bits := math.Float64bits(v.Score)
 			if pass == 1 {
-				scoreBits[u.id] = bits
-			} else if bits != scoreBits[u.id] {
+				scoreBits[i] = bits
+			} else if bits != scoreBits[i] {
 				fusionMismatches++
 				logger.Error("fused score not reproducible",
-					"user", u.id, "pass1_bits", fmt.Sprintf("%x", scoreBits[u.id]),
+					"user", i, "pass1_bits", fmt.Sprintf("%x", scoreBits[i]),
 					"pass2_bits", fmt.Sprintf("%x", bits))
 			}
 		}
@@ -253,24 +117,18 @@ func runProfiles(logger *slog.Logger, opts profileOptions, debugAddr string, see
 
 	// Calibrated users must still reject a fused thru-barrier replay.
 	attacksFlagged := 0
-	for i, u := range fleet.users {
-		v, err := client.Inspect(serve.Request{
-			UserID:        u.id,
-			WearableAddr:  fleet.attacker.watch.Addr(),
-			WearableAddrs: []string{fleet.attacker.earbud.Addr()},
-			VARecording:   fleet.attackVA,
-			RNGSeed:       serve.SessionSeed(seed, uint64(1000+i)),
-		})
+	for i := range scoreBits {
+		v, err := inspect(i, o.users, uint64(1000+i))
 		if err != nil {
 			failed++
-			logger.Error("attack session failed", "user", u.id, "err", err)
+			logger.Error("attack session failed", "user", i, "err", err)
 			continue
 		}
 		if v.Attack {
 			attacksFlagged++
 		} else {
 			verdictMismatches++
-			logger.Error("fused thru-barrier attack missed", "user", u.id, "score", v.Score)
+			logger.Error("fused thru-barrier attack missed", "user", i, "score", v.Score)
 		}
 	}
 
@@ -287,8 +145,8 @@ func runProfiles(logger *slog.Logger, opts profileOptions, debugAddr string, see
 	}
 
 	logger.Info("profile pass complete",
-		"users", opts.users,
-		"sessions", 3*opts.users,
+		"users", o.users,
+		"sessions", 3*o.users,
 		"failed", failed,
 		"cache_hits", hits.Value()-h0,
 		"cache_misses", misses.Value()-m0,
@@ -297,14 +155,9 @@ func runProfiles(logger *slog.Logger, opts profileOptions, debugAddr string, see
 		"attacks_flagged", attacksFlagged,
 		"snapshot_users", restored.Len())
 
-	logger.Info("draining session server")
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	if err := srv.Shutdown(ctx); err != nil {
-		return fmt.Errorf("drain: %w", err)
+	if err := drain(logger, o, "profile pass", nil, []*serve.Server{srv}); err != nil {
+		return err
 	}
-	logger.Info("session server drained")
-
 	if failed > 0 || verdictMismatches > 0 || fusionMismatches > 0 {
 		return fmt.Errorf("profile pass: %d failed, %d verdict mismatches, %d fusion mismatches",
 			failed, verdictMismatches, fusionMismatches)

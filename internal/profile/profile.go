@@ -21,7 +21,7 @@
 // shard; the shard index comes from the same FNV-1a + SplitMix64-finalizer
 // hash the routing ring uses on UserID, so profiles shard the way sessions
 // route. Snapshots (snapshot.go) use the framed-wire encoding style of
-// internal/serve/wire.go and are written atomically (temp file + rename).
+// internal/wire and are written atomically (temp file + rename).
 package profile
 
 import (

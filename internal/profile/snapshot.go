@@ -10,7 +10,7 @@ import (
 )
 
 // Snapshot persistence: the whole store serializes to one versioned binary
-// blob in the framed-wire style of internal/serve/wire.go — a magic
+// blob in the framed-wire style of internal/wire — a magic
 // prefix, a version byte, uvarint counts, length-prefixed strings, and
 // float64s as IEEE-754 bits (little-endian). Decoding is hardened the
 // same way the wire decoder is: every declared length is validated

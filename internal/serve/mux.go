@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"vibguard/internal/core"
+	"vibguard/internal/wire"
 )
 
 // Connection multiplexing: many concurrent sessions share one TCP
@@ -19,7 +20,7 @@ import (
 // serialized through a mutex-guarded writer. The client side keeps a
 // pending-stream table and a demux read loop, so one Client supports any
 // number of concurrent Inspect calls — the per-connection cost of a
-// session is one frame each way, not a dial plus gob type negotiation.
+// session is one frame each way, not a dial.
 
 // ErrConnLost is the client-side transport failure: the multiplexed
 // connection died (or delivered an undecodable frame) while sessions were
@@ -40,10 +41,10 @@ func newFrameWriter(conn net.Conn) *frameWriter {
 	return &frameWriter{bw: bufio.NewWriter(conn)}
 }
 
-func (w *frameWriter) write(f Frame) error {
+func (w *frameWriter) write(f wire.Frame) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if err := WriteFrame(w.bw, f); err != nil {
+	if err := wire.WriteFrame(w.bw, f); err != nil {
 		return err
 	}
 	return w.bw.Flush()
@@ -75,14 +76,14 @@ func PingConn(conn net.Conn, timeout time.Duration) error {
 		}
 		defer func() { _ = conn.SetDeadline(time.Time{}) }()
 	}
-	if err := WriteFrame(conn, Frame{Type: FramePing, Stream: 1}); err != nil {
+	if err := wire.WriteFrame(conn, wire.Frame{Type: wire.FramePing, Stream: 1}); err != nil {
 		return fmt.Errorf("serve: ping: %w", err)
 	}
-	f, err := ReadFrame(bufio.NewReader(conn))
+	f, err := wire.ReadFrame(bufio.NewReader(conn))
 	if err != nil {
 		return fmt.Errorf("serve: ping: %w", err)
 	}
-	if f.Type != FramePong || f.Stream != 1 {
+	if f.Type != wire.FramePong || f.Stream != 1 {
 		return fmt.Errorf("serve: ping: unexpected %d/%d reply", f.Type, f.Stream)
 	}
 	return nil
@@ -144,15 +145,15 @@ func (c *Client) Close() error { return c.conn.Close() }
 func (c *Client) readLoop() {
 	br := bufio.NewReader(c.conn)
 	for {
-		f, err := ReadFrame(br)
+		f, err := wire.ReadFrame(br)
 		if err != nil {
 			c.fail(fmt.Errorf("%w: %v", ErrConnLost, err))
 			return
 		}
 		switch f.Type {
-		case FramePong:
+		case wire.FramePong:
 			c.deliver(f.Stream, clientResult{})
-		case FrameVerdict:
+		case wire.FrameVerdict:
 			v, err := DecodeVerdictPayload(f.Payload)
 			if err != nil {
 				c.fail(fmt.Errorf("%w: %v", ErrConnLost, err))
@@ -161,7 +162,7 @@ func (c *Client) readLoop() {
 			c.deliver(f.Stream, clientResult{verdict: &core.Verdict{
 				Score: v.Score, Attack: v.Attack, SyncOffset: v.SyncOffset,
 			}})
-		case FrameVerdictEarly:
+		case wire.FrameVerdictEarly:
 			v, consumed, err := DecodeEarlyVerdictPayload(f.Payload)
 			if err != nil {
 				c.fail(fmt.Errorf("%w: %v", ErrConnLost, err))
@@ -171,7 +172,7 @@ func (c *Client) readLoop() {
 				Score: v.Score, Attack: v.Attack, SyncOffset: v.SyncOffset,
 				Early: true, Consumed: consumed,
 			}})
-		case FrameError:
+		case wire.FrameError:
 			sessErr, err := DecodeErrorPayload(f.Payload)
 			if err != nil {
 				c.fail(fmt.Errorf("%w: %v", ErrConnLost, err))
@@ -282,7 +283,7 @@ func (c *Client) Inspect(req Request) (*core.Verdict, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := c.w.write(Frame{Type: FrameRequest, Stream: stream,
+	if err := c.w.write(wire.Frame{Type: wire.FrameRequest, Stream: stream,
 		Payload: AppendRequestPayload(nil, req)}); err != nil {
 		c.abandon(stream)
 		return nil, fmt.Errorf("%w: send: %v", ErrConnLost, err)
@@ -297,7 +298,7 @@ func (c *Client) Ping(timeout time.Duration) error {
 	if err != nil {
 		return err
 	}
-	if err := c.w.write(Frame{Type: FramePing, Stream: stream}); err != nil {
+	if err := c.w.write(wire.Frame{Type: wire.FramePing, Stream: stream}); err != nil {
 		c.abandon(stream)
 		return fmt.Errorf("%w: send: %v", ErrConnLost, err)
 	}

@@ -9,13 +9,14 @@ import (
 	"sync"
 
 	"vibguard/internal/core"
+	"vibguard/internal/wire"
 )
 
 // Streamed sessions over the multiplexed connection: instead of one
 // request frame carrying the whole VA recording, the client sends chunk
 // frames as audio arrives and the server answers the moment the streaming
 // pipeline reaches a verdict — before the recording ends when the early
-// exit fires (FrameVerdictEarly), at stream close otherwise. Chunks of
+// exit fires (wire.FrameVerdictEarly), at stream close otherwise. Chunks of
 // many sessions interleave freely on one connection; a stream's chunks are
 // ordered by TCP, which is all the inspector needs.
 
@@ -26,7 +27,7 @@ var ErrStreamingUnsupported = errors.New("serve: peer does not accept streamed s
 // StreamSessionHandler runs one streamed session: the request carries the
 // session fields (no recording); chunks arrive on the channel until the
 // sender closes it. The handler may return before the channel closes —
-// that is the early exit, and the mux then answers with FrameVerdictEarly.
+// that is the early exit, and the mux then answers with wire.FrameVerdictEarly.
 // The context is canceled if the connection dies mid-stream.
 type StreamSessionHandler func(ctx context.Context, req Request, chunks <-chan []float64) (*core.Verdict, error)
 
@@ -72,17 +73,17 @@ func ServeMuxConnStream(conn net.Conn, handle SessionHandler, stream StreamSessi
 		streams.Wait()
 	}()
 	for {
-		f, err := ReadFrame(br)
+		f, err := wire.ReadFrame(br)
 		if err != nil {
 			return
 		}
 		switch f.Type {
-		case FramePing:
-			_ = w.write(Frame{Type: FramePong, Stream: f.Stream})
-		case FrameRequest:
+		case wire.FramePing:
+			_ = w.write(wire.Frame{Type: wire.FramePong, Stream: f.Stream})
+		case wire.FrameRequest:
 			req, err := DecodeRequestPayload(f.Payload)
 			if err != nil {
-				_ = w.write(Frame{Type: FrameError, Stream: f.Stream,
+				_ = w.write(wire.Frame{Type: wire.FrameError, Stream: f.Stream,
 					Payload: AppendErrorPayload(nil, err)})
 				continue
 			}
@@ -92,10 +93,10 @@ func ServeMuxConnStream(conn net.Conn, handle SessionHandler, stream StreamSessi
 				v, err := handle(context.Background(), req)
 				writeSessionResult(w, stream, v, err)
 			}(f.Stream, req)
-		case FrameChunk:
+		case wire.FrameChunk:
 			c, err := DecodeChunkPayload(f.Payload)
 			if err != nil {
-				_ = w.write(Frame{Type: FrameError, Stream: f.Stream,
+				_ = w.write(wire.Frame{Type: wire.FrameError, Stream: f.Stream,
 					Payload: AppendErrorPayload(nil, err)})
 				continue
 			}
@@ -108,16 +109,16 @@ func ServeMuxConnStream(conn net.Conn, handle SessionHandler, stream StreamSessi
 					continue
 				}
 				if !c.Header {
-					_ = w.write(Frame{Type: FrameError, Stream: f.Stream,
+					_ = w.write(wire.Frame{Type: wire.FrameError, Stream: f.Stream,
 						Payload: AppendErrorPayload(nil,
-							fmt.Errorf("%w: chunk for unopened stream", ErrMalformedFrame))})
+							fmt.Errorf("%w: chunk for unopened stream", wire.ErrMalformedFrame))})
 					if !c.Final {
 						rejected[f.Stream] = true
 					}
 					continue
 				}
 				if stream == nil {
-					_ = w.write(Frame{Type: FrameError, Stream: f.Stream,
+					_ = w.write(wire.Frame{Type: wire.FrameError, Stream: f.Stream,
 						Payload: AppendErrorPayload(nil, ErrStreamingUnsupported)})
 					if !c.Final {
 						rejected[f.Stream] = true
@@ -162,11 +163,11 @@ func ServeMuxConnStream(conn net.Conn, handle SessionHandler, stream StreamSessi
 }
 
 // writeSessionResult writes one stream's terminal frame: a typed error, an
-// early verdict (FrameVerdictEarly with the consumed-sample count), or a
+// early verdict (wire.FrameVerdictEarly with the consumed-sample count), or a
 // plain verdict.
 func writeSessionResult(w *frameWriter, stream uint64, v *core.Verdict, err error) {
 	if err != nil {
-		_ = w.write(Frame{Type: FrameError, Stream: stream,
+		_ = w.write(wire.Frame{Type: wire.FrameError, Stream: stream,
 			Payload: AppendErrorPayload(nil, err)})
 		return
 	}
@@ -175,11 +176,11 @@ func writeSessionResult(w *frameWriter, stream uint64, v *core.Verdict, err erro
 		SyncOffset: v.SyncOffset, Spans: len(v.Spans),
 	}
 	if v.Early {
-		_ = w.write(Frame{Type: FrameVerdictEarly, Stream: stream,
+		_ = w.write(wire.Frame{Type: wire.FrameVerdictEarly, Stream: stream,
 			Payload: AppendEarlyVerdictPayload(nil, wv, v.Consumed)})
 		return
 	}
-	_ = w.write(Frame{Type: FrameVerdict, Stream: stream,
+	_ = w.write(wire.Frame{Type: wire.FrameVerdict, Stream: stream,
 		Payload: AppendVerdictPayload(nil, wv)})
 }
 
@@ -204,7 +205,7 @@ func (c *Client) OpenStream(req Request) (*ClientStream, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := c.w.write(Frame{Type: FrameChunk, Stream: stream,
+	if err := c.w.write(wire.Frame{Type: wire.FrameChunk, Stream: stream,
 		Payload: AppendChunkPayload(nil, wireChunk{Header: true, Req: req})}); err != nil {
 		c.abandon(stream)
 		return nil, fmt.Errorf("%w: send: %v", ErrConnLost, err)
@@ -228,7 +229,7 @@ func (s *ClientStream) Send(samples []float64) (done bool, err error) {
 	if s.closed {
 		return false, fmt.Errorf("serve: send on closed stream")
 	}
-	if err := s.c.w.write(Frame{Type: FrameChunk, Stream: s.stream,
+	if err := s.c.w.write(wire.Frame{Type: wire.FrameChunk, Stream: s.stream,
 		Payload: AppendChunkPayload(nil, wireChunk{Samples: samples})}); err != nil {
 		return false, fmt.Errorf("%w: send: %v", ErrConnLost, err)
 	}
@@ -244,7 +245,7 @@ func (s *ClientStream) CloseSend() error {
 		return nil
 	}
 	s.closed = true
-	if err := s.c.w.write(Frame{Type: FrameChunk, Stream: s.stream,
+	if err := s.c.w.write(wire.Frame{Type: wire.FrameChunk, Stream: s.stream,
 		Payload: AppendChunkPayload(nil, wireChunk{Final: true})}); err != nil {
 		return fmt.Errorf("%w: send: %v", ErrConnLost, err)
 	}
@@ -287,7 +288,7 @@ func (s *ClientStream) Abort() {
 	}
 	if !s.closed {
 		s.closed = true
-		_ = s.c.w.write(Frame{Type: FrameChunk, Stream: s.stream,
+		_ = s.c.w.write(wire.Frame{Type: wire.FrameChunk, Stream: s.stream,
 			Payload: AppendChunkPayload(nil, wireChunk{Final: true})})
 	}
 	s.res, s.hasRes = clientResult{err: fmt.Errorf("serve: stream aborted")}, true

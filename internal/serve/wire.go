@@ -1,238 +1,18 @@
 package serve
 
 import (
-	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"math"
+
+	"vibguard/internal/wire"
 )
 
-// The session wire protocol: length-prefixed binary frames with a
-// versioned fixed header, varint lengths, and explicit error-kind codes.
-// It replaces the gob front-end, whose per-connection type negotiation
-// and reflection walk are the wrong cost shape for millions of short
-// sessions (every fresh connection re-paid the type descriptors before
-// the first verdict). A frame is:
-//
-//	byte 0   protocol version (WireVersion)
-//	byte 1   frame type (FrameRequest … FrameVerdictEarly)
-//	uvarint  stream id — many concurrent sessions multiplex one TCP
-//	         connection, each tagged with the stream that owns it
-//	uvarint  payload length (0 … MaxFramePayload)
-//	payload  frame-type-specific binary payload
-//
-// Decoding is hardened for fuzzing: unknown versions, unknown frame
-// types, oversized or overlong-varint lengths, and truncated frames all
-// surface as typed errors, and no length is trusted before it is checked
-// against MaxFramePayload (a hostile 2^60 length never allocates).
-// Multi-byte integers inside payloads are little-endian; float64s travel
-// as IEEE-754 bits.
-
-// WireVersion is the protocol version stamped on every frame. A decoder
-// rejects frames from any other version with ErrUnknownVersion.
-const WireVersion = 1
-
-// Frame types.
-const (
-	// FrameRequest carries one session submission (request payload).
-	FrameRequest = byte(1)
-	// FrameVerdict carries one successful verdict (verdict payload).
-	FrameVerdict = byte(2)
-	// FrameError carries one typed session failure (error payload).
-	FrameError = byte(3)
-	// FramePing and FramePong are the health-probe pair; their payloads
-	// are empty. Servers answer a ping by echoing the stream id back on a
-	// pong.
-	FramePing = byte(4)
-	FramePong = byte(5)
-	// FrameChunk carries one streamed VA audio chunk (chunk payload). The
-	// first chunk of a stream sets the header flag and carries the session
-	// fields of a request; the last sets the final flag. Chunks interleave
-	// freely with other streams' frames on the shared connection.
-	FrameChunk = byte(6)
-	// FrameVerdictEarly carries a verdict reached before the stream ended
-	// (verdict payload plus the consumed-sample count). The sender stops
-	// reading the stream's remaining chunks after it.
-	FrameVerdictEarly = byte(7)
-)
-
-// MaxFramePayload caps a frame payload. The largest legitimate frame is a
-// request carrying a VA recording (8 bytes per sample: a minute of 16 kHz
-// audio is ~7.7 MiB), so 64 MiB leaves generous headroom while keeping a
-// hostile length from allocating unbounded memory.
-const MaxFramePayload = 64 << 20
-
-// Typed frame-decode errors. They are the fuzzing contract: any byte
-// stream either decodes or fails with one of these (or io.EOF /
-// io.ErrUnexpectedEOF for clean and mid-frame truncation) — never a panic
-// and never an oversized allocation.
-var (
-	// ErrUnknownVersion is returned for a frame whose version byte is not
-	// WireVersion.
-	ErrUnknownVersion = errors.New("serve: unknown wire protocol version")
-	// ErrUnknownFrameType is returned for a frame whose type byte is not
-	// one of the Frame* constants.
-	ErrUnknownFrameType = errors.New("serve: unknown frame type")
-	// ErrFrameTooLarge is returned when a frame declares a payload longer
-	// than MaxFramePayload. Nothing is allocated for such a frame.
-	ErrFrameTooLarge = errors.New("serve: frame payload exceeds limit")
-	// ErrMalformedFrame is returned for varints that overflow or payloads
-	// whose internal structure is inconsistent with their length.
-	ErrMalformedFrame = errors.New("serve: malformed frame")
-)
-
-// Frame is one decoded wire frame.
-type Frame struct {
-	// Type is one of the Frame* constants.
-	Type byte
-	// Stream tags the session this frame belongs to on its connection.
-	Stream uint64
-	// Payload is the frame-type-specific body (nil for ping/pong).
-	Payload []byte
-}
-
-// AppendFrame appends the encoded frame to dst and returns the extended
-// slice. Encoding never fails for payloads within MaxFramePayload.
-func AppendFrame(dst []byte, f Frame) []byte {
-	dst = append(dst, WireVersion, f.Type)
-	dst = binary.AppendUvarint(dst, f.Stream)
-	dst = binary.AppendUvarint(dst, uint64(len(f.Payload)))
-	return append(dst, f.Payload...)
-}
-
-// WriteFrame encodes the frame to w in one Write call.
-func WriteFrame(w io.Writer, f Frame) error {
-	if len(f.Payload) > MaxFramePayload {
-		return ErrFrameTooLarge
-	}
-	buf := make([]byte, 0, 2+2*binary.MaxVarintLen64+len(f.Payload))
-	if _, err := w.Write(AppendFrame(buf, f)); err != nil {
-		return err
-	}
-	return nil
-}
-
-// ReadFrame decodes one frame from br. A clean EOF at a frame boundary
-// returns io.EOF; truncation inside a frame returns io.ErrUnexpectedEOF.
-// The payload length is validated against MaxFramePayload before any
-// allocation.
-func ReadFrame(br *bufio.Reader) (Frame, error) {
-	version, err := br.ReadByte()
-	if err != nil {
-		return Frame{}, err // io.EOF: clean end of stream
-	}
-	if version != WireVersion {
-		return Frame{}, fmt.Errorf("%w: %d", ErrUnknownVersion, version)
-	}
-	typ, err := br.ReadByte()
-	if err != nil {
-		return Frame{}, truncated(err)
-	}
-	if typ < FrameRequest || typ > FrameVerdictEarly {
-		return Frame{}, fmt.Errorf("%w: %d", ErrUnknownFrameType, typ)
-	}
-	stream, err := readUvarint(br)
-	if err != nil {
-		return Frame{}, err
-	}
-	length, err := readUvarint(br)
-	if err != nil {
-		return Frame{}, err
-	}
-	if length > MaxFramePayload {
-		return Frame{}, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, length)
-	}
-	f := Frame{Type: typ, Stream: stream}
-	if length > 0 {
-		f.Payload = make([]byte, length)
-		if _, err := io.ReadFull(br, f.Payload); err != nil {
-			return Frame{}, truncated(err)
-		}
-	}
-	return f, nil
-}
-
-// DecodeFrame decodes one frame from the head of data and returns the
-// number of bytes consumed. It is the fuzzing entry point: every failure
-// is one of the typed errors above (truncation maps to
-// io.ErrUnexpectedEOF), and a declared length is checked against both
-// MaxFramePayload and the bytes actually present before allocating.
-func DecodeFrame(data []byte) (Frame, int, error) {
-	if len(data) == 0 {
-		return Frame{}, 0, io.EOF
-	}
-	if data[0] != WireVersion {
-		return Frame{}, 0, fmt.Errorf("%w: %d", ErrUnknownVersion, data[0])
-	}
-	if len(data) < 2 {
-		return Frame{}, 0, io.ErrUnexpectedEOF
-	}
-	typ := data[1]
-	if typ < FrameRequest || typ > FrameVerdictEarly {
-		return Frame{}, 0, fmt.Errorf("%w: %d", ErrUnknownFrameType, typ)
-	}
-	off := 2
-	stream, n, err := uvarintAt(data, off)
-	if err != nil {
-		return Frame{}, 0, err
-	}
-	off += n
-	length, n, err := uvarintAt(data, off)
-	if err != nil {
-		return Frame{}, 0, err
-	}
-	off += n
-	if length > MaxFramePayload {
-		return Frame{}, 0, fmt.Errorf("%w: %d bytes", ErrFrameTooLarge, length)
-	}
-	if uint64(len(data)-off) < length {
-		return Frame{}, 0, io.ErrUnexpectedEOF
-	}
-	f := Frame{Type: typ, Stream: stream}
-	if length > 0 {
-		f.Payload = make([]byte, length)
-		copy(f.Payload, data[off:off+int(length)])
-	}
-	return f, off + int(length), nil
-}
-
-// readUvarint reads a varint, mapping overflow to ErrMalformedFrame and
-// truncation to io.ErrUnexpectedEOF.
-func readUvarint(br *bufio.Reader) (uint64, error) {
-	v, err := binary.ReadUvarint(br)
-	if err != nil {
-		if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-			return 0, io.ErrUnexpectedEOF
-		}
-		return 0, fmt.Errorf("%w: %v", ErrMalformedFrame, err)
-	}
-	return v, nil
-}
-
-// uvarintAt decodes a varint at data[off:], with the same error mapping.
-func uvarintAt(data []byte, off int) (uint64, int, error) {
-	if off >= len(data) {
-		return 0, 0, io.ErrUnexpectedEOF
-	}
-	v, n := binary.Uvarint(data[off:])
-	if n > 0 {
-		return v, n, nil
-	}
-	if n == 0 {
-		return 0, 0, io.ErrUnexpectedEOF
-	}
-	return 0, 0, fmt.Errorf("%w: uvarint overflow", ErrMalformedFrame)
-}
-
-// truncated maps an io error inside a frame to io.ErrUnexpectedEOF.
-func truncated(err error) error {
-	if errors.Is(err, io.EOF) {
-		return io.ErrUnexpectedEOF
-	}
-	return err
-}
+// The session payload codecs. Every session hop — client to router,
+// router to node — carries these payloads inside internal/wire frames:
+// requests and streamed chunks one way, verdicts, early verdicts and
+// typed errors the other.
 
 // --- Request payload -------------------------------------------------
 
@@ -266,18 +46,15 @@ const extWearableAddrs = byte(1)
 
 // AppendRequestPayload appends the encoded request to dst.
 func AppendRequestPayload(dst []byte, req Request) []byte {
-	dst = appendString(dst, req.UserID)
-	dst = appendString(dst, req.WearableAddr)
+	dst = wire.AppendString(dst, req.UserID)
+	dst = wire.AppendString(dst, req.WearableAddr)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(req.RNGSeed))
-	dst = binary.AppendUvarint(dst, uint64(len(req.VARecording)))
-	for _, s := range req.VARecording {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s))
-	}
+	dst = wire.AppendSamples(dst, req.VARecording)
 	if len(req.WearableAddrs) > 0 {
 		dst = append(dst, extWearableAddrs)
 		dst = binary.AppendUvarint(dst, uint64(len(req.WearableAddrs)))
 		for _, addr := range req.WearableAddrs {
-			dst = appendString(dst, addr)
+			dst = wire.AppendString(dst, addr)
 		}
 	}
 	return dst
@@ -288,31 +65,19 @@ func AppendRequestPayload(dst []byte, req Request) []byte {
 func DecodeRequestPayload(p []byte) (Request, error) {
 	var req Request
 	var err error
-	if req.UserID, p, err = takeString(p); err != nil {
+	if req.UserID, p, err = wire.TakeString(p); err != nil {
 		return Request{}, err
 	}
-	if req.WearableAddr, p, err = takeString(p); err != nil {
+	if req.WearableAddr, p, err = wire.TakeString(p); err != nil {
 		return Request{}, err
 	}
 	if len(p) < 8 {
-		return Request{}, fmt.Errorf("%w: truncated seed", ErrMalformedFrame)
+		return Request{}, fmt.Errorf("%w: truncated seed", wire.ErrMalformedFrame)
 	}
 	req.RNGSeed = int64(binary.LittleEndian.Uint64(p))
 	p = p[8:]
-	count, n, err := uvarintAt(p, 0)
-	if err != nil {
-		return Request{}, fmt.Errorf("%w: sample count", ErrMalformedFrame)
-	}
-	p = p[n:]
-	if uint64(len(p)) < count*8 || count > MaxFramePayload/8 {
-		return Request{}, fmt.Errorf("%w: %d samples in %d payload bytes", ErrMalformedFrame, count, len(p))
-	}
-	if count > 0 {
-		req.VARecording = make([]float64, count)
-		for i := range req.VARecording {
-			req.VARecording[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[i*8:]))
-		}
-		p = p[count*8:]
+	if req.VARecording, p, err = wire.TakeSamples(p); err != nil {
+		return Request{}, err
 	}
 	if len(p) == 0 {
 		return req, nil // pre-extension request
@@ -320,30 +85,30 @@ func DecodeRequestPayload(p []byte) (Request, error) {
 	flags := p[0]
 	p = p[1:]
 	if flags&^extWearableAddrs != 0 {
-		return Request{}, fmt.Errorf("%w: extension flags %#x", ErrMalformedFrame, flags)
+		return Request{}, fmt.Errorf("%w: extension flags %#x", wire.ErrMalformedFrame, flags)
 	}
 	if flags&extWearableAddrs != 0 {
-		addrCount, n, err := uvarintAt(p, 0)
+		addrCount, n, err := wire.UvarintAt(p, 0)
 		if err != nil {
-			return Request{}, fmt.Errorf("%w: wearable addr count", ErrMalformedFrame)
+			return Request{}, fmt.Errorf("%w: wearable addr count", wire.ErrMalformedFrame)
 		}
 		p = p[n:]
 		// Each addr needs at least its length byte, so the count bounds the
 		// allocation against the bytes actually present.
 		if addrCount == 0 || addrCount > uint64(len(p)) {
-			return Request{}, fmt.Errorf("%w: %d wearable addrs in %d bytes", ErrMalformedFrame, addrCount, len(p))
+			return Request{}, fmt.Errorf("%w: %d wearable addrs in %d bytes", wire.ErrMalformedFrame, addrCount, len(p))
 		}
 		req.WearableAddrs = make([]string, 0, addrCount)
 		for i := uint64(0); i < addrCount; i++ {
 			var addr string
-			if addr, p, err = takeString(p); err != nil {
+			if addr, p, err = wire.TakeString(p); err != nil {
 				return Request{}, err
 			}
 			req.WearableAddrs = append(req.WearableAddrs, addr)
 		}
 	}
 	if len(p) != 0 {
-		return Request{}, fmt.Errorf("%w: %d trailing bytes", ErrMalformedFrame, len(p))
+		return Request{}, fmt.Errorf("%w: %d trailing bytes", wire.ErrMalformedFrame, len(p))
 	}
 	return req, nil
 }
@@ -381,20 +146,20 @@ func AppendVerdictPayload(dst []byte, v wireVerdict) []byte {
 func DecodeVerdictPayload(p []byte) (wireVerdict, error) {
 	var v wireVerdict
 	if len(p) < 9 {
-		return v, fmt.Errorf("%w: truncated verdict", ErrMalformedFrame)
+		return v, fmt.Errorf("%w: truncated verdict", wire.ErrMalformedFrame)
 	}
 	v.Attack = p[0]&1 != 0
 	v.Score = math.Float64frombits(binary.LittleEndian.Uint64(p[1:]))
 	p = p[9:]
 	off, n := binary.Varint(p)
 	if n <= 0 {
-		return v, fmt.Errorf("%w: sync offset", ErrMalformedFrame)
+		return v, fmt.Errorf("%w: sync offset", wire.ErrMalformedFrame)
 	}
 	v.SyncOffset = int(off)
 	p = p[n:]
-	spans, n, err := uvarintAt(p, 0)
+	spans, n, err := wire.UvarintAt(p, 0)
 	if err != nil || spans > math.MaxInt32 {
-		return v, fmt.Errorf("%w: span count", ErrMalformedFrame)
+		return v, fmt.Errorf("%w: span count", wire.ErrMalformedFrame)
 	}
 	v.Spans = int(spans)
 	return v, nil
@@ -438,8 +203,8 @@ func AppendErrorPayload(dst []byte, err error) []byte {
 		node = ne.Node
 	}
 	dst = append(dst, errCode(err))
-	dst = appendString(dst, node)
-	return appendString(dst, err.Error())
+	dst = wire.AppendString(dst, node)
+	return wire.AppendString(dst, err.Error())
 }
 
 // DecodeErrorPayload decodes an error payload back into the matching
@@ -448,14 +213,14 @@ func AppendErrorPayload(dst []byte, err error) []byte {
 // *RemoteError, and a non-empty node id wraps the result in a NodeError.
 func DecodeErrorPayload(p []byte) (error, error) {
 	if len(p) < 1 {
-		return nil, fmt.Errorf("%w: empty error payload", ErrMalformedFrame)
+		return nil, fmt.Errorf("%w: empty error payload", wire.ErrMalformedFrame)
 	}
 	code := p[0]
-	node, p, err := takeString(p[1:])
+	node, p, err := wire.TakeString(p[1:])
 	if err != nil {
 		return nil, err
 	}
-	msg, _, err := takeString(p)
+	msg, _, err := wire.TakeString(p)
 	if err != nil {
 		return nil, err
 	}
@@ -506,15 +271,11 @@ func AppendChunkPayload(dst []byte, c wireChunk) []byte {
 	}
 	dst = append(dst, flags)
 	if c.Header {
-		dst = appendString(dst, c.Req.UserID)
-		dst = appendString(dst, c.Req.WearableAddr)
+		dst = wire.AppendString(dst, c.Req.UserID)
+		dst = wire.AppendString(dst, c.Req.WearableAddr)
 		dst = binary.LittleEndian.AppendUint64(dst, uint64(c.Req.RNGSeed))
 	}
-	dst = binary.AppendUvarint(dst, uint64(len(c.Samples)))
-	for _, s := range c.Samples {
-		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s))
-	}
-	return dst
+	return wire.AppendSamples(dst, c.Samples)
 }
 
 // DecodeChunkPayload decodes a chunk payload with the same hardening as
@@ -523,42 +284,34 @@ func AppendChunkPayload(dst []byte, c wireChunk) []byte {
 func DecodeChunkPayload(p []byte) (wireChunk, error) {
 	var c wireChunk
 	if len(p) < 1 {
-		return c, fmt.Errorf("%w: empty chunk payload", ErrMalformedFrame)
+		return c, fmt.Errorf("%w: empty chunk payload", wire.ErrMalformedFrame)
 	}
 	flags := p[0]
 	if flags&^(chunkFlagHeader|chunkFlagFinal) != 0 {
-		return c, fmt.Errorf("%w: chunk flags %#x", ErrMalformedFrame, flags)
+		return c, fmt.Errorf("%w: chunk flags %#x", wire.ErrMalformedFrame, flags)
 	}
 	c.Header = flags&chunkFlagHeader != 0
 	c.Final = flags&chunkFlagFinal != 0
 	p = p[1:]
 	var err error
 	if c.Header {
-		if c.Req.UserID, p, err = takeString(p); err != nil {
+		if c.Req.UserID, p, err = wire.TakeString(p); err != nil {
 			return wireChunk{}, err
 		}
-		if c.Req.WearableAddr, p, err = takeString(p); err != nil {
+		if c.Req.WearableAddr, p, err = wire.TakeString(p); err != nil {
 			return wireChunk{}, err
 		}
 		if len(p) < 8 {
-			return wireChunk{}, fmt.Errorf("%w: truncated seed", ErrMalformedFrame)
+			return wireChunk{}, fmt.Errorf("%w: truncated seed", wire.ErrMalformedFrame)
 		}
 		c.Req.RNGSeed = int64(binary.LittleEndian.Uint64(p))
 		p = p[8:]
 	}
-	count, n, err := uvarintAt(p, 0)
-	if err != nil {
-		return wireChunk{}, fmt.Errorf("%w: chunk sample count", ErrMalformedFrame)
+	if c.Samples, p, err = wire.TakeSamples(p); err != nil {
+		return wireChunk{}, err
 	}
-	p = p[n:]
-	if uint64(len(p)) != count*8 || count > MaxFramePayload/8 {
-		return wireChunk{}, fmt.Errorf("%w: %d samples in %d payload bytes", ErrMalformedFrame, count, len(p))
-	}
-	if count > 0 {
-		c.Samples = make([]float64, count)
-		for i := range c.Samples {
-			c.Samples[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[i*8:]))
-		}
+	if len(p) != 0 {
+		return wireChunk{}, fmt.Errorf("%w: %d trailing bytes", wire.ErrMalformedFrame, len(p))
 	}
 	return c, nil
 }
@@ -588,30 +341,9 @@ func DecodeEarlyVerdictPayload(p []byte) (wireVerdict, int, error) {
 	off += n
 	_, n = binary.Uvarint(p[off:])
 	off += n
-	consumed, _, err := uvarintAt(p, off)
-	if err != nil || consumed > MaxFramePayload {
-		return v, 0, fmt.Errorf("%w: consumed count", ErrMalformedFrame)
+	consumed, _, err := wire.UvarintAt(p, off)
+	if err != nil || consumed > wire.MaxFramePayload {
+		return v, 0, fmt.Errorf("%w: consumed count", wire.ErrMalformedFrame)
 	}
 	return v, int(consumed), nil
-}
-
-// appendString appends a uvarint-length-prefixed string to dst.
-func appendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-// takeString decodes a length-prefixed string from the head of p and
-// returns the remainder. The length is checked against the bytes present
-// before any copy.
-func takeString(p []byte) (string, []byte, error) {
-	n, sz, err := uvarintAt(p, 0)
-	if err != nil {
-		return "", nil, fmt.Errorf("%w: string length", ErrMalformedFrame)
-	}
-	p = p[sz:]
-	if uint64(len(p)) < n {
-		return "", nil, fmt.Errorf("%w: string of %d bytes in %d remaining", ErrMalformedFrame, n, len(p))
-	}
-	return string(p[:n]), p[n:], nil
 }

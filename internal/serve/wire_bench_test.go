@@ -3,6 +3,8 @@ package serve
 import (
 	"math"
 	"testing"
+
+	"vibguard/internal/wire"
 )
 
 // Wire-protocol benchmarks: one "session" is a request (wearable address,
@@ -29,16 +31,16 @@ func BenchmarkBinarySessionRoundTrip(b *testing.B) {
 	var bytesPerSession int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reqFrame := AppendFrame(nil, Frame{Type: FrameRequest, Stream: 1, Payload: AppendRequestPayload(nil, req)})
-		respFrame := AppendFrame(nil, Frame{Type: FrameVerdict, Stream: 1, Payload: AppendVerdictPayload(nil, verdict)})
-		f1, _, err := DecodeFrame(reqFrame)
+		reqFrame := wire.AppendFrame(nil, wire.Frame{Type: wire.FrameRequest, Stream: 1, Payload: AppendRequestPayload(nil, req)})
+		respFrame := wire.AppendFrame(nil, wire.Frame{Type: wire.FrameVerdict, Stream: 1, Payload: AppendVerdictPayload(nil, verdict)})
+		f1, _, err := wire.DecodeFrame(reqFrame)
 		if err != nil {
 			b.Fatal(err)
 		}
 		if _, err := DecodeRequestPayload(f1.Payload); err != nil {
 			b.Fatal(err)
 		}
-		f2, _, err := DecodeFrame(respFrame)
+		f2, _, err := wire.DecodeFrame(respFrame)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -56,8 +58,8 @@ func BenchmarkBinaryErrorRoundTrip(b *testing.B) {
 	src := &NodeError{Node: "node1", Err: ErrOverloaded}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		frame := AppendFrame(nil, Frame{Type: FrameError, Stream: 1, Payload: AppendErrorPayload(nil, src)})
-		f, _, err := DecodeFrame(frame)
+		frame := wire.AppendFrame(nil, wire.Frame{Type: wire.FrameError, Stream: 1, Payload: AppendErrorPayload(nil, src)})
+		f, _, err := wire.DecodeFrame(frame)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -9,6 +9,7 @@ import (
 	"vibguard/internal/core"
 	"vibguard/internal/detector"
 	"vibguard/internal/syncnet"
+	"vibguard/internal/wire"
 )
 
 // The error-code pin: every typed session error must classify to its
@@ -113,7 +114,7 @@ func TestErrorPayloadCarriesNodeIdentity(t *testing.T) {
 // code from a newer server decodes to a RemoteError (never a panic or a
 // misclassification onto some existing sentinel).
 func TestUnknownErrorCodeDegradesGracefully(t *testing.T) {
-	payload := appendString(appendString([]byte{0xEE}, ""), "a future failure")
+	payload := wire.AppendString(wire.AppendString([]byte{0xEE}, ""), "a future failure")
 	decoded, err := DecodeErrorPayload(payload)
 	if err != nil {
 		t.Fatal(err)

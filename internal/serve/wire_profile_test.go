@@ -6,14 +6,16 @@ import (
 	"errors"
 	"math"
 	"testing"
+
+	"vibguard/internal/wire"
 )
 
 // legacyRequestBytes hand-encodes a request the way the pre-extension
 // protocol did: UserID, WearableAddr, seed, samples — nothing after.
 func legacyRequestBytes(req Request) []byte {
 	var dst []byte
-	dst = appendString(dst, req.UserID)
-	dst = appendString(dst, req.WearableAddr)
+	dst = wire.AppendString(dst, req.UserID)
+	dst = wire.AppendString(dst, req.WearableAddr)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(req.RNGSeed))
 	dst = binary.AppendUvarint(dst, uint64(len(req.VARecording)))
 	for _, s := range req.VARecording {
@@ -78,7 +80,7 @@ func TestRequestPayloadExtensionRoundTrip(t *testing.T) {
 }
 
 // TestRequestPayloadExtensionMalformed pins the hardened decode: mangled
-// extension blocks are typed ErrMalformedFrame, never a panic or a
+// extension blocks are typed wire.ErrMalformedFrame, never a panic or a
 // silently dropped field.
 func TestRequestPayloadExtensionMalformed(t *testing.T) {
 	base := AppendRequestPayload(nil, Request{WearableAddr: "w", VARecording: []float64{1}})
@@ -95,8 +97,8 @@ func TestRequestPayloadExtensionMalformed(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			if _, err := DecodeRequestPayload(tc.blob); !errors.Is(err, ErrMalformedFrame) {
-				t.Fatalf("decode err %v, want ErrMalformedFrame", err)
+			if _, err := DecodeRequestPayload(tc.blob); !errors.Is(err, wire.ErrMalformedFrame) {
+				t.Fatalf("decode err %v, want wire.ErrMalformedFrame", err)
 			}
 		})
 	}

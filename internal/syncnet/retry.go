@@ -39,7 +39,7 @@ func tcpDial(addr string, timeout time.Duration) (net.Conn, error) {
 var ErrRetriesExhausted = errors.New("syncnet: retries exhausted")
 
 // WearableError is an application-level failure reported by the wearable
-// itself (a MsgError reply): the link works, so transport retries cannot
+// itself (a FrameWearableError reply): the link works, so transport retries cannot
 // help and ReliableClient returns it immediately.
 type WearableError struct {
 	// Msg is the wearable's failure description.
@@ -106,32 +106,13 @@ func (p RetryPolicy) Backoff(attempt int) time.Duration {
 	return time.Duration(d)
 }
 
-// DialWearableRetry dials a wearable agent with per-attempt deadlines and
-// the policy's bounded exponential backoff.
-func DialWearableRetry(addr string, timeout time.Duration, policy RetryPolicy) (*VAClient, error) {
-	if err := policy.Validate(); err != nil {
-		return nil, err
-	}
-	var lastErr error
-	for attempt := 0; attempt < policy.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			time.Sleep(policy.Backoff(attempt - 1))
-		}
-		client, err := dialWearableVia(tcpDial, addr, timeout)
-		if err == nil {
-			return client, nil
-		}
-		lastErr = err
-	}
-	return nil, fmt.Errorf("%w after %d attempts: %v", ErrRetriesExhausted, policy.MaxAttempts, lastErr)
-}
-
 // ReliableClient is the hardened VA-side client: it owns the agent address
 // rather than a single connection, lazily (re)dials, applies per-attempt
 // deadlines to both the dial and the request, and retries transport
 // failures with bounded exponential backoff. A request that fails mid-frame
-// abandons the connection entirely — after a partial gob frame the stream
-// state is unknowable — and the next attempt starts on a fresh one.
+// abandons the connection entirely — after a partial or mismatched frame
+// the stream state is unknowable — and the next attempt starts on a fresh
+// one.
 //
 // Application-level failures (WearableError) are returned without retrying:
 // the link demonstrably works, so backing off cannot change the outcome.

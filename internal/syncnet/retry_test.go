@@ -141,25 +141,6 @@ func TestReliableClientDoesNotRetryWearableErrors(t *testing.T) {
 	}
 }
 
-func TestDialWearableRetry(t *testing.T) {
-	if _, err := DialWearableRetry("127.0.0.1:1", 50*time.Millisecond, fastPolicy(2)); !errors.Is(err, ErrRetriesExhausted) {
-		t.Errorf("dial to closed port: err = %v, want ErrRetriesExhausted", err)
-	}
-	agent, err := NewWearableAgent("127.0.0.1:0", func(uint64) ([]float64, error) { return []float64{1}, nil })
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = agent.Close() }()
-	client, err := DialWearableRetry(agent.Addr(), time.Second, fastPolicy(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer func() { _ = client.Close() }()
-	if _, err := client.RequestRecording(time.Second); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestAgentSurvivesMidStreamReset pins the handle() error-propagation fix:
 // a connection torn down mid-stream must be counted as a per-connection
 // error, and the agent must keep serving subsequent clients.

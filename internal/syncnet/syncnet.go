@@ -5,14 +5,16 @@
 // network delay (~100 ms) is estimated and removed with the
 // cross-correlation of Eq. (5).
 //
-// The transport is a real TCP protocol (length-prefixed gob frames) so the
-// distributed path is exercised end-to-end; network delay is additionally
-// modeled as a sample-domain offset on the wearable recording, which is
-// what the correlation-based estimator corrects.
+// The transport is real TCP speaking the internal/wire frame format, the
+// same frames every other network hop uses: the VA sends a FrameTrigger
+// and the wearable answers on the same stream id with a FrameRecording or
+// a FrameWearableError. Network delay is additionally modeled as a
+// sample-domain offset on the wearable recording, which is what the
+// correlation-based estimator corrects.
 package syncnet
 
 import (
-	"encoding/gob"
+	"bufio"
 	"errors"
 	"fmt"
 	"io"
@@ -24,43 +26,17 @@ import (
 	"time"
 
 	"vibguard/internal/dsp"
+	"vibguard/internal/wire"
 )
-
-// MessageType discriminates protocol frames.
-type MessageType int
-
-// Protocol message types.
-const (
-	// MsgTrigger asks the wearable to record a command.
-	MsgTrigger MessageType = iota + 1
-	// MsgRecording carries the wearable's recording back.
-	MsgRecording
-	// MsgError reports a wearable-side failure.
-	MsgError
-)
-
-// Message is one protocol frame.
-type Message struct {
-	// Type discriminates the frame.
-	Type MessageType
-	// SessionID correlates a trigger with its recording.
-	SessionID uint64
-	// SentAt is the sender's wall-clock timestamp.
-	SentAt time.Time
-	// Samples carries recorded audio (MsgRecording only).
-	Samples []float64
-	// Error carries a failure description (MsgError only).
-	Error string
-}
 
 // RecordFunc produces the wearable's recording for a trigger.
 type RecordFunc func(sessionID uint64) ([]float64, error)
 
 // WearableAgent is the wearable-side server: it accepts connections from
-// the VA device and answers trigger messages with recordings.
+// the VA device and answers trigger frames with recordings.
 type WearableAgent struct {
 	listener net.Listener
-	record   RecordFunc
+	recordFn RecordFunc
 	onError  func(error)
 
 	errCount atomic.Uint64
@@ -68,6 +44,7 @@ type WearableAgent struct {
 	mu      sync.Mutex
 	closed  bool
 	lastErr error
+	conns   map[net.Conn]struct{}
 	wg      sync.WaitGroup
 }
 
@@ -77,7 +54,8 @@ type AgentOption func(*WearableAgent)
 // WithConnErrorHandler installs a callback invoked (from the connection's
 // goroutine) for every per-connection failure: decode errors from corrupt
 // or reset streams, record-func failures, and reply-encode errors. Clean
-// client disconnects (EOF between frames) are not reported.
+// client disconnects (EOF between frames) and connections ended by Close
+// are not reported.
 func WithConnErrorHandler(fn func(error)) AgentOption {
 	return func(a *WearableAgent) { a.onError = fn }
 }
@@ -88,7 +66,7 @@ func NewWearableAgent(addr string, record RecordFunc, opts ...AgentOption) (*Wea
 	if record == nil {
 		return nil, fmt.Errorf("syncnet: nil record func")
 	}
-	a := &WearableAgent{record: record}
+	a := &WearableAgent{recordFn: record, conns: make(map[net.Conn]struct{})}
 	for _, opt := range opts {
 		opt(a)
 	}
@@ -133,7 +111,11 @@ func (a *WearableAgent) reportConnError(err error) {
 // Addr returns the agent's listen address.
 func (a *WearableAgent) Addr() string { return a.listener.Addr().String() }
 
-// Close stops the agent and waits for in-flight connections.
+// Close stops the agent and waits for its connections to end. A VA client
+// may hold its connection open across many commands, so Close does not
+// wait for the client to hang up: every connection waiting for its next
+// trigger is unblocked and closed, while a trigger already being recorded
+// still gets its reply first.
 func (a *WearableAgent) Close() error {
 	a.mu.Lock()
 	if a.closed {
@@ -141,6 +123,9 @@ func (a *WearableAgent) Close() error {
 		return nil
 	}
 	a.closed = true
+	for conn := range a.conns {
+		_ = conn.SetReadDeadline(time.Now())
+	}
 	a.mu.Unlock()
 	err := a.listener.Close()
 	a.wg.Wait()
@@ -154,6 +139,14 @@ func (a *WearableAgent) serve() {
 		if err != nil {
 			return // listener closed
 		}
+		a.mu.Lock()
+		if a.closed {
+			a.mu.Unlock()
+			_ = conn.Close()
+			return
+		}
+		a.conns[conn] = struct{}{}
+		a.mu.Unlock()
 		a.wg.Add(1)
 		go func() {
 			defer a.wg.Done()
@@ -163,36 +156,37 @@ func (a *WearableAgent) serve() {
 }
 
 func (a *WearableAgent) handle(conn net.Conn) {
-	defer func() { _ = conn.Close() }()
-	dec := gob.NewDecoder(conn)
-	enc := gob.NewEncoder(conn)
+	defer func() {
+		a.mu.Lock()
+		delete(a.conns, conn)
+		a.mu.Unlock()
+		_ = conn.Close()
+	}()
+	br := bufio.NewReader(conn)
+	var payload []byte // reused by every recording sent on this connection
 	for {
-		var msg Message
-		if err := dec.Decode(&msg); err != nil {
-			// A clean EOF between frames is a normal client disconnect;
-			// anything else (mid-frame reset, corrupt stream) is a real
-			// per-connection failure and must be surfaced, not swallowed.
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+		f, err := wire.ReadFrame(br)
+		if err != nil {
+			// A clean EOF between frames is a normal client disconnect, and
+			// Close ends idle connections on purpose; anything else
+			// (mid-frame reset, corrupt stream) is a real per-connection
+			// failure and must be surfaced, not swallowed.
+			a.mu.Lock()
+			closed := a.closed
+			a.mu.Unlock()
+			if !closed && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				a.reportConnError(fmt.Errorf("syncnet: agent decode: %w", err))
 			}
 			return
 		}
-		if msg.Type != MsgTrigger {
-			a.reportConnError(fmt.Errorf("syncnet: agent: unexpected message type %d", msg.Type))
-			_ = enc.Encode(&Message{Type: MsgError, SessionID: msg.SessionID, Error: "unexpected message type"})
-			continue
-		}
-		samples, err := a.record(msg.SessionID)
-		reply := Message{SessionID: msg.SessionID, SentAt: time.Now()}
-		if err != nil {
-			a.reportConnError(fmt.Errorf("syncnet: agent record: %w", err))
-			reply.Type = MsgError
-			reply.Error = err.Error()
+		reply := wire.Frame{Type: wire.FrameRecording, Stream: f.Stream}
+		if samples, err := a.record(f); err != nil {
+			reply.Type, reply.Payload = wire.FrameWearableError, wire.AppendString(nil, err.Error())
 		} else {
-			reply.Type = MsgRecording
-			reply.Samples = samples
+			payload = wire.AppendSamples(payload[:0], samples)
+			reply.Payload = payload
 		}
-		if err := enc.Encode(&reply); err != nil {
+		if err := wire.WriteFrame(conn, reply); err != nil {
 			if !errors.Is(err, net.ErrClosed) {
 				a.reportConnError(fmt.Errorf("syncnet: agent encode: %w", err))
 			}
@@ -201,18 +195,72 @@ func (a *WearableAgent) handle(conn net.Conn) {
 	}
 }
 
+// record answers one frame: the recording for a well-formed trigger, and
+// a reported error for a failed recording or any other frame.
+func (a *WearableAgent) record(f wire.Frame) ([]float64, error) {
+	var samples []float64
+	err := DecodeTriggerPayload(f.Payload)
+	if f.Type != wire.FrameTrigger {
+		err = fmt.Errorf("unexpected frame type %d", f.Type)
+	} else if err == nil {
+		samples, err = a.recordFn(f.Stream)
+	}
+	if err != nil {
+		a.reportConnError(fmt.Errorf("syncnet: agent: %w", err))
+	}
+	return samples, err
+}
+
+// The wearable-link payloads. A trigger payload is empty; a recording
+// payload is one wire sample block (wire.AppendSamples); a wearable-error
+// payload is one message string (wire.AppendString). Each decoder
+// requires its payload to be consumed exactly and fails with
+// wire.ErrMalformedFrame otherwise.
+
+// DecodeTriggerPayload checks a FrameTrigger payload, which must be
+// empty.
+func DecodeTriggerPayload(p []byte) error {
+	if len(p) != 0 {
+		return fmt.Errorf("%w: %d-byte trigger payload", wire.ErrMalformedFrame, len(p))
+	}
+	return nil
+}
+
+// DecodeRecordingPayload decodes a FrameRecording payload.
+func DecodeRecordingPayload(p []byte) ([]float64, error) {
+	samples, rest, err := wire.TakeSamples(p)
+	if err != nil {
+		return nil, err
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", wire.ErrMalformedFrame, len(rest))
+	}
+	return samples, nil
+}
+
+// DecodeWearableErrorPayload decodes a FrameWearableError payload.
+func DecodeWearableErrorPayload(p []byte) (*WearableError, error) {
+	msg, rest, err := wire.TakeString(p)
+	if err != nil {
+		return nil, err
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("%w: %d trailing bytes", wire.ErrMalformedFrame, len(rest))
+	}
+	return &WearableError{Msg: msg}, nil
+}
+
 // VAClient is the VA-side client that triggers wearable recordings.
 type VAClient struct {
 	conn net.Conn
-	enc  *gob.Encoder
-	dec  *gob.Decoder
+	br   *bufio.Reader
 
 	mu      sync.Mutex
 	session uint64
 }
 
 // DialWearable connects to a wearable agent with a single attempt; see
-// DialWearableRetry and ReliableClient for the hardened paths.
+// ReliableClient for the hardened path.
 func DialWearable(addr string, timeout time.Duration) (*VAClient, error) {
 	return dialWearableVia(tcpDial, addr, timeout)
 }
@@ -223,13 +271,16 @@ func dialWearableVia(dial DialFunc, addr string, timeout time.Duration) (*VAClie
 	if err != nil {
 		return nil, fmt.Errorf("syncnet: dial: %w", err)
 	}
-	return &VAClient{conn: conn, enc: gob.NewEncoder(conn), dec: gob.NewDecoder(conn)}, nil
+	return &VAClient{conn: conn, br: bufio.NewReader(conn)}, nil
 }
 
 // Close closes the client connection.
 func (c *VAClient) Close() error { return c.conn.Close() }
 
 // RequestRecording sends a trigger and waits for the wearable's recording.
+// A wearable-side failure returns a *WearableError; every other error
+// (including a reply on the wrong stream or of the wrong type) means the
+// connection can no longer be trusted.
 func (c *VAClient) RequestRecording(timeout time.Duration) ([]float64, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -241,23 +292,27 @@ func (c *VAClient) RequestRecording(timeout time.Duration) ([]float64, error) {
 		}
 		defer func() { _ = c.conn.SetDeadline(time.Time{}) }()
 	}
-	if err := c.enc.Encode(&Message{Type: MsgTrigger, SessionID: id, SentAt: time.Now()}); err != nil {
+	if err := wire.WriteFrame(c.conn, wire.Frame{Type: wire.FrameTrigger, Stream: id}); err != nil {
 		return nil, fmt.Errorf("syncnet: send trigger: %w", err)
 	}
-	var reply Message
-	if err := c.dec.Decode(&reply); err != nil {
+	reply, err := wire.ReadFrame(c.br)
+	if err != nil {
 		return nil, fmt.Errorf("syncnet: read reply: %w", err)
 	}
-	if reply.SessionID != id {
-		return nil, fmt.Errorf("syncnet: session mismatch: got %d, want %d", reply.SessionID, id)
+	if reply.Stream != id {
+		return nil, fmt.Errorf("syncnet: %w: reply on stream %d, want %d", wire.ErrMalformedFrame, reply.Stream, id)
 	}
 	switch reply.Type {
-	case MsgRecording:
-		return reply.Samples, nil
-	case MsgError:
-		return nil, &WearableError{Msg: reply.Error}
+	case wire.FrameRecording:
+		return DecodeRecordingPayload(reply.Payload)
+	case wire.FrameWearableError:
+		wearErr, err := DecodeWearableErrorPayload(reply.Payload)
+		if err != nil {
+			return nil, err
+		}
+		return nil, wearErr
 	default:
-		return nil, fmt.Errorf("syncnet: unexpected reply type %d", reply.Type)
+		return nil, fmt.Errorf("syncnet: %w: unexpected reply type %d", wire.ErrMalformedFrame, reply.Type)
 	}
 }
 
