@@ -126,29 +126,17 @@ func (a *Accelerometer) Validate() error {
 }
 
 // LowFrequencyDominance returns the fraction of the signal's spectral
-// energy below the 500 Hz coupling cutoff. Thru-barrier attack sounds are
-// dominated by low frequencies (ratio near 1); a user's direct speech has a
-// substantially lower ratio because its high-frequency content survives.
+// energy below the 500 Hz coupling cutoff (dsp.LowBandPower; its Parseval
+// total can round below the low-band sum, hence the clamp). Thru-barrier
+// attack sounds are dominated by low frequencies (ratio near 1); a user's
+// direct speech has a substantially lower ratio because its
+// high-frequency content survives.
 func LowFrequencyDominance(audio []float64, sampleRate float64) float64 {
-	if len(audio) == 0 {
+	low, total := dsp.LowBandPower(audio, dsp.FrequencyBin(lowFreqCutoff, len(audio), sampleRate))
+	if total <= 0 {
 		return 0
 	}
-	spec := dsp.PowerSpectrum(audio)
-	cut := dsp.FrequencyBin(lowFreqCutoff, len(audio), sampleRate)
-	low, total := 0.0, 0.0
-	for k, v := range spec {
-		if k == 0 {
-			continue // ignore DC
-		}
-		total += v
-		if k <= cut {
-			low += v
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return low / total
+	return min(low/total, 1)
 }
 
 // Capture converts an audio waveform (the sound driving the wearable's
@@ -200,7 +188,7 @@ func (a *Accelerometer) Drive(audio []float64, audioRate float64) (Drive, error)
 	// (Section IV-A: the accelerometer attenuates low-frequency audio and
 	// captures components above 1 kHz).
 	const couplingKnee = 800.0
-	coupled := dsp.FrequencyShape(audio, audioRate, func(f float64) float64 {
+	coupling := func(f float64) float64 {
 		switch {
 		case f < couplingKnee:
 			r := f / couplingKnee
@@ -211,18 +199,12 @@ func (a *Accelerometer) Drive(audio []float64, audioRate float64) (Drive, error)
 		default:
 			return a.CouplingHigh
 		}
-	})
+	}
 
 	// 2. Point-sample at the accelerometer rate with no anti-alias filter:
 	// content above 100 Hz folds into the vibration band.
-	factor := int(audioRate / a.SampleRate)
-	if factor < 1 {
-		factor = 1
-	}
-	vib, err := dsp.DecimateSampleHold(coupled, factor)
-	if err != nil {
-		return Drive{}, fmt.Errorf("device: %w", err)
-	}
+	factor := max(int(audioRate/a.SampleRate), 1)
+	vib := dsp.ShapeDecimate(audio, audioRate, coupling, factor)
 
 	// 3. The 0-5 Hz hypersensitivity artifact of Fig. 7.
 	vib = dsp.FrequencyShape(vib, a.SampleRate, func(f float64) float64 {
@@ -255,9 +237,9 @@ func (a *Accelerometer) Drive(audio []float64, audioRate float64) (Drive, error)
 }
 
 // dominanceOverflowBound bounds max|x|·len(x) for the audio whose
-// dominance saturates may skip. Parseval bounds the power spectrum's total
-// by (max|x|·len(x))², so below this bound the dominance is computed
-// without overflow and is a finite number in [0, 1].
+// dominance saturates may skip. Below it the dominance's sums are finite:
+// each bin's |X(k)|² and the Parseval total's n·sum x² are at most
+// (max|x|·len(x))² < 1e300, so the clamped ratio is a number in [0, 1].
 const dominanceOverflowBound = 1e150
 
 // saturates reports whether the broadband term alone already lifts the

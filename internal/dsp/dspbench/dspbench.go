@@ -464,8 +464,11 @@ func Cases() []Case {
 		}},
 		// A loud drive saturates the amplifier noise, so Drive skips the
 		// low-frequency dominance; the same sound 60 dB quieter does not.
-		{"WearableDrive", "loud-45040", benchWearableDrive(1)},
-		{"WearableDrive", "quiet-45040", benchWearableDrive(1e-3)},
+		{"WearableDrive", "loud-45040", benchWearableDrive(1, replayLen, false)},
+		{"WearableDrive", "quiet-45040", benchWearableDrive(1e-3, replayLen, false)},
+		// Traffic seldom repeats a segment length: fresh plans per drive.
+		{"WearableDrive", "quiet-fresh-even-45040", benchWearableDrive(1e-3, replayLen, true)},
+		{"WearableDrive", "quiet-fresh-odd-45041", benchWearableDrive(1e-3, replayLen+1, true)},
 		{"SenseShared", "3x45040", func(b *testing.B) {
 			a := Signal(replayLen, 7)
 			bs := [][]float64{Signal(replayLen, 8), Signal(replayLen, 9), Signal(replayLen, 10)}
@@ -528,16 +531,22 @@ func Cases() []Case {
 }
 
 // benchWearableDrive measures the deterministic half of one sensing pass
-// (speaker render, accelerometer drive) on the benchmark signal scaled by
-// gain.
-func benchWearableDrive(gain float64) func(b *testing.B) {
+// (speaker render, accelerometer drive) on the n-sample benchmark signal
+// scaled by gain. With fresh set, iteration i drops the last 2·(i mod 97)
+// samples: the parity stays, and 97 lengths are more than the Bluestein
+// cache keeps (at most 2·GOMAXPROCS plans), so every dominance misses it.
+func benchWearableDrive(gain float64, n int, fresh bool) func(b *testing.B) {
 	return func(b *testing.B) {
-		x := dsp.Scale(Signal(replayLen, 8), gain)
+		x := dsp.Scale(Signal(n, 8), gain)
 		w := device.NewFossilGen5()
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := w.Drive(x); err != nil {
+			cut := x
+			if fresh {
+				cut = x[:n-2*(i%97)]
+			}
+			if _, err := w.Drive(cut); err != nil {
 				b.Fatal(err)
 			}
 		}

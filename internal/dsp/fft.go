@@ -20,6 +20,7 @@ package dsp
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 )
 
 // FFT computes the discrete Fourier transform of x.
@@ -55,31 +56,6 @@ func IFFT(x []complex128) []complex128 {
 		out[i] = complex(real(out[i])*inv, imag(out[i])*inv)
 	}
 	return out
-}
-
-// FFTReal transforms a real-valued signal and returns the full complex
-// spectrum of the same length. Power-of-two lengths run through the
-// half-size packed real transform and are unfolded by conjugate symmetry.
-func FFTReal(x []float64) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	if n&(n-1) == 0 {
-		p := mustPlanRealFFT(n)
-		half := p.Transform(nil, x, nil)
-		out := make([]complex128, n)
-		copy(out, half)
-		for k := 1; k < n/2; k++ {
-			out[n-k] = complex(real(half[k]), -imag(half[k]))
-		}
-		return out
-	}
-	cx := make([]complex128, n)
-	for i, v := range x {
-		cx[i] = complex(v, 0)
-	}
-	return planBluestein(n).transform(cx, false)
 }
 
 // mustPlanRealFFT is PlanRealFFT for lengths already known to be powers of
@@ -130,6 +106,61 @@ func PowerSpectrum(x []float64) []float64 {
 		return mustPlanRealFFT(n).PowerInto(nil, x, nil)
 	}
 	return planBluestein(n).reduceInto(x, false)
+}
+
+// LowBandPower returns two sums over PowerSpectrum(x), the exact-length
+// power spectrum: low over bins 1..cut (clamped to len(x)/2) and total over
+// bins 1..len(x)/2. An even-length signal is packed as x[2j] + i·x[2j+1]
+// into one len(x)/2-point chirp-z transform, a NextPow2(len(x)-1)-point
+// convolution instead of NextPow2(2·len(x)-1), of which only bins 1..cut
+// are unpacked, and allocates nothing. Its total is Parseval's, (n·sum x²
+// - X(0)² + X(n/2)²)/2, which a strong DC component leaves with only the
+// precision that survives the subtraction. Odd lengths sum PowerSpectrum.
+func LowBandPower(x []float64, cut int) (low, total float64) {
+	n := len(x)
+	cut = min(cut, n/2)
+	if n%2 == 1 || n == 0 {
+		for k, v := range PowerSpectrum(x) {
+			if k == 0 {
+				continue // DC is in neither sum
+			}
+			total += v
+			if k <= cut {
+				low += v
+			}
+		}
+		return low, total
+	}
+	h := n / 2
+	bp := planBluestein(h)
+	chirp, filt := bp.tables(false)
+	buf := bp.plan.getScratch()
+	defer bp.plan.putScratch(buf)
+	a := *buf
+	for k, c := range chirp {
+		a[bp.plan.perm[k]] = complex(x[2*k], x[2*k+1]) * c
+	}
+	bp.convolve(a, filt)
+	invM := complex(1/float64(bp.m), 0)
+	z := func(k int) complex128 { // bin k of the packed transform
+		k %= h
+		return a[k] * chirp[k] * invM
+	}
+	z0 := z(0)
+	dc, nyq := real(z0)+imag(z0), real(z0)-imag(z0)
+	for k := 1; k <= cut; k++ {
+		// X(k) = E(k) + e^{-2πik/n}·O(k), unpacked as in shapeHalf.
+		zk, zj := z(k), cmplx.Conj(z(h-k))
+		e := (zk + zj) * complex(0.5, 0)
+		o := (zk - zj) * complex(0, -0.5)
+		v := e + cmplx.Rect(1, -2*math.Pi*float64(k)/float64(n))*o
+		low += real(v)*real(v) + imag(v)*imag(v)
+	}
+	sq := 0.0
+	for _, v := range x {
+		sq += v * v
+	}
+	return low, (float64(n)*sq - dc*dc + nyq*nyq) / 2
 }
 
 // BinFrequency returns the center frequency in Hz of FFT bin k for a

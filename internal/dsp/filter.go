@@ -3,6 +3,7 @@ package dsp
 import (
 	"fmt"
 	"math"
+	"math/cmplx"
 )
 
 // Biquad is a second-order IIR filter section in direct form II transposed.
@@ -138,37 +139,60 @@ func PreEmphasis(x []float64, coef float64) []float64 {
 // accelerometer responses) that are easier to express as magnitude curves
 // than as rational filters. Phase is preserved.
 //
-// The zero-padded transform buffer comes from the plan's scratch pool and
-// the input is written straight to its bit-reversed positions, so a call
-// allocates only its result.
+// The signal is zero-padded to m = NextPow2(len(x)) and its even and odd
+// samples are packed into one m/2-point complex transform each way
+// (RealFFTPlan): half the butterfly work of a complex m-point pair, with
+// rounding bounded against it (dspbench.FrequencyShapeLegacy). The buffer
+// comes from the plan's scratch pool, so a call allocates only its result.
 func FrequencyShape(x []float64, sampleRate float64, gain func(freqHz float64) float64) []float64 {
+	return ShapeDecimate(x, sampleRate, gain, 1)
+}
+
+// ShapeDecimate is FrequencyShape followed by DecimateSampleHold(factor),
+// computing only the samples kept. Keeping every g-th sample of the
+// m-point shaped signal aliases its spectrum onto l = m/g bins, F[r] =
+// sum_q Y[r+q·l], so the gained spectrum is folded by g, the largest
+// power of two dividing factor (at most m/2), inverted at l points, and
+// every (factor/g)-th sample of that is kept. factor must be positive.
+func ShapeDecimate(x []float64, sampleRate float64, gain func(freqHz float64) float64, factor int) []float64 {
 	n := len(x)
 	if n == 0 {
 		return nil
 	}
+	out := make([]float64, (n+factor-1)/factor)
 	m := NextPow2(n)
-	p := mustPlanFFT(m)
-	scratch := p.getScratch()
-	defer p.putScratch(scratch)
-	buf := *scratch
-	for i, v := range x {
-		buf[p.perm[i]] = complex(v, 0)
+	if m == 1 {
+		out[0] = x[0] * gain(0)
+		return out
 	}
-	butterflies(buf, p.fwd)
-	// Apply gain symmetrically so the result stays real.
-	for k := 0; k <= m/2; k++ {
-		f := BinFrequency(k, m, sampleRate)
-		g := gain(f)
-		buf[k] = complex(real(buf[k])*g, imag(buf[k])*g)
-		if k != 0 && k != m/2 {
-			buf[m-k] = complex(real(buf[m-k])*g, imag(buf[m-k])*g)
-		}
+	p := mustPlanRealFFT(m)
+	buf := p.half.getScratch()
+	defer p.half.putScratch(buf)
+	y := *buf
+	p.half.pack(y, x)
+	butterflies(y, p.half.fwd)
+	p.shapeHalf(y, sampleRate, gain)
+	fold := min(factor&-factor, m/2)
+	if fold == 1 {
+		p.inverseInto(out, y, factor)
+		return out
 	}
-	p.transform(buf, p.inv)
-	out := make([]float64, n)
-	inv := 1 / float64(m)
-	for i := 0; i < n; i++ {
-		out[i] = real(buf[i]) * inv
+	l := m / fold
+	q := mustPlanFFT(l)
+	fbuf := q.getScratch()
+	defer q.putScratch(fbuf)
+	f := *fbuf
+	// Bins above m/2 are the conjugates of those below; the real bins 0
+	// and m/2 both alias onto bin 0.
+	f[0] = complex(real(y[0])+imag(y[0]), 0)
+	for k := 1; k < m/2; k++ {
+		f[k&(l-1)] += y[k]
+		f[(m-k)&(l-1)] += cmplx.Conj(y[k])
+	}
+	q.transform(f, q.inv)
+	step, inv := factor/fold, 1/float64(m)
+	for i := range out {
+		out[i] = real(f[i*step]) * inv
 	}
 	return out
 }

@@ -103,20 +103,6 @@ func fillTwiddles(dst []complex128, n int, sign float64) {
 // Size returns the transform length the plan was built for.
 func (p *FFTPlan) Size() int { return p.n }
 
-// InPlace transforms x in place (forward DFT, or the unnormalized conjugate
-// transform when inverse is true — divide by Size for a true inverse).
-// len(x) must equal Size.
-func (p *FFTPlan) InPlace(x []complex128, inverse bool) {
-	if len(x) != p.n {
-		panic("dsp: FFTPlan length mismatch")
-	}
-	tw := p.fwd
-	if inverse {
-		tw = p.inv
-	}
-	p.transform(x, tw)
-}
-
 // Forward computes the DFT of src into dst and returns dst. dst is grown
 // (reallocated) when nil or too short and may alias src for an in-place
 // transform; passing a reused buffer makes the call allocation-free.
@@ -283,57 +269,21 @@ func (p *RealFFTPlan) Size() int { return p.n }
 // NumBins returns the number of single-sided spectrum bins, Size/2+1.
 func (p *RealFFTPlan) NumBins() int { return p.n/2 + 1 }
 
-// Scratch returns a correctly sized scratch buffer for Transform. Reuse it
-// across calls to stay allocation-free; each concurrent caller needs its
-// own.
+// Scratch returns a correctly sized scratch buffer for PowerInto and
+// MagnitudeInto. Reuse it across calls to stay allocation-free; each
+// concurrent caller needs its own.
 func (p *RealFFTPlan) Scratch() []complex128 { return make([]complex128, p.n/2) }
 
-// Transform computes the single-sided spectrum (bins 0..Size/2) of the real
-// signal x into dst and returns dst. len(x) must equal Size. dst (NumBins
-// entries) and scratch (Size/2 entries, see Scratch) are allocated when nil
-// or too small; pass reused buffers to make repeated calls allocation-free.
-// dst and scratch must not overlap.
-func (p *RealFFTPlan) Transform(dst []complex128, x []float64, scratch []complex128) []complex128 {
-	if len(x) != p.n {
-		panic("dsp: RealFFTPlan length mismatch")
-	}
-	if cap(dst) < p.NumBins() {
-		dst = make([]complex128, p.NumBins())
-	}
-	dst = dst[:p.NumBins()]
-	if p.n == 1 {
-		dst[0] = complex(x[0], 0)
-		return dst
-	}
-	m := p.n / 2
-	if cap(scratch) < m {
-		scratch = make([]complex128, m)
-	}
-	scratch = scratch[:m]
-	p.half.pack(scratch, x)
-	butterflies(scratch, p.half.fwd)
-	// Unpack: with Z the half-length spectrum and E/O the even/odd-sample
-	// spectra, E[k] = (Z[k]+conj(Z[M-k]))/2 and O[k] = -i(Z[k]-conj(Z[M-k]))/2,
-	// so X[k] = E[k] + e^{-2*pi*i*k/n} O[k] for k = 0..M (Z[M] wraps to Z[0]).
-	for k := 0; k <= m; k++ {
-		zk := scratch[k%m]
-		zmk := cmplx.Conj(scratch[(m-k)%m])
-		e := (zk + zmk) * complex(0.5, 0)
-		o := (zk - zmk) * complex(0, -0.5)
-		dst[k] = e + p.unpack[k]*o
-	}
-	return dst
-}
-
-// PowerInto computes the single-sided power spectrum |X(k)|^2 of x into dst
-// and returns dst, with the buffer semantics of Transform. It needs no
-// complex destination: the spectrum is squared bin by bin as it is unpacked.
+// PowerInto computes the single-sided power spectrum |X(k)|^2 (bins
+// 0..Size/2) of the real signal x (len(x) == Size) into dst and returns
+// dst. dst and scratch (see Scratch) are allocated when nil or too small;
+// reuse them to make repeated calls allocation-free.
 func (p *RealFFTPlan) PowerInto(dst []float64, x []float64, scratch []complex128) []float64 {
 	return p.reduceInto(dst, x, scratch, false)
 }
 
 // MagnitudeInto computes the single-sided magnitude spectrum |X(k)| of x
-// into dst and returns dst, with the buffer semantics of Transform.
+// into dst and returns dst, with the buffer semantics of PowerInto.
 func (p *RealFFTPlan) MagnitudeInto(dst []float64, x []float64, scratch []complex128) []float64 {
 	return p.reduceInto(dst, x, scratch, true)
 }
@@ -361,7 +311,7 @@ func (p *RealFFTPlan) reduceInto(dst []float64, x []float64, scratch []complex12
 	scratch = scratch[:m]
 	p.half.pack(scratch, x)
 	butterflies(scratch, p.half.fwd)
-	// Scalar unpack (same algebra as Transform, spelled out on float64 so
+	// Scalar unpack (shapeHalf's algebra, spelled out on float64 so
 	// the compiler keeps everything in registers — this loop dominates the
 	// per-frame STFT cost at small sizes). DC and Nyquist come from the
 	// packed bin 0 alone.
@@ -393,13 +343,73 @@ func (p *RealFFTPlan) reduceInto(dst []float64, x []float64, scratch []complex12
 	return dst
 }
 
-// pack writes the real signal x (2*Size samples) into dst as Size complex
-// values, even samples in the real lane and odd samples in the imaginary
-// lane, already at their bit-reversed positions: the butterflies can run
-// on dst directly, with no separate permutation pass.
+// pack writes the real signal x (at most 2*Size samples; dst must be
+// zero past them) into dst as Size complex values, even samples in the
+// real lane and odd samples in the imaginary lane, already at their
+// bit-reversed positions: the butterflies can run on dst directly, with
+// no separate permutation pass.
 func (p *FFTPlan) pack(dst []complex128, x []float64) {
-	for j, pj := range p.perm {
+	h := len(x) / 2
+	for j, pj := range p.perm[:h] {
 		dst[pj] = complex(x[2*j], x[2*j+1])
+	}
+	if len(x)%2 == 1 {
+		dst[p.perm[h]] = complex(x[2*h], 0)
+	}
+}
+
+// shapeHalf turns y, the h-point transform Z of the packed signal (h =
+// Size/2), into its half spectrum scaled by gain, Y[k] = gain(f_k)·X[k],
+// in place. With E and O the spectra of the even and odd samples, E[k] =
+// (Z[k]+conj(Z[h-k]))/2, O[k] = -i(Z[k]-conj(Z[h-k]))/2, X[k] = E[k] +
+// w^k·O[k] and X[h-k] = conj(E[k] - w^k·O[k]) (w = e^{-2πi/Size}), so each
+// pair k, h-k unpacks from the two entries it overwrites. The layout is
+// packed: y[k] = Y[k] for 0 < k < h, and the real bins share y[0] =
+// complex(Y[0], Y[h]).
+func (p *RealFFTPlan) shapeHalf(y []complex128, sampleRate float64, gain func(freqHz float64) float64) {
+	h := p.n / 2
+	g := func(k int) float64 { return gain(BinFrequency(k, p.n, sampleRate)) }
+	a, b := real(y[0]), imag(y[0])
+	y[0] = complex((a+b)*g(0), (a-b)*g(h))
+	for k := 1; k <= h/2; k++ {
+		j := h - k
+		zk, zj := y[k], cmplx.Conj(y[j])
+		e := (zk + zj) * complex(0.5, 0)
+		wo := p.unpack[k] * ((zk - zj) * complex(0, -0.5))
+		xk, xj := e+wo, cmplx.Conj(e-wo) // X[k], and X[h-k] by conjugate symmetry
+		gk, gj := g(k), g(j)
+		y[k] = complex(real(xk)*gk, imag(xk)*gk)
+		y[j] = complex(real(xj)*gj, imag(xj)*gj)
+	}
+}
+
+// inverseInto inverts y, the packed half spectrum (see shapeHalf) of a
+// real Size-point signal x, in place: it re-packs the spectra of the even
+// and odd samples as E + iO, runs the Size/2-point inverse transform, and
+// writes dst[i] = x[i*step]. (len(dst)-1)*step must be below Size.
+func (p *RealFFTPlan) inverseInto(dst []float64, y []complex128, step int) {
+	h := p.n / 2
+	a, b := real(y[0]), imag(y[0])
+	y[0] = complex(a+b, a-b)
+	for k := 1; k <= h/2; k++ {
+		j := h - k
+		yk, yj := y[k], cmplx.Conj(y[j])
+		// 2E[k] = Y[k] + conj(Y[h-k]) and 2O[k] = conj(w^k)(Y[k] - conj(Y[h-k]));
+		// E[h-k] and O[h-k] are their conjugates.
+		e := yk + yj
+		o := cmplx.Conj(p.unpack[k]) * (yk - yj)
+		y[k] = e + complex(-imag(o), real(o))
+		y[j] = cmplx.Conj(e) + complex(imag(o), real(o))
+	}
+	p.half.transform(y, p.half.inv)
+	scale := 1 / float64(p.n)
+	for i := range dst {
+		t := i * step
+		if v := y[t>>1]; t&1 == 0 {
+			dst[i] = real(v) * scale
+		} else {
+			dst[i] = imag(v) * scale
+		}
 	}
 }
 
