@@ -83,11 +83,13 @@ race-brnn:
 # after the other; these bit-identity pins (golden EER/AUC, fusion
 # goldens, the streamed zero-flip and batch-equivalence checks, and the
 # shared-versus-sequential pins) must hold there too, so the bits cannot
-# depend on scheduling.
+# depend on scheduling. The golden verdicts and the replay kernels'
+# bounds against their legacy oracles are listed by name: their names do
+# not say BitIdentical.
 pins-gomaxprocs1:
 	GOMAXPROCS=1 $(GO) test -count=1 -run '$(SERIAL_PINS)' ./internal/eval/ ./internal/core/ ./internal/serve/ ./internal/sensing/ ./internal/dsp/ ./internal/mfcc/ ./internal/brnn/ ./internal/device/ ./internal/detector/
 
-SERIAL_PINS = TestGoldenMetrics|TestGoldenVerdicts|TestFuseGoldenTwoWearables|TestStreamInspectorMatchesBatchBitExact|TestSubmitStreamMatchesSubmit|TestStreamOverWireConcurrent|BitIdentical|TestInspectContractUnderConcurrency|TestScoreMatchesInspect
+SERIAL_PINS = TestGoldenMetrics|TestGoldenVerdicts|TestFuseGoldenTwoWearables|TestStreamInspectorMatchesBatchBitExact|TestSubmitStreamMatchesSubmit|TestStreamOverWireConcurrent|BitIdentical|TestInspectContractUnderConcurrency|TestScoreMatchesInspect|TestFrequencyShapeWithinBoundOfLegacy|TestShapeDecimateWithinBoundOfLegacy|TestLowBandPowerWithinBoundOfLegacy|TestDriveWithinBoundOfLegacy
 
 benchgen:
 	$(GO) run ./cmd/benchgen -quick

@@ -431,9 +431,10 @@ type bluesteinDir struct {
 	chirp, filt []complex128
 }
 
-// bluesteinCacheSize bounds the Bluestein plan cache. A plan for a
-// ~45k-sample segment holds megabytes of tables and serving traffic seldom
-// repeats a segment length, so only the most recently used plans are kept.
+// bluesteinCacheSize bounds the Bluestein plan cache. The dominance of a
+// ~45k-sample segment is a 22.5k-point plan (LowBandPower) whose 65,536-point
+// filter spectrum alone is a megabyte, and serving traffic seldom repeats
+// a segment length, so only the most recently used plans are kept.
 // A session drives its VA cut and each wearable's cut, all to the same
 // spans, concurrently; a drive saturated at the noise ceiling needs no
 // plan at all, and the others share one length, so the plan must outlive
