@@ -278,8 +278,11 @@ func TakeString(p []byte) (string, []byte, error) {
 }
 
 // AppendSamples appends a sample block to dst: a uvarint count, then each
-// sample's float64 bits, little-endian.
+// sample's float64 bits, little-endian. dst grows at most once.
 func AppendSamples(dst []byte, samples []float64) []byte {
+	if need := binary.MaxVarintLen64 + 8*len(samples); cap(dst)-len(dst) < need {
+		dst = append(make([]byte, 0, len(dst)+need), dst...)
+	}
 	dst = binary.AppendUvarint(dst, uint64(len(samples)))
 	for _, s := range samples {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s))

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"math"
 	"testing"
@@ -38,6 +39,29 @@ func TestSamplesRoundTrip(t *testing.T) {
 	} {
 		if _, _, err := TakeSamples(bad); !errors.Is(err, ErrMalformedFrame) {
 			t.Errorf("TakeSamples(%x) err = %v, want ErrMalformedFrame", bad, err)
+		}
+	}
+}
+
+// TestAppendSamplesAllocatesOnce pins AppendSamples' single growth: a
+// replay segment's worth of samples (45,040) into a nil slice allocates
+// exactly once, and the bytes are the count followed by each sample.
+func TestAppendSamplesAllocatesOnce(t *testing.T) {
+	samples := make([]float64, 45040)
+	for i := range samples {
+		samples[i] = float64(i) - 0.5
+	}
+	if allocs := testing.AllocsPerRun(10, func() { AppendSamples(nil, samples) }); allocs != 1 {
+		t.Fatalf("AppendSamples allocated %v times, want 1", allocs)
+	}
+	p := AppendSamples(nil, samples)
+	count, n, err := UvarintAt(p, 0)
+	if err != nil || count != uint64(len(samples)) || len(p) != n+8*len(samples) {
+		t.Fatalf("count %d (%v) in %d bytes, want %d samples in %d bytes", count, err, len(p), len(samples), n+8*len(samples))
+	}
+	for i, s := range samples {
+		if got := math.Float64frombits(binary.LittleEndian.Uint64(p[n+8*i:])); got != s {
+			t.Fatalf("sample %d: %v, want %v", i, got, s)
 		}
 	}
 }
