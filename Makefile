@@ -85,11 +85,19 @@ race-brnn:
 # shared-versus-sequential pins) must hold there too, so the bits cannot
 # depend on scheduling. The golden verdicts and the replay kernels'
 # bounds against their legacy oracles are listed by name: their names do
-# not say BitIdentical.
+# not say BitIdentical. A name that matches no test would silently drop
+# its pin from -run, so every alternative of SERIAL_PINS must first match
+# a test that `go test -list` finds in the pinned packages.
 pins-gomaxprocs1:
-	GOMAXPROCS=1 $(GO) test -count=1 -run '$(SERIAL_PINS)' ./internal/eval/ ./internal/core/ ./internal/serve/ ./internal/sensing/ ./internal/dsp/ ./internal/mfcc/ ./internal/brnn/ ./internal/device/ ./internal/detector/
+	@tests="$$($(GO) test -list . $(PINNED_PKGS) | grep '^Test')" || exit 1; \
+	for pin in $$(echo '$(SERIAL_PINS)' | tr '|' ' '); do \
+		echo "$$tests" | grep -qE -- "$$pin" || { echo "SERIAL_PINS: $$pin matches no test in $(PINNED_PKGS)" >&2; exit 1; }; \
+	done
+	GOMAXPROCS=1 $(GO) test -count=1 -run '$(SERIAL_PINS)' $(PINNED_PKGS)
 
-SERIAL_PINS = TestGoldenMetrics|TestGoldenVerdicts|TestFuseGoldenTwoWearables|TestStreamInspectorMatchesBatchBitExact|TestSubmitStreamMatchesSubmit|TestStreamOverWireConcurrent|BitIdentical|TestInspectContractUnderConcurrency|TestScoreMatchesInspect|TestFrequencyShapeWithinBoundOfLegacy|TestShapeDecimateWithinBoundOfLegacy|TestLowBandPowerWithinBoundOfLegacy|TestDriveWithinBoundOfLegacy
+PINNED_PKGS = ./internal/eval/ ./internal/core/ ./internal/serve/ ./internal/sensing/ ./internal/dsp/ ./internal/mfcc/ ./internal/brnn/ ./internal/device/ ./internal/detector/
+
+SERIAL_PINS = TestGoldenMetrics|TestGoldenVerdicts|TestFuseGoldenTwoWearables|TestStreamInspectorMatchesBatchBitExact|TestSubmitStreamMatchesSubmit|TestStreamOverWireConcurrent|BitIdentical|TestInspectContractUnderConcurrency|TestScoreMatchesInspect|TestFrequencyShapeWithinBoundOfLegacy|TestShapeDecimateWithinBoundOfLegacy|TestDriveWithinBoundOfLegacy
 
 benchgen:
 	$(GO) run ./cmd/benchgen -quick

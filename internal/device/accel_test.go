@@ -74,25 +74,29 @@ func TestAccelerometerValidate(t *testing.T) {
 	}
 }
 
+// TestLowFrequencyDominance checks the dominance a drive measures on its
+// zero-padded spectrum: near 1 for a low tone, near 0 for a high one,
+// about half for their balanced mix, and 0 for empty or silent audio.
 func TestLowFrequencyDominance(t *testing.T) {
 	const fs = 16000.0
+	a := NewAccelerometer()
 	low := dsp.Tone(200, 1, 0.5, fs)
 	high := dsp.Tone(3000, 1, 0.5, fs)
-	if rho := LowFrequencyDominance(low, fs); rho < 0.9 {
+	if rho := a.Dominance(low, fs); rho < 0.9 {
 		t.Errorf("pure low tone dominance = %v, want > 0.9", rho)
 	}
-	if rho := LowFrequencyDominance(high, fs); rho > 0.1 {
+	if rho := a.Dominance(high, fs); rho > 0.1 {
 		t.Errorf("pure high tone dominance = %v, want < 0.1", rho)
 	}
 	mixed := dsp.Mix(low, high)
-	rho := LowFrequencyDominance(mixed, fs)
+	rho := a.Dominance(mixed, fs)
 	if rho < 0.3 || rho > 0.7 {
 		t.Errorf("balanced mix dominance = %v, want ~0.5", rho)
 	}
-	if LowFrequencyDominance(nil, fs) != 0 {
+	if a.Dominance(nil, fs) != 0 {
 		t.Error("empty signal dominance should be 0")
 	}
-	if LowFrequencyDominance(make([]float64, 100), fs) != 0 {
+	if a.Dominance(make([]float64, 100), fs) != 0 {
 		t.Error("silent signal dominance should be 0")
 	}
 }

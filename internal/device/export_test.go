@@ -6,5 +6,8 @@ func MakeDrive(vib []float64, sigma float64) Drive { return Drive{vib: vib, sigm
 
 func (d Drive) Parts() (vib []float64, sigma float64) { return d.vib, d.sigma }
 
-// Saturates is the skip condition of Accelerometer.Drive.
-var Saturates = saturates
+// Dominance is the low-frequency dominance a drive of audio computes.
+func (a *Accelerometer) Dominance(audio []float64, audioRate float64) float64 {
+	_, rho := a.conduct(audio, audioRate)
+	return rho
+}

@@ -145,7 +145,8 @@ func PreEmphasis(x []float64, coef float64) []float64 {
 // rounding bounded against it (dspbench.FrequencyShapeLegacy). The buffer
 // comes from the plan's scratch pool, so a call allocates only its result.
 func FrequencyShape(x []float64, sampleRate float64, gain func(freqHz float64) float64) []float64 {
-	return ShapeDecimate(x, sampleRate, gain, 1)
+	out, _, _ := ShapeDecimate(x, sampleRate, gain, 1, 0)
+	return out
 }
 
 // ShapeDecimate is FrequencyShape followed by DecimateSampleHold(factor),
@@ -154,16 +155,19 @@ func FrequencyShape(x []float64, sampleRate float64, gain func(freqHz float64) f
 // sum_q Y[r+q·l], so the gained spectrum is folded by g, the largest
 // power of two dividing factor (at most m/2), inverted at l points, and
 // every (factor/g)-th sample of that is kept. factor must be positive.
-func ShapeDecimate(x []float64, sampleRate float64, gain func(freqHz float64) float64, factor int) []float64 {
+// The shaping pass (shapeHalf) also sums |X[k]|², x zero-padded to m and
+// before the gain, over bins 1..FrequencyBin(cutHz, m, sampleRate) (low)
+// and 1..m/2 (total); the sums overflow to +Inf past |X[k]| ≈ 1e154.
+func ShapeDecimate(x []float64, sampleRate float64, gain func(freqHz float64) float64, factor int, cutHz float64) (out []float64, low, total float64) {
 	n := len(x)
 	if n == 0 {
-		return nil
+		return nil, 0, 0
 	}
-	out := make([]float64, (n+factor-1)/factor)
+	out = make([]float64, (n+factor-1)/factor)
 	m := NextPow2(n)
 	if m == 1 {
 		out[0] = x[0] * gain(0)
-		return out
+		return out, 0, 0
 	}
 	p := mustPlanRealFFT(m)
 	buf := p.half.getScratch()
@@ -171,11 +175,11 @@ func ShapeDecimate(x []float64, sampleRate float64, gain func(freqHz float64) fl
 	y := *buf
 	p.half.pack(y, x)
 	butterflies(y, p.half.fwd)
-	p.shapeHalf(y, sampleRate, gain)
+	low, total = p.shapeHalf(y, sampleRate, gain, FrequencyBin(cutHz, m, sampleRate))
 	fold := min(factor&-factor, m/2)
 	if fold == 1 {
 		p.inverseInto(out, y, factor)
-		return out
+		return out, low, total
 	}
 	l := m / fold
 	q := mustPlanFFT(l)
@@ -194,5 +198,5 @@ func ShapeDecimate(x []float64, sampleRate float64, gain func(freqHz float64) fl
 	for i := range out {
 		out[i] = real(f[i*step]) * inv
 	}
-	return out
+	return out, low, total
 }

@@ -365,22 +365,40 @@ func (p *FFTPlan) pack(dst []complex128, x []float64) {
 // w^k·O[k] and X[h-k] = conj(E[k] - w^k·O[k]) (w = e^{-2πi/Size}), so each
 // pair k, h-k unpacks from the two entries it overwrites. The layout is
 // packed: y[k] = Y[k] for 0 < k < h, and the real bins share y[0] =
-// complex(Y[0], Y[h]).
-func (p *RealFFTPlan) shapeHalf(y []complex128, sampleRate float64, gain func(freqHz float64) float64) {
+// complex(Y[0], Y[h]). In the same pass it sums the ungained |X[k]|²
+// over bins 1..cut (low) and over bins 1..h (total); DC is in neither.
+func (p *RealFFTPlan) shapeHalf(y []complex128, sampleRate float64, gain func(freqHz float64) float64, cut int) (low, total float64) {
 	h := p.n / 2
 	g := func(k int) float64 { return gain(BinFrequency(k, p.n, sampleRate)) }
 	a, b := real(y[0]), imag(y[0])
-	y[0] = complex((a+b)*g(0), (a-b)*g(h))
+	nyq := a - b
+	y[0] = complex((a+b)*g(0), nyq*g(h))
 	for k := 1; k <= h/2; k++ {
 		j := h - k
 		zk, zj := y[k], cmplx.Conj(y[j])
 		e := (zk + zj) * complex(0.5, 0)
 		wo := p.unpack[k] * ((zk - zj) * complex(0, -0.5))
 		xk, xj := e+wo, cmplx.Conj(e-wo) // X[k], and X[h-k] by conjugate symmetry
+		pk, pj := real(xk)*real(xk)+imag(xk)*imag(xk), real(xj)*real(xj)+imag(xj)*imag(xj)
+		if j == k {
+			pj = 0 // the middle bin is its own partner
+		}
+		total += pk + pj
+		if k <= cut {
+			low += pk
+		}
+		if j <= cut {
+			low += pj
+		}
 		gk, gj := g(k), g(j)
 		y[k] = complex(real(xk)*gk, imag(xk)*gk)
 		y[j] = complex(real(xj)*gj, imag(xj)*gj)
 	}
+	total += nyq * nyq
+	if h <= cut {
+		low += nyq * nyq
+	}
+	return low, total
 }
 
 // inverseInto inverts y, the packed half spectrum (see shapeHalf) of a
@@ -431,18 +449,14 @@ type bluesteinDir struct {
 	chirp, filt []complex128
 }
 
-// bluesteinCacheSize bounds the Bluestein plan cache. The dominance of a
-// ~45k-sample segment is a 22.5k-point plan (LowBandPower) whose 65,536-point
-// filter spectrum alone is a megabyte, and serving traffic seldom repeats
-// a segment length, so only the most recently used plans are kept.
-// A session drives its VA cut and each wearable's cut, all to the same
-// spans, concurrently; a drive saturated at the noise ceiling needs no
-// plan at all, and the others share one length, so the plan must outlive
-// the new lengths other sessions insert while the session's drives run.
-// At most GOMAXPROCS sessions run at once, so the bound is twice that,
-// and at least 4. On two CPUs with the default worker count, about
-// 1% of sessions missed on their second replay (EXPERIMENTS.md,
-// "Bluestein cache hit rate").
+// bluesteinCacheSize bounds the Bluestein plan cache. A ~45k-sample
+// signal's plan carries a 131,072-point filter spectrum of two megabytes,
+// and arbitrary lengths seldom repeat, so only the most recently used
+// plans are kept: at least 4, and two per P so that concurrent callers
+// of one length outlive the lengths others insert. No session's replay
+// builds a plan (the accelerometer's dominance comes from its own
+// power-of-two shaping transform); the callers are the audio-only
+// baseline score, the attack generators and the experiments.
 func bluesteinCacheSize() int { return max(4, 2*runtime.GOMAXPROCS(0)) }
 
 // bluesteinCache holds the bluesteinCacheSize most recently used plans,

@@ -15,11 +15,10 @@ import (
 // and far below anything a score could see.
 const shapeBound = 1e-11
 
-// powerBound is the same kind of bound for dsp.LowBandPower's two sums
-// against the sums of dspbench.PowerSpectrumLegacy, relative to the
-// total. Both sides add up to 35,000 rounded terms in different orders
-// (the worst case seen is 7e-12, all bins of a 70,000-sample signal), so
-// it is looser than shapeBound.
+// powerBound is the same kind of bound for dsp.ShapeDecimate's two power
+// sums against the sums of dspbench.PowerSpectrumLegacy of the
+// zero-padded signal, relative to the total. Both sides add up to 65,536
+// rounded terms in different orders, so it is looser than shapeBound.
 const powerBound = 2e-11
 
 // boundGains are the replay speaker's band-pass, which is zero at
@@ -70,70 +69,56 @@ func TestFrequencyShapeWithinBoundOfLegacy(t *testing.T) {
 // it must stay within shapeBound of shaping with the legacy pair and then
 // point-sampling with DecimateSampleHold, for every edge length, for
 // factors whose fold is 1 (1, 3), 16 (80) and 32 (160), and on the
-// all-zero signal exactly.
+// all-zero signal exactly. Its power sums must stay within powerBound of
+// summing the legacy power spectrum of the signal zero-padded to m =
+// NextPow2(n), for cuts at 0, at the replay's 500 Hz and at Nyquist; the
+// all-zero signal gives zero sums.
 func TestShapeDecimateWithinBoundOfLegacy(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
-		worst := 0.0
+		worst, worstPower := 0.0, 0.0
 		for _, n := range boundLengths {
 			x := randomReal(n, int64(n)+900)
+			m := dsp.NextPow2(n)
+			spec := dspbench.PowerSpectrumLegacy(append(x[:n:n], make([]float64, m-n)...))
 			for i, gain := range boundGains {
 				shaped := dspbench.FrequencyShapeLegacy(x, 16000, gain)
-				for _, factor := range []int{1, 3, 80, 160} {
+				for j, factor := range []int{1, 3, 80, 160} {
 					want, err := dsp.DecimateSampleHold(shaped, factor)
 					if err != nil {
 						t.Fatal(err)
 					}
-					d := relDev(dsp.ShapeDecimate(x, 16000, gain, factor), want)
+					cutHz := []float64{500, 0, 8000, 500}[j]
+					got, gotLow, gotTotal := dsp.ShapeDecimate(x, 16000, gain, factor, cutHz)
+					d := relDev(got, want)
 					if !(d <= shapeBound) {
 						t.Fatalf("n=%d gain %d factor %d: deviation %.3g of max|legacy|, bound %g",
 							n, i, factor, d, shapeBound)
 					}
 					worst = max(worst, d)
-				}
-			}
-		}
-		zero := dsp.ShapeDecimate(make([]float64, 45040), 16000, dspbench.ReplayGain, 80)
-		if len(zero) != 563 || dsp.MaxAbs(zero) != 0 {
-			t.Fatalf("all-zero signal: %d samples, max %v", len(zero), dsp.MaxAbs(zero))
-		}
-		t.Logf("largest deviation %.3g of max|legacy|", worst)
-	})
-}
-
-// LowBandPower packs an even signal into a half-length transform and
-// takes the total from Parseval; both sums must stay within powerBound of
-// summing the legacy exact-length power spectrum, for every edge length
-// (odd lengths keep the Bluestein PowerSpectrum), cuts at 0, at the
-// replay's 500 Hz and at Nyquist, and the all-zero signal gives zeros.
-func TestLowBandPowerWithinBoundOfLegacy(t *testing.T) {
-	forEachKernel(t, func(t *testing.T) {
-		worst := 0.0
-		for _, n := range boundLengths {
-			x := randomReal(n, int64(n)+1000)
-			spec := dspbench.PowerSpectrumLegacy(x)
-			for _, cut := range []int{0, dsp.FrequencyBin(500, n, 16000), n / 2} {
-				var low, total float64
-				for k, v := range spec[1:] {
-					total += v
-					if k+1 <= cut {
-						low += v
+					cut := dsp.FrequencyBin(cutHz, m, 16000)
+					var low, total float64
+					for k, v := range spec[1:] {
+						total += v
+						if k+1 <= cut {
+							low += v
+						}
 					}
+					p := max(math.Abs(gotLow-low), math.Abs(gotTotal-total))
+					if p != 0 {
+						p /= total // +Inf when only the legacy total is zero
+					}
+					if !(p <= powerBound) {
+						t.Fatalf("n=%d cut %v Hz: low %v total %v, legacy %v %v (deviation %.3g)",
+							n, cutHz, gotLow, gotTotal, low, total, p)
+					}
+					worstPower = max(worstPower, p)
 				}
-				gotLow, gotTotal := dsp.LowBandPower(x, cut)
-				d := max(math.Abs(gotLow-low), math.Abs(gotTotal-total))
-				if d != 0 {
-					d /= total // +Inf when only the legacy total is zero
-				}
-				if !(d <= powerBound) {
-					t.Fatalf("n=%d cut %d: low %v total %v, legacy %v %v (deviation %.3g)",
-						n, cut, gotLow, gotTotal, low, total, d)
-				}
-				worst = max(worst, d)
 			}
 		}
-		if low, total := dsp.LowBandPower(make([]float64, 45040), 1408); low != 0 || total != 0 {
-			t.Fatalf("all-zero signal: low %v total %v", low, total)
+		zero, low, total := dsp.ShapeDecimate(make([]float64, 45040), 16000, dspbench.ReplayGain, 80, 500)
+		if len(zero) != 563 || dsp.MaxAbs(zero) != 0 || low != 0 || total != 0 {
+			t.Fatalf("all-zero signal: %d samples, max %v, sums %v %v", len(zero), dsp.MaxAbs(zero), low, total)
 		}
-		t.Logf("largest deviation %.3g of the total", worst)
+		t.Logf("largest deviations %.3g of max|legacy|, power sums %.3g of the total", worst, worstPower)
 	})
 }
