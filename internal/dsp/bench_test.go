@@ -64,9 +64,8 @@ func BenchmarkSenseFeatures(b *testing.B) { runGroup(b, "SenseFeatures") }
 func BenchmarkMFCCExtract(b *testing.B) { runGroup(b, "MFCCExtract") }
 
 // BenchmarkWearableDrive measures the noise-free half of a sensing pass on
-// a replay-segment length: a loud drive, whose saturated noise level lets
-// the accelerometer skip the low-frequency dominance spectrum, and a quiet
-// one, which computes it.
+// a replay-segment length: a loud drive, whose noise level saturates, and
+// a quiet one, which does not.
 func BenchmarkWearableDrive(b *testing.B) { runGroup(b, "WearableDrive") }
 
 // BenchmarkSenseShared measures three sensing pairs that share one

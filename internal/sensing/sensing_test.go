@@ -161,10 +161,9 @@ func TestSameAudioSensedTwiceCorrelates(t *testing.T) {
 }
 
 // A steady-state sensing pass allocates only the slices its stages return
-// (the rendered sound, the coupled audio, the low-frequency power spectrum,
-// and the much shorter vibration-rate signals and features): the shaping
-// and Bluestein transforms borrow their 65536- and 131072-point scratch
-// from per-size pools, and the speaker applies its nonlinearity in place.
+// (the rendered sound and the much shorter vibration-rate signals and
+// features): the shaping transforms borrow their scratch from per-size
+// pools, and the speaker applies its nonlinearity in place.
 func TestSenseFeaturesSteadyStateAllocatesOnlyResults(t *testing.T) {
 	const n = 45040 // a replay-segment length, not a power of two
 	w := device.NewFossilGen5()
@@ -174,7 +173,7 @@ func TestSenseFeaturesSteadyStateAllocatesOnlyResults(t *testing.T) {
 	for i := range audio {
 		audio[i] = math.Sin(2*math.Pi*440*float64(i)/16000) + 0.1*rng.NormFloat64()
 	}
-	// Warm the plans, the Bluestein tables for this length, and the pools;
+	// Warm the plans and the pools;
 	// hold the collector off so it cannot empty the pools mid-measurement.
 	if _, err := SenseFeatures(w, audio, cfg, rng); err != nil {
 		t.Fatal(err)
