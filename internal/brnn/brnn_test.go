@@ -1,8 +1,10 @@
 package brnn
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -306,6 +308,43 @@ func TestSequenceValidate(t *testing.T) {
 	bad = Sequence{Inputs: [][]float64{{1, 2, 3}}, Labels: []int{5}}
 	if err := bad.Validate(m); err == nil {
 		t.Error("label out of range should error")
+	}
+	for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		bad = Sequence{Inputs: [][]float64{{1, 2, 3}, {4, v, 6}}, Labels: []int{0, 1}}
+		err := bad.Validate(m)
+		if err == nil || !strings.Contains(err.Error(), "frame 1 dim 1") {
+			t.Errorf("feature %v: error %v, want one naming frame 1 dim 1", v, err)
+		}
+	}
+}
+
+// A non-finite feature fails Train before any step, so the model keeps
+// its weights instead of turning them all into NaN.
+func TestTrainRejectsNonFiniteFeatures(t *testing.T) {
+	m, err := New(Config{InputDim: 3, HiddenDim: 4, NumClasses: 2, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, err := m.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := NewTrainer(m, DefaultTrainConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	good := randomSeq(5, 3, 2, 1)
+	bad := randomSeq(5, 3, 2, 2)
+	bad.Inputs[2][0] = math.NaN()
+	if losses, err := tr.Train([]Sequence{good, bad}); err == nil {
+		t.Fatalf("Train accepted a NaN feature: losses %v", losses)
+	}
+	after, err := m.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Error("a rejected training set changed the weights")
 	}
 }
 

@@ -13,26 +13,34 @@ const gemmPackedLanes = 16
 // a single accumulator, which keeps the packed path bit-identical to
 // gemmNT and to the per-frame reference kernels.
 //
-// The packing is a snapshot: build a packedNT only after the weights are
-// final (inference sessions, not training steps). The up-to-15 tail rows
-// that do not fill a block are served straight from the original row-major
-// weights by the scalar kernel.
+// The packing is a snapshot of the weights: inference sessions pack once,
+// and a training step repacks into the same buffers (repack) after every
+// update. The up-to-15 tail rows that do not fill a block are served
+// straight from the original row-major weights by the scalar kernel.
 type packedNT struct {
 	k, r int
-	w    []float64 // original row-major rows, shared read-only with the model
-	blk  []float64 // interleaved 16-lane blocks; nil off amd64 or when r < 16
+	w    []float64 // original row-major rows, shared read-only with the caller
+	blk  []float64 // interleaved 16-lane blocks; empty off amd64 or when r < 16
 }
 
 // packNT prepares W (r rows of k values, row-major) for apply. On
 // architectures without the packed kernel it records the shape only and
 // apply falls back to the pure-Go blocked kernel.
 func packNT(w []float64, k, r int) packedNT {
-	p := packedNT{k: k, r: r, w: w}
+	var p packedNT
+	p.repack(w, k, r)
+	return p
+}
+
+// repack is packNT into p's existing block buffer, which grows only when
+// the new shape needs more room.
+func (p *packedNT) repack(w []float64, k, r int) {
+	p.k, p.r, p.w = k, r, w
 	nblk := r / gemmPackedLanes
-	if !gemmPackedEnabled || nblk == 0 {
-		return p
+	if !gemmPackedEnabled {
+		nblk = 0
 	}
-	p.blk = make([]float64, nblk*gemmPackedLanes*k)
+	p.blk = growF(p.blk, nblk*gemmPackedLanes*k)
 	for b := 0; b < nblk; b++ {
 		dst := p.blk[b*gemmPackedLanes*k:]
 		for c := 0; c < k; c++ {
@@ -41,7 +49,6 @@ func packNT(w []float64, k, r int) packedNT {
 			}
 		}
 	}
-	return p
 }
 
 // apply computes out = X·Wᵀ for n packed input rows: X is n rows of k
@@ -49,7 +56,7 @@ func packNT(w []float64, k, r int) packedNT {
 // gemmNT(out, x, w, n, k, r).
 func (p *packedNT) apply(out, x []float64, n int) {
 	k, r := p.k, p.r
-	if p.blk == nil {
+	if len(p.blk) == 0 {
 		gemmNT(out, x, p.w, n, k, r)
 		return
 	}

@@ -243,7 +243,7 @@ func (inf *Inference) ForwardBatch(seqs [][][]float64) ([][][]float64, error) {
 	}
 
 	// Dense head over every frame in one blocked pass, then the softmax of
-	// the reference path, expression for expression.
+	// the reference path.
 	inf.probs = growF(inf.probs, N*C)
 	inf.pd.apply(inf.probs, inf.comb, N)
 	if cap(inf.prows) < N {
@@ -253,20 +253,7 @@ func (inf *Inference) ForwardBatch(seqs [][][]float64) ([][][]float64, error) {
 	bias := m.denseBias
 	for i := 0; i < N; i++ {
 		p := inf.probs[i*C : i*C+C]
-		maxL := math.Inf(-1)
-		for k, v := range p {
-			if v+bias[k] > maxL {
-				maxL = v + bias[k]
-			}
-		}
-		sum := 0.0
-		for k, v := range p {
-			p[k] = math.Exp(v + bias[k] - maxL)
-			sum += p[k]
-		}
-		for k := range p {
-			p[k] /= sum
-		}
+		softmax(p, bias)
 		inf.prows[i] = p
 	}
 

@@ -118,34 +118,40 @@ func (m *Model) classify(fwdTr, bwdTr *lstmTrace) ([][]float64, error) {
 	T := len(fwdTr.hidden)
 	probs := make([][]float64, T)
 	combined := make([]float64, m.hiddenDim)
-	logits := make([]float64, m.numClasses)
 	for t := 0; t < T; t++ {
 		hf := fwdTr.hidden[t]
 		hb := bwdTr.hidden[T-1-t]
 		for j := 0; j < m.hiddenDim; j++ {
 			combined[j] = hf[j] + hb[j]
 		}
-		if err := m.dense.MulVec(combined, logits); err != nil {
+		p := make([]float64, m.numClasses)
+		if err := m.dense.MulVec(combined, p); err != nil {
 			return nil, err
 		}
-		p := make([]float64, m.numClasses)
-		maxL := math.Inf(-1)
-		for k, v := range logits {
-			if v+m.denseBias[k] > maxL {
-				maxL = v + m.denseBias[k]
-			}
-		}
-		sum := 0.0
-		for k, v := range logits {
-			p[k] = math.Exp(v + m.denseBias[k] - maxL)
-			sum += p[k]
-		}
-		for k := range p {
-			p[k] /= sum
-		}
+		softmax(p, m.denseBias)
 		probs[t] = p
 	}
 	return probs, nil
+}
+
+// softmax turns the logits in p into probabilities in place, adding bias
+// first. Every forward path and the training step share it, so their
+// probabilities round alike.
+func softmax(p, bias []float64) {
+	maxL := math.Inf(-1)
+	for k, v := range p {
+		if v+bias[k] > maxL {
+			maxL = v + bias[k]
+		}
+	}
+	sum := 0.0
+	for k, v := range p {
+		p[k] = math.Exp(v + bias[k] - maxL)
+		sum += p[k]
+	}
+	for k := range p {
+		p[k] /= sum
+	}
 }
 
 // Predict returns the argmax class per frame.

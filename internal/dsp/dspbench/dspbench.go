@@ -59,21 +59,17 @@ func legacyRadix2(x []complex128, inverse bool) {
 	}
 }
 
-// legacyBluestein is the historical per-call chirp-z transform for
+// legacyBluestein is the historical per-call chirp-z forward transform for
 // non-power-of-two lengths: the chirp and the filter spectrum are rebuilt on
 // every call and every transform runs through legacyRadix2. The planned
 // Bluestein path is its bit-exact descendant.
-func legacyBluestein(x []complex128, inverse bool) []complex128 {
+func legacyBluestein(x []complex128) []complex128 {
 	n := len(x)
 	m := dsp.NextPow2(2*n - 1)
-	sign := -1.0
-	if inverse {
-		sign = 1.0
-	}
 	chirp := make([]complex128, n)
 	for k := range chirp {
 		kk := (int64(k) * int64(k)) % int64(2*n)
-		angle := sign * math.Pi * float64(kk) / float64(n)
+		angle := -math.Pi * float64(kk) / float64(n)
 		chirp[k] = cmplx.Rect(1, angle)
 	}
 	filt := make([]complex128, m)
@@ -101,28 +97,23 @@ func legacyBluestein(x []complex128, inverse bool) []complex128 {
 	return out
 }
 
-// legacyTransform dispatches like the historical dsp.FFT: radix-2 for
-// powers of two, Bluestein otherwise. The result is a fresh slice.
-func legacyTransform(x []complex128, inverse bool) []complex128 {
-	n := len(x)
-	if n&(n-1) != 0 {
-		return legacyBluestein(x, inverse)
+// FFTLegacy computes the DFT of x with the historical per-call transform
+// (fresh output slice, twiddles and chirps recomputed): radix-2 for powers
+// of two, Bluestein otherwise.
+func FFTLegacy(x []complex128) []complex128 {
+	if n := len(x); n&(n-1) != 0 {
+		return legacyBluestein(x)
 	}
-	out := make([]complex128, n)
-	copy(out, x)
-	legacyRadix2(out, inverse)
+	out := append([]complex128(nil), x...)
+	legacyRadix2(out, false)
 	return out
 }
 
-// FFTLegacy computes the DFT of x with the historical per-call transform
-// (fresh output slice, twiddles and chirps recomputed). Any length works.
-func FFTLegacy(x []complex128) []complex128 {
-	return legacyTransform(x, false)
-}
-
-// IFFTLegacy is the historical inverse transform including 1/N scaling.
+// IFFTLegacy is the historical radix-2 inverse transform of a power-of-two
+// length, including 1/N scaling.
 func IFFTLegacy(x []complex128) []complex128 {
-	out := legacyTransform(x, true)
+	out := append([]complex128(nil), x...)
+	legacyRadix2(out, true)
 	inv := 1 / float64(len(x))
 	for i := range out {
 		out[i] = complex(real(out[i])*inv, imag(out[i])*inv)
@@ -138,7 +129,7 @@ func PowerSpectrumLegacy(x []float64) []float64 {
 	for i, v := range x {
 		cx[i] = complex(v, 0)
 	}
-	cx = legacyTransform(cx, false)
+	cx = FFTLegacy(cx)
 	half := len(x)/2 + 1
 	out := make([]float64, half)
 	for i := 0; i < half; i++ {

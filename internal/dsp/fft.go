@@ -1,5 +1,5 @@
 // Package dsp provides the digital signal processing primitives that the
-// rest of the system is built on: FFT/IFFT for arbitrary lengths, windowed
+// rest of the system is built on: planned FFTs, spectra of any length, windowed
 // short-time analysis, IIR/FIR filtering, correlation (1D and 2D), the
 // DCT-II used by MFCC extraction, mel filterbanks, resampling, and test
 // signal generators.
@@ -12,8 +12,8 @@
 // permutations and twiddle tables are precomputed once per power-of-two
 // length and cached process-wide, so repeated transforms of the same size —
 // the normal case in every pipeline stage — do no trigonometric work and no
-// table allocation. Bluestein chirp filters for other lengths are built
-// per direction on first use and kept in a small cache of the most
+// table allocation. Bluestein chirp filters for the spectra of other
+// lengths are built on first use and kept in a small cache of the most
 // recently used lengths, since arbitrary lengths seldom repeat.
 package dsp
 
@@ -21,41 +21,6 @@ import (
 	"fmt"
 	"math"
 )
-
-// FFT computes the discrete Fourier transform of x.
-//
-// The input may have any length: power-of-two lengths use a planned
-// iterative radix-2 Cooley-Tukey transform, and all other lengths fall back
-// to Bluestein's chirp-z algorithm (also planned). The input slice is not
-// modified.
-func FFT(x []complex128) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	if n&(n-1) == 0 {
-		return mustPlanFFT(n).Forward(nil, x)
-	}
-	return planBluestein(n).transform(x, false)
-}
-
-// IFFT computes the inverse discrete Fourier transform of x, including the
-// 1/N normalization, so that IFFT(FFT(x)) == x up to rounding error.
-func IFFT(x []complex128) []complex128 {
-	n := len(x)
-	if n == 0 {
-		return nil
-	}
-	if n&(n-1) == 0 {
-		return mustPlanFFT(n).Inverse(nil, x)
-	}
-	out := planBluestein(n).transform(x, true)
-	inv := 1 / float64(n)
-	for i := range out {
-		out[i] = complex(real(out[i])*inv, imag(out[i])*inv)
-	}
-	return out
-}
 
 // mustPlanRealFFT is PlanRealFFT for lengths already known to be powers of
 // two.
@@ -65,19 +30,6 @@ func mustPlanRealFFT(n int) *RealFFTPlan {
 		panic(err)
 	}
 	return p
-}
-
-// Magnitude returns |x| for each bin of a complex spectrum. The plain
-// sqrt(re^2+im^2) form is used instead of cmplx.Abs: the overflow-guarded
-// hypot is measurably slower on the hot path and spectra of unit-scale
-// audio never approach the ~1e154 squaring overflow bound.
-func Magnitude(x []complex128) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		re, im := real(v), imag(v)
-		out[i] = math.Sqrt(re*re + im*im)
-	}
-	return out
 }
 
 // MagnitudeSpectrum computes the single-sided magnitude spectrum of a real

@@ -14,25 +14,19 @@ func approxEqual(a, b, tol float64) bool {
 	return math.Abs(a-b) <= tol
 }
 
-// fftOfReal is the full complex spectrum of a real signal.
-func fftOfReal(x []float64) []complex128 {
-	cx := make([]complex128, len(x))
-	for i, v := range x {
-		cx[i] = complex(v, 0)
-	}
-	return FFT(cx)
-}
+// fft is the planned forward transform of x (a power-of-two length).
+func fft(x []complex128) []complex128 { return mustPlanFFT(len(x)).Forward(nil, x) }
 
 func TestFFTKnownValues(t *testing.T) {
 	// FFT of [1, 0, 0, 0] is all-ones.
-	out := FFT([]complex128{1, 0, 0, 0})
+	out := fft([]complex128{1, 0, 0, 0})
 	for i, v := range out {
 		if cmplx.Abs(v-1) > eps {
 			t.Errorf("bin %d = %v, want 1", i, v)
 		}
 	}
 	// FFT of a constant is an impulse at DC.
-	out = FFT([]complex128{2, 2, 2, 2})
+	out = fft([]complex128{2, 2, 2, 2})
 	if cmplx.Abs(out[0]-8) > eps {
 		t.Errorf("DC bin = %v, want 8", out[0])
 	}
@@ -50,11 +44,11 @@ func TestFFTSineBinLocation(t *testing.T) {
 	for i := range x {
 		x[i] = math.Sin(2 * math.Pi * float64(k) * float64(i) / n)
 	}
-	mag := Magnitude(fftOfReal(x))
-	// Expect peaks exactly at bins k and n-k of height n/2.
-	for i := 0; i < n; i++ {
+	mag := MagnitudeSpectrum(x)
+	// Expect a peak exactly at bin k of height n/2.
+	for i := range mag {
 		want := 0.0
-		if i == k || i == n-k {
+		if i == k {
 			want = n / 2
 		}
 		if !approxEqual(mag[i], want, 1e-6) {
@@ -70,7 +64,8 @@ func TestFFTRoundTripPow2(t *testing.T) {
 		for i := range x {
 			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 		}
-		back := IFFT(FFT(x))
+		p := mustPlanFFT(n)
+		back := p.Inverse(nil, p.Forward(nil, x))
 		for i := range x {
 			if cmplx.Abs(back[i]-x[i]) > 1e-8 {
 				t.Fatalf("n=%d: roundtrip[%d] = %v, want %v", n, i, back[i], x[i])
@@ -79,44 +74,31 @@ func TestFFTRoundTripPow2(t *testing.T) {
 	}
 }
 
-func TestFFTRoundTripArbitraryLength(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	for _, n := range []int{3, 5, 7, 12, 100, 441, 1000} {
-		x := make([]complex128, n)
-		for i := range x {
-			x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
-		}
-		back := IFFT(FFT(x))
-		for i := range x {
-			if cmplx.Abs(back[i]-x[i]) > 1e-7 {
-				t.Fatalf("n=%d: roundtrip[%d] = %v, want %v", n, i, back[i], x[i])
-			}
-		}
-	}
-}
-
+// The Bluestein path serves the spectra of lengths that are not powers of
+// two.
 func TestBluesteinMatchesNaiveDFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 13
-	x := make([]complex128, n)
+	x := make([]float64, n)
 	for i := range x {
-		x[i] = complex(rng.NormFloat64(), rng.NormFloat64())
+		x[i] = rng.NormFloat64()
 	}
-	got := FFT(x)
-	for k := 0; k < n; k++ {
+	got := PowerSpectrum(x)
+	for k := range got {
 		var want complex128
 		for j := 0; j < n; j++ {
 			angle := -2 * math.Pi * float64(k*j) / float64(n)
-			want += x[j] * cmplx.Rect(1, angle)
+			want += complex(x[j], 0) * cmplx.Rect(1, angle)
 		}
-		if cmplx.Abs(got[k]-want) > 1e-8 {
-			t.Errorf("bin %d = %v, want %v", k, got[k], want)
+		if w := real(want)*real(want) + imag(want)*imag(want); math.Abs(got[k]-w) > 1e-8 {
+			t.Errorf("bin %d = %v, want %v", k, got[k], w)
 		}
 	}
 }
 
 // Property: Parseval's theorem — energy in time domain equals energy in the
-// frequency domain divided by N.
+// frequency domain divided by N. The single-sided spectrum counts every bin
+// but DC and (for even N) Nyquist twice.
 func TestFFTParsevalProperty(t *testing.T) {
 	f := func(vals []float64) bool {
 		if len(vals) == 0 {
@@ -134,10 +116,14 @@ func TestFFTParsevalProperty(t *testing.T) {
 			}
 		}
 		timeEnergy := Energy(vals)
-		spec := fftOfReal(vals)
+		n := len(vals)
 		freqEnergy := 0.0
-		for _, v := range spec {
-			freqEnergy += real(v)*real(v) + imag(v)*imag(v)
+		for k, v := range PowerSpectrum(vals) {
+			if k == 0 || 2*k == n {
+				freqEnergy += v
+			} else {
+				freqEnergy += 2 * v
+			}
 		}
 		freqEnergy /= float64(len(vals))
 		tol := 1e-6 * (1 + timeEnergy)
@@ -161,7 +147,7 @@ func TestFFTLinearityProperty(t *testing.T) {
 			b[i] = complex(rng.NormFloat64(), rng.NormFloat64())
 			sum[i] = a[i] + b[i]
 		}
-		fa, fb, fsum := FFT(a), FFT(b), FFT(sum)
+		fa, fb, fsum := fft(a), fft(b), fft(sum)
 		for i := 0; i < n; i++ {
 			if cmplx.Abs(fsum[i]-(fa[i]+fb[i])) > 1e-8 {
 				t.Fatalf("n=%d bin %d: FFT(a+b) != FFT(a)+FFT(b)", n, i)
@@ -171,49 +157,48 @@ func TestFFTLinearityProperty(t *testing.T) {
 }
 
 func TestFFTDoesNotModifyInput(t *testing.T) {
-	x := []complex128{1, 2, 3, 4, 5}
-	orig := make([]complex128, len(x))
-	copy(orig, x)
-	FFT(x)
+	x := []complex128{1, 2, 3, 4}
+	orig := append([]complex128(nil), x...)
+	fft(x)
+	r := []float64{1, 2, 3, 4, 5}
+	origR := append([]float64(nil), r...)
+	PowerSpectrum(r)
+	MagnitudeSpectrum(r)
 	for i := range x {
 		if x[i] != orig[i] {
-			t.Fatalf("input modified at %d", i)
+			t.Fatalf("complex input modified at %d", i)
+		}
+	}
+	for i := range r {
+		if r[i] != origR[i] {
+			t.Fatalf("real input modified at %d", i)
 		}
 	}
 }
 
 func TestFFTEmpty(t *testing.T) {
-	if out := FFT(nil); out != nil {
-		t.Errorf("FFT(nil) = %v, want nil", out)
+	if out := PowerSpectrum(nil); out != nil {
+		t.Errorf("PowerSpectrum(nil) = %v, want nil", out)
 	}
-	if out := IFFT(nil); out != nil {
-		t.Errorf("IFFT(nil) = %v, want nil", out)
+	if out := MagnitudeSpectrum(nil); out != nil {
+		t.Errorf("MagnitudeSpectrum(nil) = %v, want nil", out)
 	}
 }
 
-// TestMagnitudeLargeBins covers the cmplx.Abs -> sqrt(re^2+im^2) swap:
-// the plain form must stay exact for bins far beyond any audio scale
-// (squaring overflows only past ~1.3e154, which spectra of unit-scale
-// signals never approach).
+// TestMagnitudeLargeBins covers the plain sqrt(re^2+im^2) form of the
+// magnitude spectrum: it must stay exact for bins far beyond any audio
+// scale (squaring overflows only past ~1.3e154, which spectra of
+// unit-scale signals never approach). x = s·(1, 2, 3, 4) has the bins
+// 10s, |-2s+2is| = 2√2·s and 2s.
 func TestMagnitudeLargeBins(t *testing.T) {
-	x := []complex128{
-		complex(3e150, 4e150),
-		complex(-3e150, 4e150),
-		complex(0, -7e152),
-		complex(1e-150, 0), // squaring still in range; ~1e-154 is the floor
-		0,
-	}
-	want := []float64{5e150, 5e150, 7e152, 1e-150, 0}
-	got := Magnitude(x)
-	for i := range want {
-		if want[i] == 0 {
-			if got[i] != 0 {
-				t.Errorf("bin %d: |0| = %v", i, got[i])
+	for _, scale := range []float64{1e150, 1e-150} {
+		x := []float64{scale, 2 * scale, 3 * scale, 4 * scale}
+		want := []float64{10 * scale, 2 * math.Sqrt2 * scale, 2 * scale}
+		got := MagnitudeSpectrum(x)
+		for i := range want {
+			if math.Abs(got[i]-want[i]) > 1e-12*want[i] {
+				t.Errorf("scale %g bin %d: magnitude %v, want %v", scale, i, got[i], want[i])
 			}
-			continue
-		}
-		if math.Abs(got[i]-want[i]) > 1e-12*want[i] {
-			t.Errorf("bin %d: magnitude %v, want %v", i, got[i], want[i])
 		}
 	}
 }
@@ -273,18 +258,18 @@ func BenchmarkFFT1024(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		FFT(x)
+		fft(x)
 	}
 }
 
 func BenchmarkBluestein1000(b *testing.B) {
-	x := make([]complex128, 1000)
+	x := make([]float64, 1000)
 	for i := range x {
-		x[i] = complex(math.Sin(float64(i)), 0)
+		x[i] = math.Sin(float64(i))
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		FFT(x)
+		PowerSpectrum(x)
 	}
 }

@@ -3,6 +3,7 @@ package dsp
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // HzToMel converts a frequency in Hz to the mel scale (O'Shaughnessy).
@@ -90,6 +91,9 @@ func NewMelFilterbank(numChannels, fftSize int, sampleRate, lowHz, highHz float6
 	}
 	return &MelFilterbank{filters: filters, first: first, last: last, numBins: numBins}, nil
 }
+
+// LastBin returns the highest power-spectrum bin any channel reads.
+func (m *MelFilterbank) LastBin() int { return slices.Max(m.last) }
 
 // NumChannels returns the number of filterbank channels.
 func (m *MelFilterbank) NumChannels() int { return len(m.filters) }

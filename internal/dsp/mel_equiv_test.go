@@ -77,3 +77,58 @@ func TestMelRangeBitIdenticalToDenseScan(t *testing.T) {
 		}
 	}
 }
+
+// The MFCC extractor unpacks only the power bins up to the filterbank's
+// last read bin (LowPowerInto). Each of those bins must carry the bits of
+// the full-spectrum PowerInto, for every cut down to DC alone, and the
+// filterbank energies of the partial spectrum (zero past the cut) must
+// equal those of the full one bit for bit. The MFCC bank (0-900 Hz, 40
+// channels, 512 points at 16 kHz) reads bins 0-28 of 257.
+func TestMelLowBinsBitIdenticalToFullSpectrum(t *testing.T) {
+	for _, bk := range []struct {
+		channels, fftSize int
+		rate, lo, hi      float64
+		last              int
+	}{
+		{40, 512, 16000, 0, 900, 28},
+		{26, 512, 16000, 0, 8000, 255},
+		{10, 64, 200, 5, 100, 31},
+		{4, 2, 200, 0, 100, 1},
+	} {
+		fb, err := dsp.NewMelFilterbank(bk.channels, bk.fftSize, bk.rate, bk.lo, bk.hi)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := fb.LastBin(); got != bk.last {
+			t.Errorf("bank %+v: last bin %d, want %d", bk, got, bk.last)
+		}
+		for c := 0; c < fb.NumChannels(); c++ {
+			for k, w := range fb.Weights(c)[fb.LastBin()+1:] {
+				if w != 0 {
+					t.Fatalf("bank %+v: channel %d weighs bin %d past the last bin", bk, c, fb.LastBin()+1+k)
+				}
+			}
+		}
+		plan, err := dsp.PlanRealFFT(bk.fftSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		x := randomReal(bk.fftSize, int64(bk.fftSize))
+		full := plan.PowerInto(nil, x, nil)
+		for bins := 1; bins <= plan.NumBins(); bins++ {
+			if i := sameFloatBits(plan.LowPowerInto(nil, x, nil, bins), full[:bins]); i >= 0 {
+				t.Fatalf("n=%d, %d bins: bin %d differs from the full spectrum", bk.fftSize, bins, i)
+			}
+		}
+		low := make([]float64, plan.NumBins())
+		plan.LowPowerInto(low, x, plan.Scratch(), fb.LastBin()+1)
+		want, _ := fb.Apply(full)
+		got, err := fb.Apply(low)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i := sameFloatBits(got, want); i >= 0 {
+			t.Fatalf("bank %+v: channel %d = %v from the low bins, %v from the full spectrum", bk, i, got[i], want[i])
+		}
+	}
+}

@@ -92,38 +92,28 @@ func TestPlanBitIdenticalToLegacyFFT(t *testing.T) {
 		for _, n := range []int{1, 2, 4, 8, 64, 256, 1024, 4096, 65536, 131072} {
 			x := randomComplex(n, int64(n))
 			x[0] = complex(math.Copysign(0, -1), 0) // a signed zero must survive
-			if i := sameBits(dsp.FFT(x), dspbench.FFTLegacy(x)); i >= 0 {
+			p, err := dsp.PlanFFT(n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if i := sameBits(p.Forward(nil, x), dspbench.FFTLegacy(x)); i >= 0 {
 				t.Fatalf("n=%d: forward differs from legacy at bin %d", n, i)
 			}
-			if i := sameBits(dsp.IFFT(x), dspbench.IFFTLegacy(x)); i >= 0 {
+			if i := sameBits(p.Inverse(nil, x), dspbench.IFFTLegacy(x)); i >= 0 {
 				t.Fatalf("n=%d: inverse differs from legacy at bin %d", n, i)
 			}
 		}
 	})
 }
 
-// Non-power-of-two transforms go through the planned Bluestein path, whose
+// Non-power-of-two spectra go through the planned Bluestein path, whose
 // folded permutations and pooled scratch must reproduce the per-call
-// chirp-z reference bit for bit, in both directions.
-func TestBluesteinBitIdenticalToLegacy(t *testing.T) {
-	forEachKernel(t, func(t *testing.T) {
-		for _, n := range []int{3, 5, 100, 1000, 45040} {
-			x := randomComplex(n, int64(n)+400)
-			if i := sameBits(dsp.FFT(x), dspbench.FFTLegacy(x)); i >= 0 {
-				t.Fatalf("n=%d: forward differs from legacy at bin %d", n, i)
-			}
-			if i := sameBits(dsp.IFFT(x), dspbench.IFFTLegacy(x)); i >= 0 {
-				t.Fatalf("n=%d: inverse differs from legacy at bin %d", n, i)
-			}
-		}
-	})
-}
-
-// The non-power-of-two power and magnitude spectra compute only the n/2+1
-// bins they return; each must carry the bits of the full legacy transform.
+// chirp-z reference bit for bit. The power and magnitude spectra compute
+// only the n/2+1 bins they return; each must carry the bits of the full
+// legacy transform.
 func TestBluesteinPowerSpectrumBitIdentical(t *testing.T) {
 	forEachKernel(t, func(t *testing.T) {
-		for _, n := range []int{3, 6, 1000, 38880, 45040} {
+		for _, n := range []int{3, 5, 6, 100, 1000, 38880, 45040} {
 			x := randomReal(n, int64(n)+500)
 			want := dspbench.PowerSpectrumLegacy(x)
 			if i := sameFloatBits(dsp.PowerSpectrum(x), want); i >= 0 {
@@ -158,10 +148,12 @@ func TestPlanNonFiniteInputsMatchLegacyNaNness(t *testing.T) {
 			x[3] = complex(math.NaN(), 0)
 			x[n/2] = complex(math.Inf(1), 1)
 			x[n-1] = complex(2, math.Inf(-1))
-			got, want := dsp.FFT(x), dspbench.FFTLegacy(x)
-			for i := range want {
-				if !same(real(got[i]), real(want[i])) || !same(imag(got[i]), imag(want[i])) {
-					t.Fatalf("n=%d bin %d: %v, legacy %v", n, i, got[i], want[i])
+			if p, err := dsp.PlanFFT(n); err == nil {
+				got, want := p.Forward(nil, x), dspbench.FFTLegacy(x)
+				for i := range want {
+					if !same(real(got[i]), real(want[i])) || !same(imag(got[i]), imag(want[i])) {
+						t.Fatalf("n=%d bin %d: %v, legacy %v", n, i, got[i], want[i])
+					}
 				}
 			}
 			r := randomReal(n, int64(n)+800)
@@ -347,11 +339,11 @@ func TestPlanRejectsInvalidLengths(t *testing.T) {
 
 func TestPlanForwardInPlaceAliasing(t *testing.T) {
 	x := randomComplex(256, 7)
-	want := dsp.FFT(x)
 	p, err := dsp.PlanFFT(256)
 	if err != nil {
 		t.Fatal(err)
 	}
+	want := p.Forward(nil, x)
 	buf := make([]complex128, 256)
 	copy(buf, x)
 	got := p.Forward(buf, buf) // dst aliases src: transform in place

@@ -146,21 +146,20 @@ func (e *Extractor) Extract(audio []float64) ([][]float64, error) {
 	// allocated per frame.
 	nc := e.dct.NumCoeffs()
 	coeffs := make([]float64, numFrames*nc)
+	// Past the frame, buf stays zero; the filterbank reads only the power
+	// bins up to its last, so only those are unpacked and the rest stay 0.
 	buf := make([]float64, e.fftSize)
 	scratch := e.plan.Scratch()
 	power := make([]float64, e.plan.NumBins())
+	bins := e.bank.LastBin() + 1
 	energies := make([]float64, e.bank.NumChannels())
 	logE := make([]float64, e.bank.NumChannels())
 	for idx := 0; idx < numFrames; idx++ {
-		start := idx * e.shiftLen
-		for i := 0; i < e.fftSize; i++ {
-			if i < e.frameLen {
-				buf[i] = x[start+i] * e.window[i]
-			} else {
-				buf[i] = 0
-			}
+		frame := x[idx*e.shiftLen : idx*e.shiftLen+e.frameLen]
+		for i, w := range e.window {
+			buf[i] = frame[i] * w
 		}
-		e.plan.PowerInto(power, buf, scratch)
+		e.plan.LowPowerInto(power, buf, scratch, bins)
 		if _, err := e.bank.ApplyInto(energies, power); err != nil {
 			return nil, fmt.Errorf("mfcc: %w", err)
 		}

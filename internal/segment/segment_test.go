@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"encoding/gob"
 	"fmt"
+	"math"
+	"strings"
 	"sync"
 	"testing"
 
@@ -179,6 +181,21 @@ func TestTrainErrors(t *testing.T) {
 	short := &phoneme.Utterance{Samples: make([]float64, 10)}
 	if _, err := d.Train([]*phoneme.Utterance{short}, brnn.DefaultTrainConfig()); err == nil {
 		t.Error("too-short utterance should error")
+	}
+}
+
+// An utterance with one NaN sample yields non-finite MFCC features;
+// Train reports it instead of training every weight into NaN.
+func TestTrainRejectsNonFiniteFeatures(t *testing.T) {
+	d, err := NewDetector(selection.CanonicalSelected(), smallModelCfg())
+	if err != nil {
+		t.Fatal(err)
+	}
+	utts := trainingUtterances(t, 1, 2)
+	utts[1].Samples[len(utts[1].Samples)/2] = math.NaN()
+	_, err = d.Train(utts, brnn.TrainConfig{Epochs: 1, LearningRate: 0.01, ClipNorm: 5, Seed: 1})
+	if err == nil || !strings.Contains(err.Error(), "finite") {
+		t.Fatalf("Train on a NaN sample: error %v, want a non-finite feature error", err)
 	}
 }
 
