@@ -43,3 +43,7 @@ func BenchmarkMulMat(b *testing.B) { runGroup(b, "MulMat") }
 // BenchmarkTrainStep measures one training step on the paper config, the
 // two LSTM directions running concurrently.
 func BenchmarkTrainStep(b *testing.B) { runGroup(b, "TrainStep") }
+
+// BenchmarkGateRow measures one frame's LSTM gate row on the paper's 64
+// units: four sigmoid or tanh gates, the cell and the hidden state.
+func BenchmarkGateRow(b *testing.B) { runGroup(b, "GateRow") }

@@ -159,6 +159,21 @@ func Cases() []Case {
 				}
 			}
 		}},
+		// One frame's gates on the paper's 64 units, the cell in place.
+		{"GateRow", "64", func(b *testing.B) {
+			const H = 64
+			rng := rand.New(rand.NewSource(4))
+			zx, zh, bias, gates := make([]float64, 4*H), make([]float64, 4*H), make([]float64, 4*H), make([]float64, 4*H)
+			cell, tc, hid := make([]float64, H), make([]float64, H), make([]float64, H)
+			for i := range zx {
+				zx[i], zh[i], bias[i] = 2*rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()/4
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				brnn.GateRow(zx, zh, bias, gates, cell, tc, hid)
+			}
+		}},
 		{"MulMat", "blocked-100x14x256", func(b *testing.B) {
 			rng := rand.New(rand.NewSource(3))
 			w := brnn.NewMatrixRandom(256, 14, rng)

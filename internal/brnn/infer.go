@@ -1,9 +1,6 @@
 package brnn
 
-import (
-	"fmt"
-	"math"
-)
+import "fmt"
 
 // Inference is a reusable inference session for one Model: it owns every
 // scratch buffer the batched forward pass needs, so steady-state inference
@@ -43,6 +40,8 @@ type Inference struct {
 	// Per-step recurrence scratch (B = batch size).
 	zh    []float64 // B x 4H recurrent pre-activations
 	cells []float64 // B x H cell states, overwritten in place per step
+	gates []float64 // 4H gate values of one row (gateRow's output, unread)
+	tc    []float64 // H tanh c_t of one row (likewise)
 	// Dense head scratch: combined hidden states in sequence-major output
 	// order, then logits+bias and probabilities per frame.
 	comb  []float64   // N x H
@@ -271,46 +270,25 @@ func (inf *Inference) ForwardBatch(seqs [][][]float64) ([][][]float64, error) {
 // recur runs one direction's LSTM recurrence over the ragged time-major
 // pre-activations zx, writing hidden states into h. The recurrent
 // projection of each step covers every active sequence in one blocked
-// pass over wh. The gate arithmetic matches lstmCell.forward expression
+// pass over wh. gateRow's arithmetic matches lstmCell.forward expression
 // for expression, so each hidden state is bit-identical to the reference.
 func (inf *Inference) recur(c *lstmCell, wh *packedNT, zx, h []float64, off []int, maxT int) {
 	H := c.hiddenDim
-	bias := c.b
+	inf.gates, inf.tc = growF(inf.gates, 4*H), growF(inf.tc, H)
 	for t := 0; t < maxT; t++ {
 		act := off[t+1] - off[t]
 		if t == 0 {
 			// Wh · 0 is exactly +0 in the reference too.
-			zh := inf.zh[:act*4*H]
-			for i := range zh {
-				zh[i] = 0
-			}
-			cells := inf.cells[:act*H]
-			for i := range cells {
-				cells[i] = 0
-			}
+			clear(inf.zh[:act*4*H])
+			clear(inf.cells[:act*H])
 		} else {
 			prevH := h[off[t-1]*H : (off[t-1]+act)*H]
 			wh.apply(inf.zh, prevH, act)
 		}
 		for pos := 0; pos < act; pos++ {
 			row := off[t] + pos
-			zxr := zx[row*4*H : row*4*H+4*H]
-			zhr := inf.zh[pos*4*H : pos*4*H+4*H]
 			cell := inf.cells[pos*H : pos*H+H]
-			hid := h[row*H : row*H+H]
-			for j := 0; j < H; j++ {
-				zi := zxr[j] + zhr[j] + bias[j]
-				zf := zxr[H+j] + zhr[H+j] + bias[H+j]
-				zg := zxr[2*H+j] + zhr[2*H+j] + bias[2*H+j]
-				zo := zxr[3*H+j] + zhr[3*H+j] + bias[3*H+j]
-				i := sigmoid(zi)
-				f := sigmoid(zf)
-				g := math.Tanh(zg)
-				o := sigmoid(zo)
-				cv := f*cell[j] + i*g
-				cell[j] = cv
-				hid[j] = o * math.Tanh(cv)
-			}
+			gateRow(zx[row*4*H:row*4*H+4*H], inf.zh[pos*4*H:pos*4*H+4*H], c.b, cell, inf.gates, cell, inf.tc, h[row*H:row*H+H])
 		}
 	}
 }

@@ -165,28 +165,11 @@ func (p *lstmTrainer) forward(inputs [][]float64) error {
 	clear(p.cells[:H])
 	clear(p.hidden[:H])
 	p.zh = growF(p.zh, 4*H)
-	zh, b := p.zh, c.b
 	for t := 0; t < T; t++ {
 		// Wh·0 is +0 here as in the reference MulVec.
-		p.wh.apply(zh, p.hidden[t*H:(t+1)*H], 1)
-		zx := p.zx[t*4*H : (t+1)*4*H]
-		gates := p.gates[t*4*H : (t+1)*4*H]
-		prevC, cell := p.cells[t*H:(t+1)*H], p.cells[(t+1)*H:(t+2)*H]
-		tc, hid := p.tanhC[t*H:(t+1)*H], p.hidden[(t+1)*H:(t+2)*H]
-		for j := 0; j < H; j++ {
-			zi := zx[j] + zh[j] + b[j]
-			zf := zx[H+j] + zh[H+j] + b[H+j]
-			zg := zx[2*H+j] + zh[2*H+j] + b[2*H+j]
-			zo := zx[3*H+j] + zh[3*H+j] + b[3*H+j]
-			i := sigmoid(zi)
-			f := sigmoid(zf)
-			g := math.Tanh(zg)
-			o := sigmoid(zo)
-			gates[j], gates[H+j], gates[2*H+j], gates[3*H+j] = i, f, g, o
-			cell[j] = f*prevC[j] + i*g
-			tc[j] = math.Tanh(cell[j])
-			hid[j] = o * tc[j]
-		}
+		p.wh.apply(p.zh, p.hidden[t*H:(t+1)*H], 1)
+		gateRow(p.zx[t*4*H:(t+1)*4*H], p.zh, c.b, p.cells[t*H:(t+1)*H], p.gates[t*4*H:(t+1)*4*H],
+			p.cells[(t+1)*H:(t+2)*H], p.tanhC[t*H:(t+1)*H], p.hidden[(t+1)*H:(t+2)*H])
 	}
 	return nil
 }

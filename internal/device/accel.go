@@ -82,29 +82,13 @@ func NewAccelerometer() Accelerometer {
 	}
 }
 
-// Validate checks accelerometer parameters. Every field must be finite:
-// each check below is a comparison, which NaN passes.
+// Validate checks accelerometer parameters.
 func (a *Accelerometer) Validate() error {
-	fields := [...]struct {
-		name string
-		v    float64
-	}{
-		{"sample rate", a.SampleRate},
-		{"artifact gain", a.ArtifactGain},
-		{"artifact cutoff", a.ArtifactCutoffHz},
-		{"low coupling", a.CouplingLow},
-		{"high coupling", a.CouplingHigh},
-		{"noise floor", a.NoiseFloor},
-		{"low-frequency noise factor", a.LowFreqNoiseFactor},
-		{"broadband noise factor", a.BroadbandNoiseFactor},
-		{"noise ceiling", a.NoiseCeiling},
-		{"low-frequency noise sharpness", a.LowFreqNoiseSharpness},
-		{"body motion amplitude", a.BodyMotionAmp},
-	}
-	for _, f := range fields {
-		if math.IsNaN(f.v) || math.IsInf(f.v, 0) {
-			return fmt.Errorf("device: accel %s %v must be finite", f.name, f.v)
-		}
+	if err := checkFinite("accel", "sample rate,artifact gain,artifact cutoff,low coupling,high coupling,noise floor,"+
+		"low-frequency noise factor,broadband noise factor,noise ceiling,low-frequency noise sharpness,body motion amplitude",
+		a.SampleRate, a.ArtifactGain, a.ArtifactCutoffHz, a.CouplingLow, a.CouplingHigh, a.NoiseFloor,
+		a.LowFreqNoiseFactor, a.BroadbandNoiseFactor, a.NoiseCeiling, a.LowFreqNoiseSharpness, a.BodyMotionAmp); err != nil {
+		return err
 	}
 	if a.SampleRate <= 0 {
 		return fmt.Errorf("device: accel sample rate %v must be positive", a.SampleRate)
@@ -228,13 +212,14 @@ func (a *Accelerometer) conduct(audio []float64, audioRate float64) (vib []float
 	// 2. Point-sample at the accelerometer rate with no anti-alias filter:
 	// content above 100 Hz folds into the vibration band.
 	factor := max(int(audioRate/a.SampleRate), 1)
-	vib, low, total := dsp.ShapeDecimate(audio, audioRate, coupling, factor, lowFreqCutoff)
+	gains := gainTable([5]float64{1, a.CouplingLow, a.CouplingHigh, audioRate, float64(dsp.NextPow2(len(audio)))}, coupling)
+	vib, low, total := dsp.ShapeDecimateTable(audio, audioRate, gains, factor, lowFreqCutoff)
 	if math.IsInf(total, 1) {
 		// |X[k]|² overflowed (max|x|·len(x) past about 1e154). The share
 		// does not depend on scale, so take it from the audio at unit peak.
 		// A NaN total means the transform itself overflowed; rho stays 0
 		// and Drive saturates the level.
-		_, low, total = dsp.ShapeDecimate(dsp.Scale(audio, 1/dsp.MaxAbs(audio)), audioRate, coupling, factor, lowFreqCutoff)
+		_, low, total = dsp.ShapeDecimateTable(dsp.Scale(audio, 1/dsp.MaxAbs(audio)), audioRate, gains, factor, lowFreqCutoff)
 	}
 	if total > 0 {
 		rho = min(low/total, 1) // the two sums round apart

@@ -10,6 +10,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
+	"sync"
 
 	"vibguard/internal/dsp"
 )
@@ -40,6 +42,10 @@ func NewMicrophone(sampleRate float64) Microphone {
 
 // Validate checks microphone parameters.
 func (m *Microphone) Validate() error {
+	if err := checkFinite("mic", "sample rate,gain,noise floor,low cut,high cut",
+		m.SampleRate, m.Gain, m.NoiseFloorSPL, m.LowCutHz, m.HighCutHz); err != nil {
+		return err
+	}
 	if m.SampleRate <= 0 {
 		return fmt.Errorf("device: mic sample rate %v must be positive", m.SampleRate)
 	}
@@ -126,6 +132,10 @@ func NewWearableSpeaker(sampleRate float64) Loudspeaker {
 
 // Validate checks loudspeaker parameters.
 func (s *Loudspeaker) Validate() error {
+	if err := checkFinite("speaker", "sample rate,low cut,high cut,distortion,gain",
+		s.SampleRate, s.LowCutHz, s.HighCutHz, s.Distortion, s.Gain); err != nil {
+		return err
+	}
 	if s.SampleRate <= 0 {
 		return fmt.Errorf("device: speaker sample rate %v must be positive", s.SampleRate)
 	}
@@ -144,7 +154,7 @@ func (s *Loudspeaker) Render(x []float64) ([]float64, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	shaped := dsp.FrequencyShape(x, s.SampleRate, func(f float64) float64 {
+	gains := gainTable([5]float64{0, s.LowCutHz, s.HighCutHz, s.SampleRate, float64(dsp.NextPow2(len(x)))}, func(f float64) float64 {
 		switch {
 		case f < s.LowCutHz:
 			return math.Pow(f/s.LowCutHz, 2)
@@ -158,6 +168,7 @@ func (s *Loudspeaker) Render(x []float64) ([]float64, error) {
 			return 1
 		}
 	})
+	shaped, _, _ := dsp.ShapeDecimateTable(x, s.SampleRate, gains, 1, 0)
 	// The shaped signal is a fresh slice: apply the nonlinearity in place.
 	peak := dsp.MaxAbs(shaped)
 	if peak == 0 {
@@ -169,4 +180,43 @@ func (s *Loudspeaker) Render(x []float64) ([]float64, error) {
 		shaped[i] = s.Gain * peak * (u - s.Distortion*u*u*u)
 	}
 	return shaped, nil
+}
+
+// checkFinite returns an error naming the first NaN or ±Inf of vals,
+// whose comma-separated names come in the same order. Every other check
+// of a Validate is a comparison, which NaN passes.
+func checkFinite(kind, names string, vals ...float64) error {
+	for i, v := range vals {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("device: %s %s %v must be finite", kind, strings.Split(names, ",")[i], v)
+		}
+	}
+	return nil
+}
+
+// gainTables caches the replay's responses sampled at the bins of their
+// transform (dsp.GainTable), so a render or drive does not evaluate its
+// curve per bin. A key is {kind (0 speaker band, 1 coupling), the curve's
+// two parameters, the sample rate, the transform length}; Validate makes
+// them finite, so a key always equals itself. A full cache is emptied
+// before the next table goes in. Tables are never written.
+var gainTables = struct {
+	sync.Mutex
+	m map[[5]float64][]float64
+}{m: map[[5]float64][]float64{}}
+
+const gainTablesMax = 16 // 256 kB a table at m = 65,536
+
+func gainTable(key [5]float64, curve func(freqHz float64) float64) []float64 {
+	gainTables.Lock()
+	defer gainTables.Unlock()
+	t, ok := gainTables.m[key]
+	if !ok {
+		if len(gainTables.m) >= gainTablesMax {
+			clear(gainTables.m)
+		}
+		t = dsp.GainTable(nil, int(key[4]), key[3], curve)
+		gainTables.m[key] = t
+	}
+	return t
 }

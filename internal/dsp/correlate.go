@@ -75,20 +75,25 @@ func corrFFTLength(na, nb, maxLag int) int {
 // comes from the plan's scratch pool (AlignRecordings runs once per scored
 // sample from every ParallelScorer worker, so steady-state delay estimation
 // allocates nothing); the caller must return buf with p.putScratch. The
-// inputs are written straight to their bit-reversed positions.
+// inputs are packed in order, zero past the longer, and the transform
+// permutes them (see FFTPlan.pack).
 func corrSpectrum(a, b []float64, maxLag int) (f []complex128, p *FFTPlan, buf *[]complex128) {
 	m := corrFFTLength(len(a), len(b), maxLag)
 	p = mustPlanFFT(m)
 	buf = p.getScratch()
 	f = *buf
-	for i, v := range a {
-		f[p.perm[i]] = complex(v, 0)
+	n := min(len(a), len(b))
+	for i, v := range a[:n] {
+		f[i] = complex(v, b[i])
 	}
-	for i, v := range b {
-		j := p.perm[i]
-		f[j] = complex(real(f[j]), v)
+	for i, v := range a[n:] {
+		f[n+i] = complex(v, 0)
 	}
-	butterflies(f, p.fwd)
+	for i, v := range b[n:] {
+		f[n+i] = complex(0, v)
+	}
+	clear(f[max(len(a), len(b)):])
+	p.transform(f, p.fwd)
 	// For packed f = a + i*b the individual spectra are
 	//   A[k] = (F[k] + conj(F[m-k]))/2,  B[k] = -i*(F[k] - conj(F[m-k]))/2,
 	// and the cross-spectrum S[k] = conj(A[k])*B[k] is Hermitian (the

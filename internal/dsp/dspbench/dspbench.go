@@ -394,11 +394,24 @@ const (
 	delayMaxLag    = 8000
 )
 
-func delayPair() (a, b []float64) {
-	a = Signal(delaySignalLen, 3)
+func delayPair(n int) (a, b []float64) {
+	a = Signal(n, 3)
 	b = make([]float64, delayShift+len(a))
 	copy(b[delayShift:], a)
 	return a, b
+}
+
+func benchDelayFFT(n int) func(b *testing.B) {
+	return func(b *testing.B) {
+		a, bb := delayPair(n)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if got := dsp.EstimateDelayFFT(a, bb, delayMaxLag); got != delayShift {
+				b.Fatalf("delay %d", got)
+			}
+		}
+	}
 }
 
 // Cases returns every benchmark kernel, current engine and legacy reference
@@ -479,18 +492,12 @@ func Cases() []Case {
 		{"STFT", "512x160-16000", benchSTFT(512, 160, 16000, 16000, false)},
 		{"STFTLegacy", "64x16-4800", benchSTFT(64, 16, 200, 4800, true)},
 		{"STFTLegacy", "512x160-16000", benchSTFT(512, 160, 16000, 16000, true)},
-		{"EstimateDelayFFT", "16000x8000", func(b *testing.B) {
-			a, bb := delayPair()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if got := dsp.EstimateDelayFFT(a, bb, delayMaxLag); got != delayShift {
-					b.Fatalf("delay %d", got)
-				}
-			}
-		}},
+		{"EstimateDelayFFT", "16000x8000", benchDelayFFT(delaySignalLen)},
+		// The shape a session's Eq. (5) alignment runs at: a replay-length
+		// VA recording over 8,000 lags, a 65,536-point transform.
+		{"EstimateDelayFFT", "45040x8000", benchDelayFFT(replayLen)},
 		{"EstimateDelayLegacy", "16000x8000", func(b *testing.B) {
-			a, bb := delayPair()
+			a, bb := delayPair(delaySignalLen)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {

@@ -142,8 +142,8 @@ func PreEmphasis(x []float64, coef float64) []float64 {
 // The signal is zero-padded to m = NextPow2(len(x)) and its even and odd
 // samples are packed into one m/2-point complex transform each way
 // (RealFFTPlan): half the butterfly work of a complex m-point pair, with
-// rounding bounded against it (dspbench.FrequencyShapeLegacy). The buffer
-// comes from the plan's scratch pool, so a call allocates only its result.
+// rounding bounded against it (dspbench.FrequencyShapeLegacy). The buffers
+// come from the plan's pools, so a call allocates only its result.
 func FrequencyShape(x []float64, sampleRate float64, gain func(freqHz float64) float64) []float64 {
 	out, _, _ := ShapeDecimate(x, sampleRate, gain, 1, 0)
 	return out
@@ -158,7 +158,33 @@ func FrequencyShape(x []float64, sampleRate float64, gain func(freqHz float64) f
 // The shaping pass (shapeHalf) also sums |X[k]|², x zero-padded to m and
 // before the gain, over bins 1..FrequencyBin(cutHz, m, sampleRate) (low)
 // and 1..m/2 (total); the sums overflow to +Inf past |X[k]| ≈ 1e154.
+// The gain is sampled into a pooled table of the m/2+1 bins first; a
+// caller that shapes many signals with one curve can keep that table
+// (GainTable) and call ShapeDecimateTable.
 func ShapeDecimate(x []float64, sampleRate float64, gain func(freqHz float64) float64, factor int, cutHz float64) (out []float64, low, total float64) {
+	if len(x) == 0 {
+		return nil, 0, 0
+	}
+	p := mustPlanRealFFT(NextPow2(len(x)))
+	g := p.gains.Get().(*[]float64)
+	defer p.gains.Put(g)
+	*g = GainTable((*g)[:0], p.n, sampleRate, gain)
+	return ShapeDecimateTable(x, sampleRate, *g, factor, cutHz)
+}
+
+// GainTable appends gain at the frequencies of bins 0..m/2 of an m-point
+// transform (m a power of two) to dst: the table ShapeDecimateTable takes.
+func GainTable(dst []float64, m int, sampleRate float64, gain func(freqHz float64) float64) []float64 {
+	for k := 0; k <= m/2; k++ {
+		dst = append(dst, gain(BinFrequency(k, m, sampleRate)))
+	}
+	return dst
+}
+
+// ShapeDecimateTable is ShapeDecimate with the gain curve sampled in
+// advance: gains = GainTable(nil, NextPow2(len(x)), sampleRate, gain)
+// gives the same bits.
+func ShapeDecimateTable(x []float64, sampleRate float64, gains []float64, factor int, cutHz float64) (out []float64, low, total float64) {
 	n := len(x)
 	if n == 0 {
 		return nil, 0, 0
@@ -166,7 +192,7 @@ func ShapeDecimate(x []float64, sampleRate float64, gain func(freqHz float64) fl
 	out = make([]float64, (n+factor-1)/factor)
 	m := NextPow2(n)
 	if m == 1 {
-		out[0] = x[0] * gain(0)
+		out[0] = x[0] * gains[0]
 		return out, 0, 0
 	}
 	p := mustPlanRealFFT(m)
@@ -175,7 +201,7 @@ func ShapeDecimate(x []float64, sampleRate float64, gain func(freqHz float64) fl
 	y := *buf
 	p.half.pack(y, x)
 	butterflies(y, p.half.fwd)
-	low, total = p.shapeHalf(y, sampleRate, gain, FrequencyBin(cutHz, m, sampleRate))
+	low, total = p.shapeHalf(y, gains, FrequencyBin(cutHz, m, sampleRate))
 	fold := min(factor&-factor, m/2)
 	if fold == 1 {
 		p.inverseInto(out, y, factor)
@@ -186,6 +212,7 @@ func ShapeDecimate(x []float64, sampleRate float64, gain func(freqHz float64) fl
 	fbuf := q.getScratch()
 	defer q.putScratch(fbuf)
 	f := *fbuf
+	clear(f)
 	// Bins above m/2 are the conjugates of those below; the real bins 0
 	// and m/2 both alias onto bin 0.
 	f[0] = complex(real(y[0])+imag(y[0]), 0)

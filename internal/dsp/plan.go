@@ -6,6 +6,7 @@ import (
 	"math/cmplx"
 	"runtime"
 	"sync"
+	"unsafe"
 )
 
 // This file implements the planned FFT engine: transforms that precompute
@@ -138,14 +139,14 @@ func (p *FFTPlan) into(dst, src []complex128) []complex128 {
 	return dst
 }
 
-// getScratch returns a zeroed n-entry buffer from the plan's pool. The boxed
-// header travels through the pool with the buffer, so hand the same pointer
-// back to putScratch (re-boxing would allocate).
+// getScratch returns an n-entry buffer from the plan's pool. A recycled
+// buffer comes back as its last user left it: callers write or clear every
+// entry they read. The boxed header travels through the pool with the
+// buffer, so hand the same pointer back to putScratch (re-boxing would
+// allocate).
 func (p *FFTPlan) getScratch() *[]complex128 {
 	if v := p.scratch.Get(); v != nil {
-		buf := v.(*[]complex128)
-		clear(*buf)
-		return buf
+		return v.(*[]complex128)
 	}
 	buf := make([]complex128, p.n)
 	return &buf
@@ -238,6 +239,7 @@ type RealFFTPlan struct {
 	n      int          // real input length
 	half   *FFTPlan     // complex plan of size n/2 (nil when n == 1)
 	unpack []complex128 // e^{-2*pi*i*k/n} for k = 0..n/2
+	gains  sync.Pool    // recycles ShapeDecimate's gain tables (*[]float64)
 }
 
 var realPlanCache sync.Map
@@ -252,6 +254,7 @@ func PlanRealFFT(n int) (*RealFFTPlan, error) {
 		return v.(*RealFFTPlan), nil
 	}
 	p := &RealFFTPlan{n: n}
+	p.gains.New = func() any { return new([]float64) }
 	if n > 1 {
 		p.half = mustPlanFFT(n / 2)
 		p.unpack = make([]complex128, n/2+1)
@@ -351,15 +354,30 @@ func (p *RealFFTPlan) reduceInto(dst []float64, x []float64, scratch []complex12
 	return dst
 }
 
-// pack writes the real signal x (at most 2*Size samples; dst must be
-// zero past them) into dst as Size complex values, even samples in the
-// real lane and odd samples in the imaginary lane, already at their
-// bit-reversed positions: the butterflies can run on dst directly, with
-// no separate permutation pass.
+// pack writes the real signal x (at most 2*Size samples) into dst as Size
+// complex values, even samples in the real lane and odd samples in the
+// imaginary lane and zero past them, at their bit-reversed positions: the
+// butterflies can run on dst directly. dst's old contents are not read.
+// A plan that fits in the L2 cache scatters each value to its position;
+// past that a linear copy and the tiled permute are faster.
 func (p *FFTPlan) pack(dst []complex128, x []float64) {
 	h := len(x) / 2
+	if p.n > 1<<13 {
+		for j := range dst[:h] {
+			dst[j] = complex(x[2*j], x[2*j+1])
+		}
+		clear(dst[h:])
+		if len(x)%2 == 1 {
+			dst[h] = complex(x[2*h], 0)
+		}
+		p.permute(dst)
+		return
+	}
 	for j, pj := range p.perm[:h] {
 		dst[pj] = complex(x[2*j], x[2*j+1])
+	}
+	for _, pj := range p.perm[h:] {
+		dst[pj] = 0
 	}
 	if len(x)%2 == 1 {
 		dst[p.perm[h]] = complex(x[2*h], 0)
@@ -375,12 +393,13 @@ func (p *FFTPlan) pack(dst []complex128, x []float64) {
 // packed: y[k] = Y[k] for 0 < k < h, and the real bins share y[0] =
 // complex(Y[0], Y[h]). In the same pass it sums the ungained |X[k]|²
 // over bins 1..cut (low) and over bins 1..h (total); DC is in neither.
-func (p *RealFFTPlan) shapeHalf(y []complex128, sampleRate float64, gain func(freqHz float64) float64, cut int) (low, total float64) {
+// g holds the gain of each bin 0..h (see GainTable).
+func (p *RealFFTPlan) shapeHalf(y []complex128, g []float64, cut int) (low, total float64) {
 	h := p.n / 2
-	g := func(k int) float64 { return gain(BinFrequency(k, p.n, sampleRate)) }
+	g = g[:h+1]
 	a, b := real(y[0]), imag(y[0])
 	nyq := a - b
-	y[0] = complex((a+b)*g(0), nyq*g(h))
+	y[0] = complex((a+b)*g[0], nyq*g[h])
 	for k := 1; k <= h/2; k++ {
 		j := h - k
 		zk, zj := y[k], cmplx.Conj(y[j])
@@ -398,7 +417,7 @@ func (p *RealFFTPlan) shapeHalf(y []complex128, sampleRate float64, gain func(fr
 		if j <= cut {
 			low += pj
 		}
-		gk, gj := g(k), g(j)
+		gk, gj := g[k], g[j]
 		y[k] = complex(real(xk)*gk, imag(xk)*gk)
 		y[j] = complex(real(xj)*gj, imag(xj)*gj)
 	}
@@ -429,6 +448,12 @@ func (p *RealFFTPlan) inverseInto(dst []float64, y []complex128, step int) {
 	}
 	p.half.transform(y, p.half.inv)
 	scale := 1 / float64(p.n)
+	if step == 1 { // x itself: y's lanes in order, one scaled copy
+		for i, v := range unsafe.Slice((*float64)(unsafe.Pointer(&y[0])), 2*len(y))[:len(dst)] {
+			dst[i] = v * scale
+		}
+		return
+	}
 	for i := range dst {
 		t := i * step
 		if v := y[t>>1]; t&1 == 0 {
@@ -536,11 +561,17 @@ func (bp *bluesteinPlan) reduceInto(x []float64, sqrt bool) []float64 {
 	buf := bp.plan.getScratch()
 	defer bp.plan.putScratch(buf)
 	a := *buf
-	perm := bp.plan.perm
 	for k, v := range x {
-		a[perm[k]] = complex(v, 0) * chirp[k]
+		a[k] = complex(v, 0) * chirp[k]
 	}
-	bp.convolve(a, filt)
+	clear(a[len(x):])
+	// The chirp-z convolution: forward transform, product with the filter
+	// spectrum, inverse transform.
+	bp.plan.transform(a, bp.plan.fwd)
+	for i := range a {
+		a[i] *= filt[i]
+	}
+	bp.plan.transform(a, bp.plan.inv)
 	invM := 1 / float64(bp.m)
 	out := make([]float64, bp.n/2+1)
 	for k := range out {
@@ -553,16 +584,4 @@ func (bp *bluesteinPlan) reduceInto(x []float64, sqrt bool) []float64 {
 		out[k] = pw
 	}
 	return out
-}
-
-// convolve finishes the chirp-z convolution in a, whose chirped input is
-// already at its bit-reversed positions: forward butterflies, the product
-// with the filter spectrum, and the inverse transform.
-func (bp *bluesteinPlan) convolve(a, filt []complex128) {
-	p := bp.plan
-	butterflies(a, p.fwd)
-	for i := range a {
-		a[i] *= filt[i]
-	}
-	p.transform(a, p.inv)
 }

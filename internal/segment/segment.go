@@ -322,26 +322,26 @@ func (d *Detector) ExtractEffective(audio []float64) ([]float64, []Span, error) 
 // at identical positions in both devices' extractions would otherwise
 // masquerade as correlated signal. It is used on the wearable side with
 // the spans computed from the VA recording.
+// The output is sized once and each piece faded in place: one allocation,
+// none when no span is left after clamping (which returns nil).
 func ExtractSpans(audio []float64, spans []Span) []float64 {
-	var out []float64
+	clamp := func(sp Span) (int, int) { return max(sp.Start, 0), min(sp.End, len(audio)) }
+	total := 0
 	for _, sp := range spans {
-		start, end := sp.Start, sp.End
-		if start < 0 {
-			start = 0
+		if start, end := clamp(sp); end > start {
+			total += end - start
 		}
-		if end > len(audio) {
-			end = len(audio)
+	}
+	if total == 0 {
+		return nil
+	}
+	out := make([]float64, 0, total)
+	for _, sp := range spans {
+		if start, end := clamp(sp); end > start {
+			n := len(out)
+			out = append(out, audio[start:end]...)
+			dsp.FadeEdges(out[n:], min((end-start)/16, 160)) // at most 10 ms at 16 kHz
 		}
-		if end <= start {
-			continue
-		}
-		piece := make([]float64, end-start)
-		copy(piece, audio[start:end])
-		fade := len(piece) / 16
-		if fade > 160 {
-			fade = 160 // 10 ms at 16 kHz
-		}
-		out = append(out, dsp.FadeEdges(piece, fade)...)
 	}
 	return out
 }

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"vibguard/internal/brnn"
+	"vibguard/internal/dsp"
 	"vibguard/internal/phoneme"
 	"vibguard/internal/selection"
 )
@@ -530,5 +531,74 @@ func TestDetectorSaveLoadRoundTrip(t *testing.T) {
 	}
 	if _, err := Load(bytes.NewReader([]byte("junk"))); err == nil {
 		t.Error("garbage should error")
+	}
+}
+
+// extractSpansOracle is ExtractSpans as it was before it sized its output
+// once: a fresh piece per span, faded, then appended.
+func extractSpansOracle(audio []float64, spans []Span) []float64 {
+	var out []float64
+	for _, sp := range spans {
+		start, end := sp.Start, sp.End
+		if start < 0 {
+			start = 0
+		}
+		if end > len(audio) {
+			end = len(audio)
+		}
+		if end <= start {
+			continue
+		}
+		piece := make([]float64, end-start)
+		copy(piece, audio[start:end])
+		fade := len(piece) / 16
+		if fade > 160 {
+			fade = 160 // 10 ms at 16 kHz
+		}
+		out = append(out, dsp.FadeEdges(piece, fade)...)
+	}
+	return out
+}
+
+// ExtractSpans must give the oracle's bits, and its nil for an empty
+// result, on spans clipped at both ends, empty, inverted, overlapping,
+// short (fades under 160 samples, down to none) and long.
+func TestExtractSpansBitIdenticalToOracle(t *testing.T) {
+	audio := make([]float64, 9000)
+	for i := range audio {
+		audio[i] = math.Sin(float64(i)*0.37) + 0.25*math.Cos(float64(i)*2.9)
+	}
+	cases := map[string][]Span{
+		"none":        nil,
+		"clipped":     {{Start: -300, End: 2000}, {Start: 7000, End: 12000}},
+		"all outside": {{Start: -50, End: -10}, {Start: 9000, End: 9500}},
+		"empty":       {{Start: 400, End: 400}, {Start: 100, End: 900}},
+		"inverted":    {{Start: 900, End: 100}, {Start: 3000, End: 3100}},
+		"overlapping": {{Start: 1000, End: 4000}, {Start: 3000, End: 6000}, {Start: 3500, End: 3600}},
+		"short":       {{Start: 10, End: 11}, {Start: 20, End: 35}, {Start: 100, End: 116}, {Start: 200, End: 1000}, {Start: 3000, End: 5559}},
+		"long":        {{Start: 0, End: 9000}},
+	}
+	for name, spans := range cases {
+		got, want := ExtractSpans(audio, spans), extractSpansOracle(audio, spans)
+		if (got == nil) != (want == nil) || len(got) != len(want) {
+			t.Fatalf("%s: %d samples (nil %v), oracle %d (nil %v)", name, len(got), got == nil, len(want), want == nil)
+		}
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: sample %d = %v, oracle %v", name, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// ExtractSpans allocates its output once, whatever the number of spans.
+func TestExtractSpansOneAllocation(t *testing.T) {
+	audio := make([]float64, 48000)
+	var spans []Span
+	for s := 0; s+700 <= len(audio); s += 1000 {
+		spans = append(spans, Span{Start: s, End: s + 700})
+	}
+	if allocs := testing.AllocsPerRun(20, func() { ExtractSpans(audio, spans) }); allocs != 1 {
+		t.Fatalf("ExtractSpans of %d spans made %v allocations, want 1", len(spans), allocs)
 	}
 }
