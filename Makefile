@@ -83,9 +83,10 @@ race-brnn:
 # after the other; these bit-identity pins (golden EER/AUC, fusion
 # goldens, the streamed zero-flip and batch-equivalence checks, and the
 # shared-versus-sequential pins) must hold there too, so the bits cannot
-# depend on scheduling. The golden verdicts and the replay kernels'
-# bounds against their legacy oracles are listed by name: their names do
-# not say BitIdentical. A name that matches no test would silently drop
+# depend on scheduling. The golden verdicts, the replay kernels' bounds
+# against their legacy oracles, the delay-search contract and the wire
+# sample-block pin are listed by name: their names do not say
+# BitIdentical. A name that matches no test would silently drop
 # its pin from -run, so every alternative of SERIAL_PINS must first match
 # a test that `go test -list` finds in the pinned packages.
 pins-gomaxprocs1:
@@ -95,9 +96,9 @@ pins-gomaxprocs1:
 	done
 	GOMAXPROCS=1 $(GO) test -count=1 -run '$(SERIAL_PINS)' $(PINNED_PKGS)
 
-PINNED_PKGS = ./internal/eval/ ./internal/core/ ./internal/serve/ ./internal/sensing/ ./internal/dsp/ ./internal/mfcc/ ./internal/brnn/ ./internal/device/ ./internal/detector/
+PINNED_PKGS = ./internal/eval/ ./internal/core/ ./internal/serve/ ./internal/sensing/ ./internal/dsp/ ./internal/mfcc/ ./internal/brnn/ ./internal/device/ ./internal/detector/ ./internal/wire/
 
-SERIAL_PINS = TestGoldenMetrics|TestGoldenVerdicts|TestFuseGoldenTwoWearables|TestStreamInspectorMatchesBatchBitExact|TestSubmitStreamMatchesSubmit|TestStreamOverWireConcurrent|BitIdentical|TestInspectContractUnderConcurrency|TestScoreMatchesInspect|TestFrequencyShapeWithinBoundOfLegacy|TestShapeDecimateWithinBoundOfLegacy|TestDriveWithinBoundOfLegacy
+SERIAL_PINS = TestGoldenMetrics|TestGoldenVerdicts|TestFuseGoldenTwoWearables|TestStreamInspectorMatchesBatchBitExact|TestSubmitStreamMatchesSubmit|TestStreamOverWireConcurrent|BitIdentical|TestInspectContractUnderConcurrency|TestScoreMatchesInspect|TestFrequencyShapeWithinBoundOfLegacy|TestShapeDecimateWithinBoundOfLegacy|TestDriveWithinBoundOfLegacy|TestEstimateDelayFFTMatchesDirectSweep|TestEstimateDelaysSharedSpectrumPerLength|TestSyncOffsetsMatchPackedSearch|TestSampleBlockCopyMatchesPerSampleLoop
 
 benchgen:
 	$(GO) run ./cmd/benchgen -quick

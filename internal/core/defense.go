@@ -69,9 +69,10 @@ func DefaultConfig(w *device.Wearable, seg detector.Segmenter) Config {
 type Defense struct {
 	cfg Config
 	det *detector.Detector
-	// align is the Eq. (5) alignment, syncnet.AlignRecordings. It is a
-	// field so tests can make it fail, which validated input never does.
-	align func(va, wearable []float64, maxLagSeconds, sampleRate float64) ([]float64, int, error)
+	// align is the Eq. (5) alignment of a session's wearables,
+	// syncnet.AlignDevices. It is a field so tests can make one device's
+	// alignment fail, which validated input never does.
+	align func(va []float64, wears [][]float64, maxLagSeconds, sampleRate float64) ([][]float64, []int, []error)
 }
 
 // NewDefense builds the pipeline.
@@ -93,7 +94,7 @@ func NewDefense(cfg Config) (*Defense, error) {
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	return &Defense{cfg: cfg, det: det, align: syncnet.AlignRecordings}, nil
+	return &Defense{cfg: cfg, det: det, align: syncnet.AlignDevices}, nil
 }
 
 // Verdict is the outcome of inspecting one voice command.
@@ -129,13 +130,14 @@ func (d *Defense) Inspect(vaRec, wearRec []float64, rng *rand.Rand) (*Verdict, e
 // returns one verdict or error per wearable: each, and the state rngs[i]
 // is left in, is the one a lone Inspect(vaRec, wears[i], rngs[i]) gives,
 // bit for bit, and the counters move as len(wears) Inspect calls move
-// them. The device-independent work runs once: for MethodFull the
-// segmenter (one BRNN inference in production) runs on one forked
-// goroutine while this one aligns each wearable in turn, and the spans,
-// which every verdict shares, cut the VA recording once for all the
-// wearables' correlations (detector.ScoreDevices). The join comes before
-// any return, and each wearable's error keeps the sequential precedence:
-// alignment, missing segmenter, segmenter.
+// them. The device-independent work runs once: the VA recording is
+// validated once, and for MethodFull the segmenter (one BRNN inference in
+// production) runs on one forked goroutine while this one aligns the valid
+// wearables in one call, which transforms the VA recording once for all
+// of them; the spans, which every verdict shares, cut the VA recording
+// once for all the wearables' correlations (detector.ScoreDevices). The
+// join comes before any return, and each wearable's error keeps the
+// sequential precedence: alignment, missing segmenter, segmenter.
 //
 // This is the production entry point, so it validates the recordings
 // first: fatal corruption (empty, non-finite, truncated, or
@@ -148,14 +150,10 @@ func (d *Defense) InspectDevices(vaRec []float64, wears [][]float64, rngs []*ran
 	metInspectTotal.Add(uint64(len(wears)))
 	verdicts := make([]*Verdict, len(wears))
 	errs := make([]error, len(wears))
-	aligned := make([][]float64, len(wears))
-	taus := make([]int, len(wears))
-	var va []float64 // validated, so the same for every valid wearable
+	va, clean := d.validateDevices(vaRec, wears, errs)
 	var valid []int
-	for i, wear := range wears {
-		var v []float64
-		if v, aligned[i], errs[i] = d.validatePair(vaRec, wear); errs[i] == nil {
-			va = v
+	for i, err := range errs {
+		if err == nil {
 			valid = append(valid, i)
 		}
 	}
@@ -173,10 +171,15 @@ func (d *Defense) InspectDevices(vaRec []float64, wears [][]float64, rngs []*ran
 	} else {
 		close(segDone)
 	}
-	for _, i := range valid {
+	aligned := make([][]float64, len(wears))
+	taus := make([]int, len(wears))
+	if len(valid) > 0 {
 		sp := stageAlign.Start()
-		aligned[i], taus[i], errs[i] = d.align(va, aligned[i], d.cfg.MaxSyncLagSeconds, d.cfg.SampleRate)
+		a, t, e := d.align(va, pick(clean, valid), d.cfg.MaxSyncLagSeconds, d.cfg.SampleRate)
 		sp.End()
+		for j, i := range valid {
+			aligned[i], taus[i], errs[i] = a[j], t[j], e[j]
+		}
 	}
 	<-segDone
 	var scored []int
@@ -249,12 +252,12 @@ func (d *Defense) Score(vaRec, wearRec []float64, rng *rand.Rand) (float64, erro
 // are ignored by the baseline methods.
 func (d *Defense) ScoreWithSpans(vaRec, wearRec []float64, spans []segment.Span, rng *rand.Rand) (float64, error) {
 	sp := stageAlign.Start()
-	aligned, _, err := d.align(vaRec, wearRec, d.cfg.MaxSyncLagSeconds, d.cfg.SampleRate)
+	aligned, _, errs := d.align(vaRec, [][]float64{wearRec}, d.cfg.MaxSyncLagSeconds, d.cfg.SampleRate)
 	sp.End()
-	if err != nil {
-		return 0, fmt.Errorf("core: %w", err)
+	if errs[0] != nil {
+		return 0, fmt.Errorf("core: %w", errs[0])
 	}
-	score, err := d.det.ScoreWithSpans(vaRec, aligned, spans, rng)
+	score, err := d.det.ScoreWithSpans(vaRec, aligned[0], spans, rng)
 	if err != nil {
 		return 0, fmt.Errorf("core: %w", err)
 	}

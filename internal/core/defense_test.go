@@ -236,7 +236,7 @@ func TestScoreRequiresSegmenter(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d.align = func(_, _ []float64, _, _ float64) ([]float64, int, error) { return nil, 0, alignErr }
+	d.align = failAlignments(func([]float64) error { return alignErr })
 	if _, err := d.Score(silence, silence, rand.New(rand.NewSource(1))); !errors.Is(err, errSegmenterDown) {
 		t.Errorf("Score err %v, want the segmenter's %v", err, errSegmenterDown)
 	}

@@ -52,14 +52,12 @@ func TestInspectContractUnderConcurrency(t *testing.T) {
 	spans, legitVA, legitWear, _, _ := buildScenario(t, 21)
 	errSeg := errors.New("segmenter down")
 	errAlign := syncnet.ErrNoOverlap
-	failAlign := func([]float64, []float64, float64, float64) ([]float64, int, error) {
-		return nil, 0, errAlign
-	}
+	failAlign := failAlignments(func([]float64) error { return errAlign })
 	cases := []struct {
 		name      string
 		va        []float64
 		seg       detector.Segmenter
-		align     func([]float64, []float64, float64, float64) ([]float64, int, error)
+		align     alignFunc
 		wantIs    error
 		wantNotIs error
 		wantMsg   string

@@ -191,17 +191,17 @@ func TestInspectDevicesFailuresBitIdentical(t *testing.T) {
 	nonFinite[500] = math.NaN()
 	// failSecond fails the alignment of the recording that starts with
 	// the second wearable's first sample.
-	failSecond := func(va, wear []float64, lag, rate float64) ([]float64, int, error) {
-		if len(wear) > 0 && math.Float64bits(wear[0]) == math.Float64bits(s.wears[1][0]) {
-			return nil, 0, syncnet.ErrNoOverlap
+	failSecond := failAlignments(func(wear []float64) error {
+		if math.Float64bits(wear[0]) == math.Float64bits(s.wears[1][0]) {
+			return syncnet.ErrNoOverlap
 		}
-		return syncnet.AlignRecordings(va, wear, lag, rate)
-	}
+		return nil
+	})
 	static := &detector.StaticSegmenter{Spans: s.spans}
 	cases := []struct {
 		name  string
 		seg   detector.Segmenter
-		align func([]float64, []float64, float64, float64) ([]float64, int, error)
+		align alignFunc
 		va    []float64
 		wears [][]float64
 	}{
@@ -231,6 +231,23 @@ func TestInspectDevicesFailuresBitIdentical(t *testing.T) {
 			}
 			checkDevicesBitIdentical(t, d, va, tc.wears)
 		})
+	}
+}
+
+// alignFunc is the type of Defense.align.
+type alignFunc = func(va []float64, wears [][]float64, maxLagSeconds, sampleRate float64) ([][]float64, []int, []error)
+
+// failAlignments returns syncnet.AlignDevices with the alignment of every
+// wearable recording for which fail returns an error failing with it.
+func failAlignments(fail func(wear []float64) error) alignFunc {
+	return func(va []float64, wears [][]float64, lag, rate float64) ([][]float64, []int, []error) {
+		aligned, taus, errs := syncnet.AlignDevices(va, wears, lag, rate)
+		for i, wear := range wears {
+			if err := fail(wear); err != nil {
+				aligned[i], taus[i], errs[i] = nil, 0, err
+			}
+		}
+		return aligned, taus, errs
 	}
 }
 

@@ -94,28 +94,37 @@ func removeDCOffset(x []float64) []float64 {
 	return out
 }
 
-// validatePair validates both recordings of an Inspect call and returns
-// sanitized versions: fatal corruption (empty, non-finite, truncated,
-// length-inconsistent) becomes a typed error, while benign degradation (DC
-// bias) is repaired in place of failing — graceful degradation on the
-// conditions WearID identifies as the practical failure mode of
-// wearable-assisted verification.
-func (d *Defense) validatePair(vaRec, wearRec []float64) ([]float64, []float64, error) {
+// validateDevices validates the recordings of an InspectDevices call and
+// returns sanitized versions: fatal corruption (empty, non-finite,
+// truncated, length-inconsistent) becomes a typed error in errs[i], while
+// benign degradation (DC bias) is repaired in place of failing — graceful
+// degradation on the conditions WearID identifies as the practical
+// failure mode of wearable-assisted verification. The VA recording is
+// checked and repaired once; an invalid one fails every wearable.
+func (d *Defense) validateDevices(vaRec []float64, wears [][]float64, errs []error) (va []float64, clean [][]float64) {
+	clean = make([][]float64, len(wears))
 	minSamples := int(MinInspectSeconds * d.cfg.SampleRate)
 	if err := checkRecording("va", vaRec, minSamples); err != nil {
-		return nil, nil, err
+		for i := range errs {
+			errs[i] = err
+		}
+		return nil, clean
 	}
-	if err := checkRecording("wearable", wearRec, minSamples); err != nil {
-		return nil, nil, err
-	}
-	// The wearable recording is the VA recording plus up to
+	// A wearable recording is the VA recording plus up to
 	// MaxSyncLagSeconds of network-delay lead. A length far outside that
 	// envelope means the two captures cannot describe the same command.
 	maxLead := int(d.cfg.MaxSyncLagSeconds * d.cfg.SampleRate)
 	slack := len(vaRec) / 4
-	if len(wearRec) < len(vaRec)-slack || len(wearRec) > len(vaRec)+maxLead+slack {
-		return nil, nil, &RecordingIssue{Source: "wearable", Err: ErrLengthMismatch,
-			Detail: fmt.Sprintf("wearable %d samples vs va %d (max lead %d)", len(wearRec), len(vaRec), maxLead)}
+	for i, wear := range wears {
+		if errs[i] = checkRecording("wearable", wear, minSamples); errs[i] != nil {
+			continue
+		}
+		if len(wear) < len(vaRec)-slack || len(wear) > len(vaRec)+maxLead+slack {
+			errs[i] = &RecordingIssue{Source: "wearable", Err: ErrLengthMismatch,
+				Detail: fmt.Sprintf("wearable %d samples vs va %d (max lead %d)", len(wear), len(vaRec), maxLead)}
+			continue
+		}
+		clean[i] = removeDCOffset(wear)
 	}
-	return removeDCOffset(vaRec), removeDCOffset(wearRec), nil
+	return removeDCOffset(vaRec), clean
 }

@@ -36,9 +36,14 @@ func BenchmarkSTFT(b *testing.B) { runGroup(b, "STFT") }
 // BenchmarkSTFTLegacy is the pre-plan implementation on the same inputs.
 func BenchmarkSTFTLegacy(b *testing.B) { runGroup(b, "STFTLegacy") }
 
-// BenchmarkEstimateDelayFFT measures the frequency-domain Eq. (5) delay
-// search on a sync-sized problem (16k samples, 8k max lag).
+// BenchmarkEstimateDelayFFT measures the Eq. (5) delay search on
+// real-input transforms on sync-sized problems (16k and 45k samples, 8k
+// max lag).
 func BenchmarkEstimateDelayFFT(b *testing.B) { runGroup(b, "EstimateDelayFFT") }
+
+// BenchmarkEstimateDelays measures a two-wearable session's delay
+// searches, which share the VA recording's spectrum.
+func BenchmarkEstimateDelays(b *testing.B) { runGroup(b, "EstimateDelays") }
 
 // BenchmarkEstimateDelayLegacy is the direct O(n*maxLag) search on the same
 // problem.

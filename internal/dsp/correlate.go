@@ -2,186 +2,185 @@ package dsp
 
 import (
 	"math"
+	"slices"
 	"sort"
 )
 
-// CrossCorrelate computes the raw cross-correlation Corr(tau) =
-// sum_n a[n]*b[n+tau] for tau in [0, maxLag], as used by the cross-device
-// synchronization of Eq. (5): a is the VA recording, b the wearable
-// recording, and the argmax lag estimates how many samples of b precede the
-// content of a.
+// EstimateDelay returns the lag in [0, maxLag] that maximizes the
+// cross-correlation Corr(tau) = sum_n a[n]*b[n+tau] of a and b (Eq. 5):
+// a is the VA recording, b the wearable recording, and the argmax lag
+// estimates how many samples of b precede the content of a. Ties resolve
+// to the smallest lag.
 //
-// Small problems use the direct O(n*maxLag) loop; above the crossover where
-// the transform work pays for itself the values are computed in O(m log m)
-// via the planned FFT engine (see CrossCorrelateFFT). Both paths compute
-// the same sums, differing only by floating-point rounding on the order of
-// machine epsilon.
-func CrossCorrelate(a, b []float64, maxLag int) []float64 {
-	if maxLag < 0 {
-		maxLag = 0
-	}
+// Small problems run the direct O(n*maxLag) loop (EstimateDelayRange);
+// above the crossover where the transform work pays for itself the
+// search runs on real-input transforms in O(m log m) (EstimateDelayFFT).
+// The two compute the same sums up to floating-point rounding.
+func EstimateDelay(a, b []float64, maxLag int) int {
+	maxLag = max(maxLag, 0)
 	if useFFTCorrelation(len(a), len(b), maxLag) {
-		return CrossCorrelateFFT(a, b, maxLag)
+		return EstimateDelayFFT(a, b, maxLag)
 	}
-	return crossCorrelateDirect(a, b, maxLag)
+	return EstimateDelayRange(a, b, 0, maxLag)
 }
 
-// crossCorrelateDirect is the reference O(n*maxLag) correlation loop, kept
-// both as the below-crossover fast path (tiny problems don't amortize a
-// transform) and as the ground truth the FFT path is pinned against.
-func crossCorrelateDirect(a, b []float64, maxLag int) []float64 {
-	out := make([]float64, maxLag+1)
-	for tau := 0; tau <= maxLag; tau++ {
-		sum := 0.0
-		for n := 0; n+tau < len(b) && n < len(a); n++ {
-			sum += a[n] * b[n+tau]
+// EstimateDelays returns EstimateDelay(a, bs[i], maxLags[i]) for every i,
+// transforming a once per transform length the searches need instead of
+// once per search.
+func EstimateDelays(a []float64, bs [][]float64, maxLags []int) []int {
+	taus := make([]int, len(bs))
+	var bufs []*[]complex128 // one per transform length (see corrBuffer)
+	for i, b := range bs {
+		maxLag := max(maxLags[i], 0)
+		if !useFFTCorrelation(len(a), len(b), maxLag) {
+			taus[i] = EstimateDelayRange(a, b, 0, maxLag)
+			continue
 		}
-		out[tau] = sum
+		p := mustPlanRealFFT(corrFFTLength(len(a), len(b), maxLag))
+		j := slices.IndexFunc(bufs, func(z *[]complex128) bool { return len(*z) == p.n })
+		if j < 0 {
+			j = len(bufs)
+			bufs = append(bufs, p.corrBuffer(a))
+		}
+		z := *bufs[j]
+		taus[i] = p.delay(a, z[:p.n/2], b, z[p.n/2:], maxLag)
 	}
-	return out
+	for _, z := range bufs {
+		mustPlanFFT(len(*z)).putScratch(z)
+	}
+	return taus
+}
+
+// EstimateDelayFFT is EstimateDelay forced onto the transform path
+// regardless of problem size (benchmarks and equivalence tests pin it
+// against the direct loop). With pooled transform buffers the
+// steady-state search allocates nothing.
+func EstimateDelayFFT(a, b []float64, maxLag int) int {
+	if maxLag <= 0 || len(a) == 0 || len(b) == 0 {
+		return 0
+	}
+	p := mustPlanRealFFT(corrFFTLength(len(a), len(b), maxLag))
+	buf := p.corrBuffer(a)
+	tau := p.delay(a, (*buf)[:p.n/2], b, (*buf)[p.n/2:], maxLag)
+	mustPlanFFT(p.n).putScratch(buf)
+	return tau
+}
+
+// corrBuffer returns a Size-entry buffer of the Size-point complex plan's
+// scratch pool whose first half holds a's packed transform
+// (packedSpectrum); the second half is the scratch of b's.
+func (p *RealFFTPlan) corrBuffer(a []float64) *[]complex128 {
+	buf := mustPlanFFT(p.n).getScratch()
+	p.packedSpectrum((*buf)[:p.n/2], a, false)
+	return buf
 }
 
 // useFFTCorrelation decides whether the transform path beats the direct
-// loop: roughly (maxLag+1)*minLen multiply-adds against two planned FFTs of
-// the padded length. The factor under-weights the FFT (whose constant per
-// butterfly is higher than a fused multiply-add in the direct loop).
+// loop: roughly (maxLag+1)*minLen multiply-adds against the transforms
+// of the padded length. The factor under-weights the FFT (whose constant
+// per butterfly is higher than a fused multiply-add in the direct loop).
+// A search of lag 0 alone stays direct, and so the transform is never
+// shorter than 2 points.
 func useFFTCorrelation(na, nb, maxLag int) bool {
-	if na == 0 || nb == 0 {
+	if na == 0 || nb == 0 || maxLag == 0 {
 		return false
 	}
-	minLen := na
-	if nb < minLen {
-		minLen = nb
-	}
-	direct := float64(maxLag+1) * float64(minLen)
 	m := float64(corrFFTLength(na, nb, maxLag))
-	return direct > 8*m*math.Log2(m)
+	return float64(maxLag+1)*float64(min(na, nb)) > 8*m*math.Log2(m)
 }
 
 // corrFFTLength returns the power-of-two transform length that keeps the
 // circular correlation free of wraparound for lags 0..maxLag: indices reach
 // na-1+maxLag, and b must fit.
-func corrFFTLength(na, nb, maxLag int) int {
-	need := na + maxLag
-	if nb > need {
-		need = nb
+func corrFFTLength(na, nb, maxLag int) int { return NextPow2(max(na+maxLag, nb)) }
+
+// delay returns the lag in [0, maxLag] that maximizes the correlation of
+// a, whose packed transform (packedSpectrum) is za, with b, whose packed
+// transform it takes in zb. A lag whose correlation comes out NaN or ±Inf
+// means a transform overflowed on the way (an overflow never turns finite
+// again); the search then reruns on a and b scaled to unit peak, which
+// changes no rounding and no argmax.
+func (p *RealFFTPlan) delay(a []float64, za []complex128, b []float64, zb []complex128, maxLag int) int {
+	if tau, ok := p.searchDelay(za, b, zb, false, maxLag); ok {
+		return tau
 	}
-	return NextPow2(need)
+	sa := p.half.getScratch()
+	p.packedSpectrum(*sa, a, true)
+	tau, _ := p.searchDelay(*sa, b, zb, true, maxLag)
+	p.half.putScratch(sa)
+	return tau
 }
 
-// corrSpectrum computes the circular cross-correlation of a and b (scaled
-// by m, the returned transform length) into a pooled buffer: entry tau
-// holds m*Corr(tau) in its real part for tau in [0, maxLag]. The buffer
-// comes from the plan's scratch pool (AlignRecordings runs once per scored
-// sample from every ParallelScorer worker, so steady-state delay estimation
-// allocates nothing); the caller must return buf with p.putScratch. The
-// inputs are packed in order, zero past the longer, and the transform
-// permutes them (see FFTPlan.pack).
-func corrSpectrum(a, b []float64, maxLag int) (f []complex128, p *FFTPlan, buf *[]complex128) {
-	m := corrFFTLength(len(a), len(b), maxLag)
-	p = mustPlanFFT(m)
-	buf = p.getScratch()
-	f = *buf
-	n := min(len(a), len(b))
-	for i, v := range a[:n] {
-		f[i] = complex(v, b[i])
-	}
-	for i, v := range a[n:] {
-		f[n+i] = complex(v, 0)
-	}
-	for i, v := range b[n:] {
-		f[n+i] = complex(0, v)
-	}
-	clear(f[max(len(a), len(b)):])
-	p.transform(f, p.fwd)
-	// For packed f = a + i*b the individual spectra are
-	//   A[k] = (F[k] + conj(F[m-k]))/2,  B[k] = -i*(F[k] - conj(F[m-k]))/2,
-	// and the cross-spectrum S[k] = conj(A[k])*B[k] is Hermitian (the
-	// correlation is real), so only half of it needs computing.
-	half := m / 2
-	for k := 0; k <= half; k++ {
-		fk := f[k]
-		fmk := f[(m-k)%m]
-		h := complex(real(fmk), -imag(fmk))
-		ak := (fk + h) * complex(0.5, 0)
-		bk := (fk - h) * complex(0, -0.5)
-		s := complex(real(ak), -imag(ak)) * bk
-		f[k] = s
-		if k != 0 && k != half {
-			f[m-k] = complex(real(s), -imag(s))
+// packedSpectrum writes into z (Size/2 entries) the packed transform Z
+// (see shapeHalf) of x zero-padded to Size. With unit set, x is first
+// scaled by the power of two that brings the peak of |x| into [1/2, 1)
+// when it has a finite nonzero peak (NaN aside).
+func (p *RealFFTPlan) packedSpectrum(z []complex128, x []float64, unit bool) {
+	p.half.pack(z, x)
+	if unit {
+		if peak := MaxAbs(x); peak != 0 && !math.IsInf(peak, 0) {
+			_, e := math.Frexp(peak)
+			f, s := floats(z), math.Ldexp(1, -e)
+			for i := range f {
+				f[i] *= s
+			}
 		}
 	}
-	p.transform(f, p.inv)
-	return f, p, buf
+	butterflies(z, p.half.fwd)
 }
 
-// CrossCorrelateFFT computes the same lags as CrossCorrelate via the
-// frequency domain: both signals are packed into one complex transform
-// (a in the real lane, b in the imaginary lane), the conjugate
-// cross-spectrum conj(A)*B is assembled from the packed spectrum's
-// Hermitian halves, and a single inverse transform yields the correlation.
-// Two planned FFTs total, O(m log m) independent of maxLag.
-func CrossCorrelateFFT(a, b []float64, maxLag int) []float64 {
-	if maxLag < 0 {
-		maxLag = 0
+// searchDelay returns the lag in [0, maxLag] that maximizes the
+// correlation of the signal whose packed transform is za with b (scaled
+// to unit peak when unit is set, see packedSpectrum), whose packed
+// transform it takes in y, and whether every lag of that range came out
+// finite. In one pass over the bin pairs k,
+// h-k (h = Size/2) it unpacks both spectra (see shapeHalf), forms S[k] =
+// conj(A[k])·B[k] and repacks S as inverseInto does. After the h-point
+// inverse the float lanes, in order, hold 4·Size·Corr(tau): leaving out
+// the halves scales every lag alike, so no argmax moves.
+func (p *RealFFTPlan) searchDelay(za []complex128, b []float64, y []complex128, unit bool, maxLag int) (tau int, finite bool) {
+	p.packedSpectrum(y, b, unit)
+	h := p.n / 2
+	y, za, w := y[:h], za[:h], p.unpack[:h+1]
+	// The real bins 0 and h share entry 0: X[0] = Re Z[0] + Im Z[0] and
+	// X[h] = Re Z[0] - Im Z[0].
+	a0, a1, b0, b1 := real(za[0]), imag(za[0]), real(y[0]), imag(y[0])
+	s0, sh := 4*(a0+a1)*(b0+b1), 4*(a0-a1)*(b0-b1)
+	y[0] = complex(s0+sh, s0-sh)
+	for k := 1; k <= h/2; k++ {
+		j := h - k
+		wr, wi := real(w[k]), imag(w[k])
+		// 2A[k], 2A[h-k]
+		p1, q1, p2, q2 := real(za[k]), imag(za[k]), real(za[j]), imag(za[j])
+		er, ei, or, oi := p1+p2, q1-q2, q1+q2, p2-p1
+		wor, woi := wr*or-wi*oi, wr*oi+wi*or
+		akr, aki, ajr, aji := er+wor, ei+woi, er-wor, woi-ei
+		// 2B[k], 2B[h-k]
+		p1, q1, p2, q2 = real(y[k]), imag(y[k]), real(y[j]), imag(y[j])
+		er, ei, or, oi = p1+p2, q1-q2, q1+q2, p2-p1
+		wor, woi = wr*or-wi*oi, wr*oi+wi*or
+		bkr, bki, bjr, bji := er+wor, ei+woi, er-wor, woi-ei
+		// 4S[k] = conj(2A[k])·2B[k], and 4S[h-k]
+		skr, ski := akr*bkr+aki*bki, akr*bki-aki*bkr
+		sjr, sji := ajr*bjr+aji*bji, ajr*bji-aji*bjr
+		// Repacked: y[k] = 2E + i·2O and y[h-k] = conj(2E) + i·conj(2O)
+		// with 2E = S[k] + conj(S[h-k]), 2O = conj(w^k)(S[k] - conj(S[h-k])).
+		er, ei = skr+sjr, ski-sji
+		dr, di := skr-sjr, ski+sji
+		or, oi = wr*dr+wi*di, wr*di-wi*dr
+		y[k] = complex(er-oi, ei+or)
+		y[j] = complex(er+oi, or-ei)
 	}
-	if len(a) == 0 || len(b) == 0 {
-		return make([]float64, maxLag+1)
-	}
-	f, p, buf := corrSpectrum(a, b, maxLag)
-	inv := 1 / float64(p.n)
-	out := make([]float64, maxLag+1)
-	for tau := range out {
-		out[tau] = real(f[tau]) * inv
-	}
-	p.putScratch(buf)
-	return out
-}
-
-// EstimateDelay returns the lag in [0, maxLag] that maximizes the
-// cross-correlation of a and b (Eq. 5). Ties resolve to the smallest lag.
-// Above the correlation crossover size the search runs on the FFT path.
-func EstimateDelay(a, b []float64, maxLag int) int {
-	if maxLag < 0 {
-		maxLag = 0
-	}
-	if useFFTCorrelation(len(a), len(b), maxLag) {
-		return EstimateDelayFFT(a, b, maxLag)
-	}
-	return argmaxLag(crossCorrelateDirect(a, b, maxLag))
-}
-
-// EstimateDelayFFT is EstimateDelay forced onto the frequency-domain
-// correlation path regardless of problem size (benchmarks and equivalence
-// tests pin it against the direct loop). With the pooled transform buffer
-// the steady-state search allocates nothing.
-func EstimateDelayFFT(a, b []float64, maxLag int) int {
-	if maxLag < 0 {
-		maxLag = 0
-	}
-	if len(a) == 0 || len(b) == 0 {
-		return 0
-	}
-	f, p, buf := corrSpectrum(a, b, maxLag)
-	inv := 1 / float64(p.n)
-	best, bestVal := 0, math.Inf(-1)
-	for tau := 0; tau <= maxLag; tau++ {
-		if v := real(f[tau]) * inv; v > bestVal {
-			best, bestVal = tau, v
-		}
-	}
-	p.putScratch(buf)
-	return best
-}
-
-func argmaxLag(corr []float64) int {
-	best, bestVal := 0, math.Inf(-1)
-	for tau, v := range corr {
+	p.half.transform(y, p.half.inv)
+	bestVal := math.Inf(-1)
+	finite = true
+	for t, v := range floats(y)[:maxLag+1] {
 		if v > bestVal {
-			best, bestVal = tau, v
+			tau, bestVal = t, v
 		}
+		finite = finite && v-v == 0 // v-v is NaN for NaN and ±Inf
 	}
-	return best
+	return tau, finite
 }
 
 // EstimateDelayRange returns the lag in [loLag, hiLag] maximizing the
@@ -204,70 +203,6 @@ func EstimateDelayRange(a, b []float64, loLag, hiLag int) int {
 		}
 	}
 	return best
-}
-
-// EstimateDelayFast estimates the delay like EstimateDelay but with a
-// coarse-to-fine search: a decimated pass locates the neighborhood and a
-// full-rate pass refines it. It predates the FFT correlation path (which is
-// both exact and usually faster — see EstimateDelay) and is kept for
-// callers that want the bounded-refinement behavior; it trades a tiny
-// accuracy risk (pathological narrowband signals) for a ~factor^2 speedup
-// over the direct loop on long recordings.
-func EstimateDelayFast(a, b []float64, maxLag int) int {
-	const factor = 16
-	if maxLag < 4*factor || len(a) < 4*factor || len(b) < 4*factor {
-		return EstimateDelay(a, b, maxLag)
-	}
-	// Box-filter before decimating so off-grid shifts still correlate in
-	// the coarse pass.
-	da, err := DecimateSampleHold(boxFilter(a, factor), factor)
-	if err != nil {
-		return EstimateDelay(a, b, maxLag)
-	}
-	db, err := DecimateSampleHold(boxFilter(b, factor), factor)
-	if err != nil {
-		return EstimateDelay(a, b, maxLag)
-	}
-	coarse := EstimateDelay(da, db, maxLag/factor)
-	// The coarse pass matches envelopes, whose correlation peaks are broad
-	// (tens of ms for speech); refine over a window wide enough to recover
-	// the exact peak even when the envelope estimate sits a pitch period
-	// or two away.
-	lo := coarse*factor - 24*factor
-	if lo < 0 {
-		// Clamp here rather than relying on EstimateDelayRange's internal
-		// clamp: a coarse peak near zero legitimately produces a negative
-		// window start, and the search contract is [0, maxLag].
-		lo = 0
-	}
-	hi := coarse*factor + 24*factor
-	if hi > maxLag {
-		hi = maxLag
-	}
-	return EstimateDelayRange(a, b, lo, hi)
-}
-
-// boxFilter applies a running mean of the given width.
-func boxFilter(x []float64, width int) []float64 {
-	if width <= 1 || len(x) == 0 {
-		out := make([]float64, len(x))
-		copy(out, x)
-		return out
-	}
-	out := make([]float64, len(x))
-	sum := 0.0
-	for i, v := range x {
-		sum += v
-		if i >= width {
-			sum -= x[i-width]
-		}
-		n := width
-		if i+1 < width {
-			n = i + 1
-		}
-		out[i] = sum / float64(n)
-	}
-	return out
 }
 
 // Pearson computes the Pearson correlation coefficient of two equal-length

@@ -29,13 +29,6 @@ func TestEstimateDelayRecoversShift(t *testing.T) {
 	}
 }
 
-func TestCrossCorrelateNegativeMaxLag(t *testing.T) {
-	out := CrossCorrelate([]float64{1, 2}, []float64{1, 2}, -5)
-	if len(out) != 1 {
-		t.Errorf("len = %d, want 1", len(out))
-	}
-}
-
 func TestPearsonKnownValues(t *testing.T) {
 	a := []float64{1, 2, 3, 4}
 	if r := Pearson(a, a); math.Abs(r-1) > 1e-12 {
@@ -219,74 +212,6 @@ func TestStatHelpers(t *testing.T) {
 	}
 }
 
-func TestEstimateDelayFastMatchesExact(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	signal := make([]float64, 8000)
-	for i := range signal {
-		signal[i] = rng.NormFloat64()
-	}
-	for _, shift := range []int{0, 100, 1600, 2400} {
-		b := make([]float64, shift+len(signal))
-		for i := 0; i < shift; i++ {
-			b[i] = 0.01 * rng.NormFloat64()
-		}
-		copy(b[shift:], signal)
-		exact := EstimateDelay(signal, b, 3000)
-		fast := EstimateDelayFast(signal, b, 3000)
-		if fast != exact {
-			t.Errorf("shift %d: fast %d != exact %d", shift, fast, exact)
-		}
-	}
-}
-
-// TestCrossCorrelateFFTMatchesDirect pins the frequency-domain correlation
-// against the reference loop: values within 1e-9 of the correlation scale
-// and identical argmax, over a seeded corpus of lengths (including
-// non-power-of-two) and lag bounds straddling the dispatch crossover.
-func TestCrossCorrelateFFTMatchesDirect(t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	cases := []struct{ na, nb, maxLag int }{
-		{16, 16, 4},
-		{100, 137, 50},
-		{1000, 1300, 400},
-		{4096, 4096, 2000},
-		{5000, 3000, 2999}, // b shorter than a
-		{300, 8000, 6000},  // a much shorter than b
-	}
-	for _, tc := range cases {
-		a := make([]float64, tc.na)
-		b := make([]float64, tc.nb)
-		for i := range a {
-			a[i] = rng.NormFloat64()
-		}
-		for i := range b {
-			b[i] = rng.NormFloat64()
-		}
-		want := crossCorrelateDirect(a, b, tc.maxLag)
-		got := CrossCorrelateFFT(a, b, tc.maxLag)
-		if len(got) != len(want) {
-			t.Fatalf("%+v: %d lags, want %d", tc, len(got), len(want))
-		}
-		scale := 0.0
-		for _, v := range want {
-			if av := math.Abs(v); av > scale {
-				scale = av
-			}
-		}
-		if scale == 0 {
-			scale = 1
-		}
-		for tau := range want {
-			if math.Abs(got[tau]-want[tau]) > 1e-9*scale {
-				t.Fatalf("%+v lag %d: fft %v, direct %v", tc, tau, got[tau], want[tau])
-			}
-		}
-		if fa, da := argmaxLag(got), argmaxLag(want); fa != da {
-			t.Fatalf("%+v: fft argmax %d, direct argmax %d", tc, fa, da)
-		}
-	}
-}
-
 // TestEstimateDelayFFTExactEquality demands exactly equal delay estimates
 // from the FFT path and the direct loop on a seeded corpus of shifted
 // noise recordings — the Eq. (5) sync must not move by even one sample
@@ -306,7 +231,7 @@ func TestEstimateDelayFFTExactEquality(t *testing.T) {
 			b[i] = 0.01 * rng.NormFloat64()
 		}
 		copy(b[shift:], sig)
-		direct := argmaxLag(crossCorrelateDirect(sig, b, maxLag))
+		direct := EstimateDelayRange(sig, b, 0, maxLag)
 		fft := EstimateDelayFFT(sig, b, maxLag)
 		if fft != direct {
 			t.Fatalf("trial %d (n=%d shift=%d maxLag=%d): fft %d, direct %d",
@@ -345,40 +270,18 @@ func TestEstimateDelayFFTSteadyStateAllocationFree(t *testing.T) {
 	}
 }
 
-func TestCrossCorrelateFFTDegenerateInputs(t *testing.T) {
-	if got := CrossCorrelateFFT(nil, []float64{1, 2}, 3); len(got) != 4 {
-		t.Errorf("empty a: %d lags, want 4", len(got))
+func TestEstimateDelayFFTDegenerateInputs(t *testing.T) {
+	if got := EstimateDelayFFT(nil, []float64{1, 2}, 3); got != 0 {
+		t.Errorf("empty a: lag %d, want 0", got)
 	}
-	if got := CrossCorrelateFFT([]float64{1, 2}, nil, -1); len(got) != 1 {
-		t.Errorf("negative maxLag: %d lags, want 1", len(got))
+	if got := EstimateDelayFFT([]float64{1, 2}, []float64{1, 2}, -1); got != 0 {
+		t.Errorf("negative maxLag: lag %d, want 0", got)
 	}
-	got := CrossCorrelateFFT([]float64{1}, []float64{2}, 0)
-	if math.Abs(got[0]-2) > 1e-12 {
-		t.Errorf("single-sample correlation = %v, want 2", got[0])
+	if got := EstimateDelayFFT([]float64{1}, []float64{-1, 2}, 1); got != 1 {
+		t.Errorf("single-sample a: lag %d, want 1", got)
 	}
-}
-
-// TestEstimateDelayFastNearZeroCoarsePeak is the regression test for the
-// refinement-window clamp: a true delay close to zero makes the coarse
-// pass land at (or near) lag 0, so the refinement window start
-// coarse*factor - 24*factor is negative and must be clamped to 0 inside
-// EstimateDelayFast itself rather than silently relying on the callee.
-func TestEstimateDelayFastNearZeroCoarsePeak(t *testing.T) {
-	rng := rand.New(rand.NewSource(41))
-	signal := make([]float64, 8000)
-	for i := range signal {
-		signal[i] = rng.NormFloat64()
-	}
-	for _, shift := range []int{0, 1, 3, 15} { // all give coarse*16-384 < 0
-		b := make([]float64, shift+len(signal))
-		for i := 0; i < shift; i++ {
-			b[i] = 0.01 * rng.NormFloat64()
-		}
-		copy(b[shift:], signal)
-		got := EstimateDelayFast(signal, b, 3000)
-		if got != shift {
-			t.Errorf("shift %d: EstimateDelayFast = %d", shift, got)
-		}
+	if got := EstimateDelays([]float64{1, 2}, [][]float64{nil, {1, 2}}, []int{3, -2}); len(got) != 2 || got[0] != 0 || got[1] != 0 {
+		t.Errorf("EstimateDelays on an empty b and a negative maxLag: %v, want [0 0]", got)
 	}
 }
 
@@ -390,5 +293,142 @@ func TestEstimateDelayRange(t *testing.T) {
 	}
 	if got := EstimateDelayRange(a, a, 2, 1); got != 2 {
 		t.Errorf("inverted range = %d", got)
+	}
+}
+
+// delayCase builds a VA-side signal a of n samples and a wearable-side b
+// of nb samples whose content starts at lead: shifted noise (a clear
+// peak), a narrowband tone, DC, or silence, a scaled by sa and b by sb.
+func delayCase(shape string, n, nb, lead int, sa, sb float64, seed int64) (a, b []float64) {
+	rng := rand.New(rand.NewSource(seed))
+	src := make([]float64, lead+n+nb)
+	for i := range src {
+		switch shape {
+		case "noise":
+			src[i] = rng.NormFloat64()
+		case "tone":
+			src[i] = math.Sin(2 * math.Pi * 1000 * float64(i) / 16000)
+		case "dc":
+			src[i] = 1
+		}
+	}
+	a = make([]float64, n)
+	for i := range a {
+		a[i] = src[lead+i] * sa
+	}
+	b = make([]float64, nb)
+	for i := range b {
+		v := src[i]
+		if shape == "noise" && i < lead {
+			v *= 0.01
+		}
+		b[i] = v * sb
+	}
+	return a, b
+}
+
+// directCorr is Corr(tau) = sum_n a[n]*b[n+tau] for tau in [0, maxLag],
+// summed in EstimateDelayRange's order, so its first argmax is
+// EstimateDelayRange(a, b, 0, maxLag).
+func directCorr(a, b []float64, maxLag int) []float64 {
+	out := make([]float64, maxLag+1)
+	for tau := range out {
+		if tau >= len(b) {
+			break
+		}
+		sum := 0.0
+		for n, v := range a[:min(len(a), len(b)-tau)] {
+			sum += v * b[n+tau]
+		}
+		out[tau] = sum
+	}
+	return out
+}
+
+// TestEstimateDelayFFTMatchesDirectSweep is the contract of the delay
+// search on real-input transforms, on every butterfly kernel: over
+// lengths from 1 to 70,000, wearable recordings longer and shorter than
+// the VA one, shifted noise, a 1 kHz tone, DC and silence, at scales 1,
+// 1e150, 1e-150 and 1e150 against 1e-150, it returns the direct loop's
+// lag (EstimateDelayRange over 0..maxLag). Where the correlations of
+// several lags tie within rounding, any of them is right: DC against a
+// longer recording ties at every lag, and past the end of a short signal
+// every lag is a rounding-level zero. The lag returned must then
+// correlate within 1e-9·‖a‖‖b‖ of the direct maximum. Shifted noise has
+// one clear peak and must match exactly, as must the session shape, a
+// 45,040-sample VA recording against 1,600 samples of lead over 8,000
+// lags.
+func TestEstimateDelayFFTMatchesDirectSweep(t *testing.T) {
+	type tc struct {
+		shape         string
+		n, nb, lead   int
+		maxLag        int
+		sa, sb        float64
+		mustMatchLead bool
+	}
+	var cases []tc
+	for _, n := range []int{1, 2, 3, 64, 65, 1000, 4096, 45041, 70000} {
+		lead := min(n, 300)
+		for _, nb := range []int{n + lead, n/3 + 1} {
+			maxLag := min(nb-1, 2*lead+1)
+			for _, shape := range []string{"noise", "tone", "dc", "zero"} {
+				for _, sc := range [][2]float64{{1, 1}, {1e150, 1e150}, {1e-150, 1e-150}, {1e150, 1e-150}} {
+					cases = append(cases, tc{shape, n, nb, lead, maxLag, sc[0], sc[1],
+						shape == "noise" && nb > n && n >= 64})
+				}
+			}
+		}
+	}
+	cases = append(cases, tc{"noise", 45040, 45040 + 1600, 1600, 8000, 1, 1, true})
+	for i, c := range cases {
+		a, b := delayCase(c.shape, c.n, c.nb, c.lead, c.sa, c.sb, int64(i))
+		corr := directCorr(a, b, c.maxLag)
+		want := 0
+		for tau, v := range corr {
+			if v > corr[want] {
+				want = tau
+			}
+		}
+		tol := 1e-9 * math.Sqrt(Energy(a)) * math.Sqrt(Energy(b))
+		if c.mustMatchLead && want != c.lead {
+			t.Fatalf("%+v: direct lag %d, want the lead %d", c, want, c.lead)
+		}
+		forEachButterflies(t, func(t *testing.T) {
+			got := EstimateDelayFFT(a, b, c.maxLag)
+			if got == want {
+				return
+			}
+			if c.mustMatchLead || got < 0 || got > c.maxLag || !(corr[got] >= corr[want]-tol) {
+				t.Fatalf("%+v: lag %d (corr %g), direct %d (corr %g, tie tolerance %g)",
+					c, got, corr[max(0, min(got, c.maxLag))], want, corr[want], tol)
+			}
+		})
+	}
+}
+
+// TestEstimateDelaysSharedSpectrumPerLength pins the shared VA spectrum:
+// EstimateDelays gives every search the lag EstimateDelay gives it alone,
+// when the searches need two different transform lengths (65,536 and
+// 131,072 points, interleaved so the second use of a length finds its
+// spectrum) and when one falls below the crossover to the direct loop.
+func TestEstimateDelaysSharedSpectrumPerLength(t *testing.T) {
+	a, near := delayCase("noise", 45040, 45040+1600, 1600, 1, 1, 1)
+	far := append(make([]float64, 30000), a...)
+	bs := [][]float64{near, far, near[:3000], far, near}
+	maxLags := []int{8000, 30000, 4, 30000, 2000}
+	if corrFFTLength(len(a), len(near), 8000) == corrFFTLength(len(a), len(far), 30000) {
+		t.Fatal("the two searches share a transform length")
+	}
+	if useFFTCorrelation(len(a), 3000, 4) {
+		t.Fatal("the short search takes the transform path")
+	}
+	got := EstimateDelays(a, bs, maxLags)
+	for i, b := range bs {
+		if want := EstimateDelay(a, b, maxLags[i]); got[i] != want {
+			t.Errorf("search %d: lag %d, alone %d", i, got[i], want)
+		}
+	}
+	if got[0] != 1600 || got[1] != 30000 {
+		t.Errorf("lags %v, want 1600 and 30000 first", got)
 	}
 }

@@ -246,6 +246,46 @@ func EstimateDelayLegacy(a, b []float64, maxLag int) int {
 	return best
 }
 
+// EstimateDelayPacked is the transform delay search the real-input one
+// (dsp.EstimateDelayFFT) replaced: a + ib in one m-point complex
+// transform, m = NextPow2(max(len(a)+maxLag, len(b))), conj(A)·B from its
+// Hermitian halves, and one m-point inverse. Its lags carry the old
+// path's bits, so it gives every SyncOffset the old alignment gave.
+func EstimateDelayPacked(a, b []float64, maxLag int) int {
+	maxLag = max(maxLag, 0)
+	if len(a) == 0 || len(b) == 0 {
+		return 0
+	}
+	m := dsp.NextPow2(max(len(a)+maxLag, len(b)))
+	p, err := dsp.PlanFFT(m)
+	if err != nil {
+		panic(err)
+	}
+	f := make([]complex128, m)
+	for i, v := range a {
+		f[i] = complex(v, 0)
+	}
+	for i, v := range b {
+		f[i] = complex(real(f[i]), v)
+	}
+	p.Forward(f, f)
+	for k := 0; k <= m/2; k++ {
+		fk, fmk := f[k], cmplx.Conj(f[(m-k)%m])
+		ak, bk := (fk+fmk)*complex(0.5, 0), (fk-fmk)*complex(0, -0.5)
+		if f[k] = cmplx.Conj(ak) * bk; k != 0 && k != m/2 {
+			f[m-k] = cmplx.Conj(f[k])
+		}
+	}
+	p.Inverse(f, f)
+	best, bestVal := 0, math.Inf(-1)
+	for tau, v := range f[:maxLag+1] {
+		if real(v) > bestVal {
+			best, bestVal = tau, real(v)
+		}
+	}
+	return best
+}
+
 // DCT2Legacy is the historical dsp.DCT2: the orthonormal type-II DCT of x,
 // first numCoeffs coefficients, with every cosine computed inside the
 // summation loop. dsp.DCT2Table is its bit-exact descendant.
@@ -496,6 +536,18 @@ func Cases() []Case {
 		// The shape a session's Eq. (5) alignment runs at: a replay-length
 		// VA recording over 8,000 lags, a 65,536-point transform.
 		{"EstimateDelayFFT", "45040x8000", benchDelayFFT(replayLen)},
+		// A fused session's alignment: two wearables, one VA spectrum.
+		{"EstimateDelays", "45040x8000x2", func(b *testing.B) {
+			a, b1 := delayPair(replayLen)
+			bs, lags := [][]float64{b1, append(make([]float64, delayShift/2), b1...)}, []int{delayMaxLag, delayMaxLag}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if got := dsp.EstimateDelays(a, bs, lags); got[0] != delayShift || got[1] != delayShift*3/2 {
+					b.Fatalf("delays %v", got)
+				}
+			}
+		}},
 		{"EstimateDelayLegacy", "16000x8000", func(b *testing.B) {
 			a, bb := delayPair(delaySignalLen)
 			b.ReportAllocs()

@@ -7,11 +7,11 @@ import (
 	"testing"
 )
 
-// The oracles below are the shaping and correlation glue as it was before
-// the gain tables, the in-order packing and the unzeroed pool scratch:
-// every sample scattered to its bit-reversed position in a fresh zeroed
-// buffer, the gain called per bin, and the decimated inverse read back
-// sample by sample. The planned transforms must keep their bits.
+// The oracles below are the shaping glue as it was before the gain
+// tables, the in-order packing and the unzeroed pool scratch: every
+// sample scattered to its bit-reversed position in a fresh zeroed buffer,
+// the gain called per bin, and the decimated inverse read back sample by
+// sample. The planned transforms must keep their bits.
 
 func packOracle(p *FFTPlan, dst []complex128, x []float64) {
 	h := len(x) / 2
@@ -118,35 +118,6 @@ func shapeDecimateOracle(x []float64, sampleRate float64, gain func(freqHz float
 	return out, low, total
 }
 
-func corrSpectrumOracle(a, b []float64, maxLag int) (f []complex128, p *FFTPlan) {
-	m := corrFFTLength(len(a), len(b), maxLag)
-	p = mustPlanFFT(m)
-	f = make([]complex128, m)
-	for i, v := range a {
-		f[p.perm[i]] = complex(v, 0)
-	}
-	for i, v := range b {
-		j := p.perm[i]
-		f[j] = complex(real(f[j]), v)
-	}
-	butterflies(f, p.fwd)
-	half := m / 2
-	for k := 0; k <= half; k++ {
-		fk := f[k]
-		fmk := f[(m-k)%m]
-		h := complex(real(fmk), -imag(fmk))
-		ak := (fk + h) * complex(0.5, 0)
-		bk := (fk - h) * complex(0, -0.5)
-		s := complex(real(ak), -imag(ak)) * bk
-		f[k] = s
-		if k != 0 && k != half {
-			f[m-k] = complex(real(s), -imag(s))
-		}
-	}
-	p.transform(f, p.inv)
-	return f, p
-}
-
 // glueLengths are the pinned signal lengths: the smallest, both sides of
 // the 64-point permute tile, the L2 cut between scattering and copying
 // in pack, a replay segment and its odd neighbour, and lengths on and
@@ -238,36 +209,6 @@ func TestShapeDecimateBitIdenticalToScatter(t *testing.T) {
 						if i := sameFloatBits(got, want); i >= 0 || math.Float64bits(low) != math.Float64bits(wantLow) || math.Float64bits(total) != math.Float64bits(wantTotal) {
 							t.Fatalf("n=%d zero=%v factor=%d table=%v: sample %d differs, sums %v %v against %v %v", n, zero, factor, table, i, low, total, wantLow, wantTotal)
 						}
-					}
-				}
-			}
-		}
-	})
-}
-
-// The FFT correlation and delay search carry the oracle's bits for the
-// pinned lengths as the VA side, with wearable recordings as long, longer
-// and shorter, up to 8,000 lags, and on all-zero inputs.
-func TestCorrelateFFTBitIdenticalToScatter(t *testing.T) {
-	forEachButterflies(t, func(t *testing.T) {
-		for _, n := range glueLengths {
-			for _, nb := range []int{n, n + 1600, n/3 + 1} {
-				for _, zero := range []bool{false, true} {
-					a, b := glueSignal(n, int64(n)+1, zero), glueSignal(nb, int64(nb)+2, zero)
-					maxLag := min(8000, n+nb)
-					poisonScratch(mustPlanFFT(corrFFTLength(n, nb, maxLag)))
-					f, p := corrSpectrumOracle(a, b, maxLag)
-					want := make([]float64, maxLag+1)
-					inv := 1 / float64(p.n)
-					for tau := range want {
-						want[tau] = real(f[tau]) * inv
-					}
-					if i := sameFloatBits(CrossCorrelateFFT(a, b, maxLag), want); i >= 0 {
-						t.Fatalf("CrossCorrelateFFT n=%d nb=%d zero=%v: lag %d differs", n, nb, zero, i)
-					}
-					poisonScratch(p)
-					if got, w := EstimateDelayFFT(a, b, maxLag), argmaxLag(want); got != w {
-						t.Fatalf("EstimateDelayFFT n=%d nb=%d zero=%v: %d, oracle %d", n, nb, zero, got, w)
 					}
 				}
 			}

