@@ -29,24 +29,21 @@ func EstimateDelay(a, b []float64, maxLag int) int {
 // once per search.
 func EstimateDelays(a []float64, bs [][]float64, maxLags []int) []int {
 	taus := make([]int, len(bs))
-	var bufs []*[]complex128 // one per transform length (see corrBuffer)
+	var small [4]int
+	sizes := small[:0] // each search's transform length, 0 for the direct loop
 	for i, b := range bs {
-		maxLag := max(maxLags[i], 0)
-		if !useFFTCorrelation(len(a), len(b), maxLag) {
+		maxLag, m := max(maxLags[i], 0), 0
+		if useFFTCorrelation(len(a), len(b), maxLag) {
+			m = corrFFTLength(len(a), len(b), maxLag)
+		} else {
 			taus[i] = EstimateDelayRange(a, b, 0, maxLag)
-			continue
 		}
-		p := mustPlanRealFFT(corrFFTLength(len(a), len(b), maxLag))
-		j := slices.IndexFunc(bufs, func(z *[]complex128) bool { return len(*z) == p.n })
-		if j < 0 {
-			j = len(bufs)
-			bufs = append(bufs, p.corrBuffer(a))
-		}
-		z := *bufs[j]
-		taus[i] = p.delay(a, z[:p.n/2], b, z[p.n/2:], maxLag)
+		sizes = append(sizes, m)
 	}
-	for _, z := range bufs {
-		mustPlanFFT(len(*z)).putScratch(z)
+	for i, m := range sizes {
+		if m != 0 && !slices.Contains(sizes[:i], m) {
+			delaysAtSize(taus, a, bs, maxLags, sizes, m)
+		}
 	}
 	return taus
 }
@@ -59,20 +56,28 @@ func EstimateDelayFFT(a, b []float64, maxLag int) int {
 	if maxLag <= 0 || len(a) == 0 || len(b) == 0 {
 		return 0
 	}
-	p := mustPlanRealFFT(corrFFTLength(len(a), len(b), maxLag))
-	buf := p.corrBuffer(a)
-	tau := p.delay(a, (*buf)[:p.n/2], b, (*buf)[p.n/2:], maxLag)
-	mustPlanFFT(p.n).putScratch(buf)
-	return tau
+	var tau [1]int
+	m := corrFFTLength(len(a), len(b), maxLag)
+	delaysAtSize(tau[:], a, [][]float64{b}, []int{maxLag}, []int{m}, m)
+	return tau[0]
 }
 
-// corrBuffer returns a Size-entry buffer of the Size-point complex plan's
-// scratch pool whose first half holds a's packed transform
-// (packedSpectrum); the second half is the scratch of b's.
-func (p *RealFFTPlan) corrBuffer(a []float64) *[]complex128 {
-	buf := mustPlanFFT(p.n).getScratch()
-	p.packedSpectrum((*buf)[:p.n/2], a, false)
-	return buf
+// delaysAtSize sets taus[i] to the transform search's lag in [0,
+// maxLags[i]] for bs[i] against a, for every search i on an m-point
+// transform (sizes[i] == m). a's packed transform (packedSpectrum) is
+// taken once, into the first half of one m-entry buffer of the m-point
+// complex plan's scratch pool; the second half holds each b's in turn.
+func delaysAtSize(taus []int, a []float64, bs [][]float64, maxLags, sizes []int, m int) {
+	p := mustPlanRealFFT(m)
+	buf := mustPlanFFT(m).getScratch()
+	za, zb := (*buf)[:m/2], (*buf)[m/2:]
+	p.packedSpectrum(za, a, false)
+	for i, n := range sizes {
+		if n == m {
+			taus[i] = p.delay(a, za, bs[i], zb, maxLags[i])
+		}
+	}
+	mustPlanFFT(m).putScratch(buf)
 }
 
 // useFFTCorrelation decides whether the transform path beats the direct

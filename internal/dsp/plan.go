@@ -400,21 +400,13 @@ func (p *RealFFTPlan) shapeHalf(y []complex128, g []float64, cut int) (low, tota
 	a, b := real(y[0]), imag(y[0])
 	nyq := a - b
 	y[0] = complex((a+b)*g[0], nyq*g[h])
-	// e = (Z[k] + conj(Z[h-k]))·0.5, wo = w^k·((Z[k] - conj(Z[h-k]))·(-0.5i)),
-	// X[k] = e + wo and X[h-k] = conj(e - wo), written as the float64
-	// operations Go compiles the complex ones to, zero terms included.
 	for k := 1; k <= h/2; k++ {
 		j := h - k
-		a1, b1, a2, b2 := real(y[k]), imag(y[k]), real(y[j]), imag(y[j])
-		sr, si := a1+a2, b1-b2
-		er, ei := sr*0.5-si*0, sr*0+si*0.5
-		dr, di := a1-a2, b1+b2
-		qr, qi := dr*0-di*-0.5, dr*-0.5+di*0
-		wr, wi := real(p.unpack[k]), imag(p.unpack[k])
-		or, oi := wr*qr-wi*qi, wr*qi+wi*qr
-		xkr, xki := er+or, ei+oi
-		xjr, xji := er-or, -(ei - oi)
-		pk, pj := xkr*xkr+xki*xki, xjr*xjr+xji*xji
+		zk, zj := y[k], cmplx.Conj(y[j])
+		e := (zk + zj) * complex(0.5, 0)
+		wo := p.unpack[k] * ((zk - zj) * complex(0, -0.5))
+		xk, xj := e+wo, cmplx.Conj(e-wo) // X[k], and X[h-k] by conjugate symmetry
+		pk, pj := real(xk)*real(xk)+imag(xk)*imag(xk), real(xj)*real(xj)+imag(xj)*imag(xj)
 		if j == k {
 			pj = 0 // the middle bin is its own partner
 		}
@@ -426,8 +418,8 @@ func (p *RealFFTPlan) shapeHalf(y []complex128, g []float64, cut int) (low, tota
 			low += pj
 		}
 		gk, gj := g[k], g[j]
-		y[k] = complex(xkr*gk, xki*gk)
-		y[j] = complex(xjr*gj, xji*gj)
+		y[k] = complex(real(xk)*gk, imag(xk)*gk)
+		y[j] = complex(real(xj)*gj, imag(xj)*gj)
 	}
 	total += nyq * nyq
 	if h <= cut {
@@ -446,16 +438,13 @@ func (p *RealFFTPlan) inverseInto(dst []float64, y []complex128, step int) {
 	y[0] = complex(a+b, a-b)
 	for k := 1; k <= h/2; k++ {
 		j := h - k
+		yk, yj := y[k], cmplx.Conj(y[j])
 		// 2E[k] = Y[k] + conj(Y[h-k]) and 2O[k] = conj(w^k)(Y[k] - conj(Y[h-k]));
-		// E[h-k] and O[h-k] are their conjugates. y[k] = 2E[k] + i·2O[k],
-		// y[h-k] = conj(2E[k]) + i·conj(2O[k]).
-		a1, b1, a2, b2 := real(y[k]), imag(y[k]), real(y[j]), imag(y[j])
-		er, ei := a1+a2, b1-b2
-		dr, di := a1-a2, b1+b2
-		wr, wi := real(p.unpack[k]), imag(p.unpack[k])
-		or, oi := wr*dr+wi*di, wr*di-wi*dr
-		y[k] = complex(er-oi, ei+or)
-		y[j] = complex(er+oi, or-ei)
+		// E[h-k] and O[h-k] are their conjugates.
+		e := yk + yj
+		o := cmplx.Conj(p.unpack[k]) * (yk - yj)
+		y[k] = e + complex(-imag(o), real(o))
+		y[j] = cmplx.Conj(e) + complex(imag(o), real(o))
 	}
 	p.half.transform(y, p.half.inv)
 	scale := 1 / float64(p.n)

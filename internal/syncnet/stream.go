@@ -87,6 +87,16 @@ func (a *StreamAligner) Estimate(va, wear []float64) (tau int, stable bool) {
 	return a.tau, a.stableRuns >= 1
 }
 
+// Offset returns the current delay estimate (0 before the first Estimate).
+func (a *StreamAligner) Offset() int { return a.tau }
+
+// Final runs the exact batch alignment on the complete recordings —
+// byte-for-byte AlignRecordings — so the fallback path of the streaming
+// pipeline matches the batch pipeline bit for bit.
+func (a *StreamAligner) Final(va, wear []float64) ([]float64, int, error) {
+	return AlignRecordings(va, wear, a.maxLagSeconds, a.sampleRate)
+}
+
 func abs(x int) int {
 	if x < 0 {
 		return -x

@@ -54,10 +54,27 @@ func TestStreamAlignerConvergesIncrementally(t *testing.T) {
 	if diff := tau - delay; diff < -2 || diff > 2 {
 		t.Fatalf("incremental tau = %d, want about %d", tau, delay)
 	}
-	// The batch alignment of the complete recordings runs the same
-	// estimator and lands on the same delay.
-	if _, batch, err := AlignRecordings(va, wear, 0.5, 16000); err != nil || batch != tau {
-		t.Fatalf("batch alignment: tau %d (err %v), incremental %d", batch, err, tau)
+	if a.Offset() != tau {
+		t.Fatalf("Offset() = %d, want %d", a.Offset(), tau)
+	}
+
+	// Final must equal the batch alignment bit for bit.
+	gotAligned, gotTau, err := a.Final(va, wear)
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantAligned, wantTau, err := AlignRecordings(va, wear, 0.5, 16000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotTau != wantTau || len(gotAligned) != len(wantAligned) {
+		t.Fatalf("Final (tau %d, %d samples) != AlignRecordings (tau %d, %d samples)",
+			gotTau, len(gotAligned), wantTau, len(wantAligned))
+	}
+	for i := range gotAligned {
+		if math.Float64bits(gotAligned[i]) != math.Float64bits(wantAligned[i]) {
+			t.Fatalf("Final sample %d differs from batch alignment", i)
+		}
 	}
 }
 
