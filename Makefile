@@ -58,9 +58,12 @@ bench-scoring:
 
 # DSP micro-benchmark baseline: runs the shared kernels (planned engine vs
 # preserved legacy implementations) and rewrites the checked-in
-# BENCH_dsp.json so future PRs have a perf trajectory.
+# BENCH_dsp.json so future PRs have a perf trajectory; then times each
+# replay pass (shaping, fold, delay-search product, speaker peak and cubic)
+# on every kernel of this CPU into BENCH_dsp_passes.txt.
 bench-dsp:
 	$(GO) run ./cmd/benchdsp -out BENCH_dsp.json
+	$(GO) test -run '^$$' -bench BenchmarkReplayPasses -count 3 ./internal/dsp/ > BENCH_dsp_passes.txt
 
 # BRNN inference micro-benchmark baseline: the batched session kernels
 # against the per-frame reference path on the paper architecture, written

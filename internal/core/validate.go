@@ -4,8 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-
-	"vibguard/internal/dsp"
 )
 
 // Typed recording-validation errors. Inspect classifies corrupt input into
@@ -55,22 +53,34 @@ func (e *RecordingIssue) Error() string {
 // Unwrap exposes the typed error to errors.Is.
 func (e *RecordingIssue) Unwrap() error { return e.Err }
 
-// checkRecording validates one recording: non-empty, finite, long enough.
-func checkRecording(source string, x []float64, minSamples int) error {
+// checkRecording validates one recording (non-empty, finite, long enough)
+// in one pass that also sums it as dsp.Mean does, and returns it with its
+// mean subtracted when the bias exceeds the tolerance, else x (no copy).
+func checkRecording(source string, x []float64, minSamples int) ([]float64, error) {
 	if len(x) == 0 {
-		return &RecordingIssue{Source: source, Err: ErrEmptyRecording}
+		return nil, &RecordingIssue{Source: source, Err: ErrEmptyRecording}
 	}
+	sum := 0.0
 	for i, v := range x {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return &RecordingIssue{Source: source, Err: ErrNonFiniteRecording,
+		if v-v != 0 { // NaN or ±Inf
+			return nil, &RecordingIssue{Source: source, Err: ErrNonFiniteRecording,
 				Detail: fmt.Sprintf("sample %d = %v", i, v)}
 		}
+		sum += v
 	}
 	if len(x) < minSamples {
-		return &RecordingIssue{Source: source, Err: ErrRecordingTooShort,
+		return nil, &RecordingIssue{Source: source, Err: ErrRecordingTooShort,
 			Detail: fmt.Sprintf("%d samples, need >= %d", len(x), minSamples)}
 	}
-	return nil
+	mean := sum / float64(len(x))
+	if math.Abs(mean) <= dcOffsetTolerance {
+		return x, nil
+	}
+	out := make([]float64, len(x))
+	for i, v := range x {
+		out[i] = v - mean
+	}
+	return out, nil
 }
 
 // dcOffsetTolerance is the largest recording mean treated as natural:
@@ -79,20 +89,6 @@ func checkRecording(source string, x []float64, minSamples int) error {
 // Staying well above numeric noise keeps clean recordings bit-untouched, so
 // validated and unvalidated scoring paths agree exactly on good input.
 const dcOffsetTolerance = 0.01
-
-// removeDCOffset returns x with its mean subtracted when the bias exceeds
-// the tolerance, and x itself (no copy) otherwise.
-func removeDCOffset(x []float64) []float64 {
-	mean := dsp.Mean(x)
-	if math.Abs(mean) <= dcOffsetTolerance {
-		return x
-	}
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = v - mean
-	}
-	return out
-}
 
 // validateDevices validates the recordings of an InspectDevices call and
 // returns sanitized versions: fatal corruption (empty, non-finite,
@@ -104,7 +100,8 @@ func removeDCOffset(x []float64) []float64 {
 func (d *Defense) validateDevices(vaRec []float64, wears [][]float64, errs []error) (va []float64, clean [][]float64) {
 	clean = make([][]float64, len(wears))
 	minSamples := int(MinInspectSeconds * d.cfg.SampleRate)
-	if err := checkRecording("va", vaRec, minSamples); err != nil {
+	va, err := checkRecording("va", vaRec, minSamples)
+	if err != nil {
 		for i := range errs {
 			errs[i] = err
 		}
@@ -116,15 +113,13 @@ func (d *Defense) validateDevices(vaRec []float64, wears [][]float64, errs []err
 	maxLead := int(d.cfg.MaxSyncLagSeconds * d.cfg.SampleRate)
 	slack := len(vaRec) / 4
 	for i, wear := range wears {
-		if errs[i] = checkRecording("wearable", wear, minSamples); errs[i] != nil {
+		if clean[i], errs[i] = checkRecording("wearable", wear, minSamples); errs[i] != nil {
 			continue
 		}
 		if len(wear) < len(vaRec)-slack || len(wear) > len(vaRec)+maxLead+slack {
 			errs[i] = &RecordingIssue{Source: "wearable", Err: ErrLengthMismatch,
 				Detail: fmt.Sprintf("wearable %d samples vs va %d (max lead %d)", len(wear), len(vaRec), maxLead)}
-			continue
 		}
-		clean[i] = removeDCOffset(wear)
 	}
-	return removeDCOffset(vaRec), clean
+	return va, clean
 }

@@ -59,7 +59,7 @@ func legacyDrive(a *device.Accelerometer, audio []float64, audioRate float64) de
 			return a.CouplingHigh
 		}
 	})
-	vib, err := dsp.DecimateSampleHold(vib, max(int(audioRate/a.SampleRate), 1))
+	vib, err := dspbench.DecimateSampleHold(vib, max(int(audioRate/a.SampleRate), 1))
 	if err != nil {
 		panic(err)
 	}

@@ -168,17 +168,14 @@ func (s *Loudspeaker) Render(x []float64) ([]float64, error) {
 			return 1
 		}
 	})
-	shaped, _, _ := dsp.ShapeDecimateTable(x, s.SampleRate, gains, 1, 0)
+	shaped, _, _ := dsp.ShapeDecimateTable(x, s.SampleRate, gains, 1, -1)
 	// The shaped signal is a fresh slice: apply the nonlinearity in place.
 	peak := dsp.MaxAbs(shaped)
 	if peak == 0 {
 		clear(shaped) // the all-zero signal, with any -0 made +0
 		return shaped, nil
 	}
-	for i, v := range shaped {
-		u := v / peak
-		shaped[i] = s.Gain * peak * (u - s.Distortion*u*u*u)
-	}
+	dsp.Cubic(shaped, peak, s.Gain, s.Distortion)
 	return shaped, nil
 }
 

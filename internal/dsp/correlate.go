@@ -125,13 +125,10 @@ func (p *RealFFTPlan) packedSpectrum(z []complex128, x []float64, unit bool) {
 	if unit {
 		if peak := MaxAbs(x); peak != 0 && !math.IsInf(peak, 0) {
 			_, e := math.Frexp(peak)
-			f, s := floats(z), math.Ldexp(1, -e)
-			for i := range f {
-				f[i] *= s
-			}
+			kern.scale(floats(z), floats(z), math.Ldexp(1, -e))
 		}
 	}
-	butterflies(z, p.half.fwd)
+	kern.butterflies(z, p.half.fwd)
 }
 
 // searchDelay returns the lag in [0, maxLag] that maximizes the
@@ -152,8 +149,25 @@ func (p *RealFFTPlan) searchDelay(za []complex128, b []float64, y []complex128, 
 	a0, a1, b0, b1 := real(za[0]), imag(za[0]), real(y[0]), imag(y[0])
 	s0, sh := 4*(a0+a1)*(b0+b1), 4*(a0-a1)*(b0-b1)
 	y[0] = complex(s0+sh, s0-sh)
-	for k := 1; k <= h/2; k++ {
-		j := h - k
+	k1 := 1 + max(h/2-1, 0)&^3
+	kern.product(za, y, w, 1, k1)
+	productPairs(za, y, w, k1, h/2+1)
+	p.half.transform(y, p.half.inv)
+	bestVal := math.Inf(-1)
+	finite = true
+	for t, v := range floats(y)[:maxLag+1] {
+		if v > bestVal {
+			tau, bestVal = t, v
+		}
+		finite = finite && v-v == 0 // v-v is NaN for NaN and ±Inf
+	}
+	return tau, finite
+}
+
+// productPairs is searchDelay's per-bin pass over the pairs k, h-k, k0 <= k < k1.
+func productPairs(za, y, w []complex128, k0, k1 int) {
+	for k := k0; k < k1; k++ {
+		j := len(y) - k
 		wr, wi := real(w[k]), imag(w[k])
 		// 2A[k], 2A[h-k]
 		p1, q1, p2, q2 := real(za[k]), imag(za[k]), real(za[j]), imag(za[j])
@@ -176,16 +190,6 @@ func (p *RealFFTPlan) searchDelay(za []complex128, b []float64, y []complex128, 
 		y[k] = complex(er-oi, ei+or)
 		y[j] = complex(er+oi, or-ei)
 	}
-	p.half.transform(y, p.half.inv)
-	bestVal := math.Inf(-1)
-	finite = true
-	for t, v := range floats(y)[:maxLag+1] {
-		if v > bestVal {
-			tau, bestVal = t, v
-		}
-		finite = finite && v-v == 0 // v-v is NaN for NaN and ±Inf
-	}
-	return tau, finite
 }
 
 // EstimateDelayRange returns the lag in [loLag, hiLag] maximizing the
@@ -316,15 +320,26 @@ func RMS(x []float64) float64 {
 	return math.Sqrt(Energy(x) / float64(len(x)))
 }
 
-// MaxAbs returns the maximum absolute value in x.
-func MaxAbs(x []float64) float64 {
-	max := 0.0
+// MaxAbs returns the maximum absolute value in x; NaNs are skipped.
+func MaxAbs(x []float64) float64 { return kern.maxAbs(x, 0) }
+
+func maxAbsFrom(x []float64, m float64) float64 {
 	for _, v := range x {
-		if a := math.Abs(v); a > max {
-			max = a
+		if a := math.Abs(v); a > m {
+			m = a
 		}
 	}
-	return max
+	return m
+}
+
+// Cubic sets x[i] = gain·peak·(u - d·u³), u = x[i]/peak: a driver's nonlinearity.
+func Cubic(x []float64, peak, gain, d float64) { kern.cubic(x, peak, gain, d) }
+
+func cubicInto(x []float64, peak, gain, d float64) {
+	for i, v := range x {
+		u := v / peak
+		x[i] = gain * peak * (u - d*u*u*u)
+	}
 }
 
 // Quartile3 returns the third quartile (75th percentile) of x using linear

@@ -377,6 +377,19 @@ func MFCCExtractLegacy(audio []float64, cfg mfcc.Config) ([][]float64, error) {
 	return out, nil
 }
 
+// DecimateSampleHold keeps every factor-th sample of x (pure point
+// sampling, maximal aliasing): the oracle of dsp.ShapeDecimate's decimation.
+func DecimateSampleHold(x []float64, factor int) ([]float64, error) {
+	if factor <= 0 {
+		return nil, fmt.Errorf("decimate: factor %d must be positive", factor)
+	}
+	out := make([]float64, 0, len(x)/factor+1)
+	for i := 0; i < len(x); i += factor {
+		out = append(out, x[i])
+	}
+	return out, nil
+}
+
 // Case is one benchmark kernel: Group matches a Benchmark<Group> wrapper in
 // internal/dsp and Name is the sub-benchmark label.
 type Case struct {

@@ -1,7 +1,6 @@
 package dsp
 
-// KernelNames lists the butterfly kernels this CPU can run, preferred
-// first.
+// KernelNames lists the kernels this CPU can run, preferred first.
 func KernelNames() []string {
 	names := make([]string, len(kernels))
 	for i, k := range kernels {
@@ -10,18 +9,18 @@ func KernelNames() []string {
 	return names
 }
 
-// UseKernel makes every transform run on the named butterfly kernel and
+// UseKernel makes every transform and pass run on the named kernel and
 // returns a function that restores the previous one. Tests that call it
 // must not run in parallel with other transforms.
 func UseKernel(name string) (restore func()) {
-	prev := butterflies
+	prev := kern
 	for _, k := range kernels {
 		if k.name == name {
-			butterflies = k.run
-			return func() { butterflies = prev }
+			kern = k
+			return func() { kern = prev }
 		}
 	}
-	panic("dsp: unknown butterfly kernel " + name)
+	panic("dsp: unknown kernel " + name)
 }
 
 // BluesteinCacheSize is the current bound on cached Bluestein plans.

@@ -145,19 +145,20 @@ func PreEmphasis(x []float64, coef float64) []float64 {
 // rounding bounded against it (dspbench.FrequencyShapeLegacy). The buffers
 // come from the plan's pools, so a call allocates only its result.
 func FrequencyShape(x []float64, sampleRate float64, gain func(freqHz float64) float64) []float64 {
-	out, _, _ := ShapeDecimate(x, sampleRate, gain, 1, 0)
+	out, _, _ := ShapeDecimate(x, sampleRate, gain, 1, -1)
 	return out
 }
 
-// ShapeDecimate is FrequencyShape followed by DecimateSampleHold(factor),
-// computing only the samples kept. Keeping every g-th sample of the
+// ShapeDecimate is FrequencyShape followed by keeping every factor-th
+// sample, computing only the samples kept. Keeping every g-th sample of the
 // m-point shaped signal aliases its spectrum onto l = m/g bins, F[r] =
 // sum_q Y[r+q·l], so the gained spectrum is folded by g, the largest
 // power of two dividing factor (at most m/2), inverted at l points, and
 // every (factor/g)-th sample of that is kept. factor must be positive.
 // The shaping pass (shapeHalf) also sums |X[k]|², x zero-padded to m and
 // before the gain, over bins 1..FrequencyBin(cutHz, m, sampleRate) (low)
-// and 1..m/2 (total); the sums overflow to +Inf past |X[k]| ≈ 1e154.
+// and 1..m/2 (total); the sums overflow to +Inf past |X[k]| ≈ 1e154. A
+// negative cutHz skips the sums (both come back 0).
 // The gain is sampled into a pooled table of the m/2+1 bins first; a
 // caller that shapes many signals with one curve can keep that table
 // (GainTable) and call ShapeDecimateTable.
@@ -200,8 +201,12 @@ func ShapeDecimateTable(x []float64, sampleRate float64, gains []float64, factor
 	defer p.half.putScratch(buf)
 	y := *buf
 	p.half.pack(y, x)
-	butterflies(y, p.half.fwd)
-	low, total = p.shapeHalf(y, gains, FrequencyBin(cutHz, m, sampleRate))
+	kern.butterflies(y, p.half.fwd)
+	cut := FrequencyBin(cutHz, m, sampleRate)
+	if cutHz < 0 {
+		cut = -1
+	}
+	low, total = p.shapeHalf(y, gains, cut)
 	fold := min(factor&-factor, m/2)
 	if fold == 1 {
 		p.inverseInto(out, y, factor)
@@ -213,17 +218,30 @@ func ShapeDecimateTable(x []float64, sampleRate float64, gains []float64, factor
 	defer q.putScratch(fbuf)
 	f := *fbuf
 	clear(f)
-	// Bins above m/2 are the conjugates of those below; the real bins 0
-	// and m/2 both alias onto bin 0.
+	// The real bins 0 and m/2 both alias onto bin 0.
 	f[0] = complex(real(y[0])+imag(y[0]), 0)
-	for k := 1; k < m/2; k++ {
-		f[k&(l-1)] += y[k]
-		f[(m-k)&(l-1)] += cmplx.Conj(y[k])
-	}
+	kern.fold(f, y)
 	q.transform(f, q.inv)
 	step, inv := factor/fold, 1/float64(m)
 	for i := range out {
 		out[i] = real(f[i*step]) * inv
 	}
 	return out, low, total
+}
+
+// foldBlocks adds y[k] to f[k mod l] and conj(y[k]), the bin above len(y),
+// to f[-k mod l] for 0 < k < len(y) (l = len(f) divides len(y)), in blocks
+// of l with each f[r]'s terms in k order: y[ql+r]'s first for r <= l/2.
+func foldBlocks(f, y []complex128) {
+	l := len(f)
+	for q := 0; q < len(y); q += l {
+		for r := max(1-q, 0); r < l; r++ { // y[0] holds the real bins
+			d, c := y[q+r], cmplx.Conj(y[q+(l-r)&(l-1)])
+			if r > l/2 {
+				d, c = c, d
+			}
+			f[r] += d
+			f[r] += c
+		}
+	}
 }

@@ -217,23 +217,3 @@ func TestResampleErrors(t *testing.T) {
 		t.Errorf("empty input: %v, %v", out, err)
 	}
 }
-
-func TestDecimateSampleHold(t *testing.T) {
-	x := []float64{0, 1, 2, 3, 4, 5, 6}
-	out, err := DecimateSampleHold(x, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := []float64{0, 3, 6}
-	if len(out) != len(want) {
-		t.Fatalf("len = %d", len(out))
-	}
-	for i := range want {
-		if out[i] != want[i] {
-			t.Errorf("out[%d] = %v, want %v", i, out[i], want[i])
-		}
-	}
-	if _, err := DecimateSampleHold(x, 0); err == nil {
-		t.Error("zero factor should error")
-	}
-}

@@ -95,7 +95,7 @@ func shapeDecimateOracle(x []float64, sampleRate float64, gain func(freqHz float
 	p := mustPlanRealFFT(m)
 	y := make([]complex128, m/2)
 	packOracle(p.half, y, x)
-	butterflies(y, p.half.fwd)
+	kern.butterflies(y, p.half.fwd)
 	low, total = shapeHalfOracle(p, y, sampleRate, gain, FrequencyBin(cutHz, m, sampleRate))
 	fold := min(factor&-factor, m/2)
 	if fold == 1 {
@@ -124,13 +124,14 @@ func shapeDecimateOracle(x []float64, sampleRate float64, gain func(freqHz float
 // past a power of two.
 var glueLengths = []int{1, 2, 3, 63, 64, 65, 4096, 45040, 45041, 65536, 70000}
 
-// forEachButterflies runs f once per butterfly kernel of this CPU.
+// forEachButterflies runs f once per kernel of this CPU, with the whole
+// kernel entry (butterflies and passes) switched.
 func forEachButterflies(t *testing.T, f func(t *testing.T)) {
 	for _, k := range kernels {
 		t.Run(k.name, func(t *testing.T) {
-			prev := butterflies
-			butterflies = k.run
-			defer func() { butterflies = prev }()
+			prev := kern
+			kern = k
+			defer func() { kern = prev }()
 			f(t)
 		})
 	}
@@ -169,11 +170,11 @@ func sameFloatBits(got, want []float64) int {
 	return -1
 }
 
-// FrequencyShape and ShapeDecimate (factors 1 and 80, the replay's
-// decimation, with the power sums at 500 Hz) carry the oracle's bits at
-// every pinned length and on the all-zero signal, on every butterfly
-// kernel and on dirty pool scratch; so does ShapeDecimateTable with the
-// curve sampled by GainTable.
+// FrequencyShape and ShapeDecimate (factors 1 and 3, unfolded; 80, the
+// replay's decimation, and 160, folded by 16 and 32; the power sums at 500
+// Hz) carry the oracle's bits at every pinned length and on the all-zero
+// signal, on every kernel and on dirty pool scratch; so does
+// ShapeDecimateTable with the curve sampled by GainTable.
 func TestShapeDecimateBitIdenticalToScatter(t *testing.T) {
 	gain := func(f float64) float64 {
 		if f < 180 {
@@ -195,7 +196,7 @@ func TestShapeDecimateBitIdenticalToScatter(t *testing.T) {
 				}()); i >= 0 {
 					t.Fatalf("FrequencyShape n=%d zero=%v: sample %d differs", n, zero, i)
 				}
-				for _, factor := range []int{1, 80} {
+				for _, factor := range []int{1, 3, 80, 160} {
 					want, wantLow, wantTotal := shapeDecimateOracle(x, 16000, gain, factor, 500)
 					for _, table := range []bool{false, true} {
 						if m > 1 {

@@ -158,7 +158,7 @@ func (p *FFTPlan) putScratch(buf *[]complex128) { p.scratch.Put(buf) }
 // twiddle table tw (p.fwd or p.inv).
 func (p *FFTPlan) transform(x []complex128, tw []complex128) {
 	p.permute(x)
-	butterflies(x, tw)
+	kern.butterflies(x, tw)
 }
 
 // permute applies the bit-reversal permutation to x in place. From 64
@@ -197,22 +197,31 @@ func (p *FFTPlan) permute(x []complex128) {
 	}
 }
 
-// kernel is one implementation of the butterfly stages. kernels (chosen
-// per architecture in plan_amd64.go / plan_generic.go) lists the ones this
-// CPU can run, preferred first; all of them produce identical bits.
+// kernel is one implementation of the butterflies and the passes around
+// them, each with the contract of its Go loop in generic. kernels lists the
+// ones this CPU can run, preferred first; all give identical bits.
 type kernel struct {
-	name string
-	run  func(x, tw []complex128)
+	name        string
+	butterflies func(x, tw []complex128)
+	shape       func(y, w []complex128, g []float64, k0, k1, cut int, low, total float64) (float64, float64)
+	repack      func(y, w []complex128, k0, k1 int)
+	product     func(za, y, w []complex128, k0, k1 int)
+	fold        func(f, y []complex128)
+	scale       func(dst, src []float64, s float64)
+	maxAbs      func(x []float64, m float64) float64
+	cubic       func(x []float64, peak, gain, d float64)
 }
 
-// butterflies runs every radix-2 butterfly stage over x, which must already
-// be in bit-reversed order, with the flattened twiddle table tw (len(x)-1
-// entries, see fillTwiddles). len(x) must be a power of two. It is the
-// preferred kernel of this CPU; only tests switch it.
-var butterflies = kernels[0].run
+// generic is the pure-Go kernel: the fallback and the tests' oracle.
+var generic = kernel{"generic", butterfliesGeneric, shapePairs, repackPairs, productPairs, foldBlocks, scaleInto, maxAbsFrom, cubicInto}
 
-// butterfliesGeneric is the pure-Go kernel: stage by stage, the stage of
-// half-size h reads twiddle entries h-1 .. 2h-2.
+// kern is the preferred kernel of this CPU; only tests switch it.
+var kern = kernels[0]
+
+// butterfliesGeneric runs every radix-2 butterfly stage over x, which must
+// already be in bit-reversed order, with the flattened twiddle table tw
+// (len(x)-1 entries, see fillTwiddles); len(x) must be a power of two.
+// Stage by stage, the stage of half-size h reads twiddle entries h-1 .. 2h-2.
 func butterfliesGeneric(x, tw []complex128) {
 	n := len(x)
 	for half := 1; half < n; half <<= 1 {
@@ -319,7 +328,7 @@ func (p *RealFFTPlan) reduceInto(dst []float64, x []float64, scratch []complex12
 	}
 	scratch = scratch[:m]
 	p.half.pack(scratch, x)
-	butterflies(scratch, p.half.fwd)
+	kern.butterflies(scratch, p.half.fwd)
 	// Scalar unpack (shapeHalf's algebra, spelled out on float64 so
 	// the compiler keeps everything in registers — this loop dominates the
 	// per-frame STFT cost at small sizes). DC and Nyquist come from the
@@ -392,19 +401,34 @@ func floats(x []complex128) []float64 {
 // pair k, h-k unpacks from the two entries it overwrites. The layout is
 // packed: y[k] = Y[k] for 0 < k < h, and the real bins share y[0] =
 // complex(Y[0], Y[h]). In the same pass it sums the ungained |X[k]|²
-// over bins 1..cut (low) and over bins 1..h (total); DC is in neither.
-// g holds the gain of each bin 0..h (see GainTable).
+// over bins 1..cut (low) and over bins 1..h (total); DC is in neither, and
+// a negative cut skips both (0). g holds the gain of each bin 0..h.
 func (p *RealFFTPlan) shapeHalf(y []complex128, g []float64, cut int) (low, total float64) {
 	h := p.n / 2
-	g = g[:h+1]
+	y, g = y[:h], g[:h+1]
 	a, b := real(y[0]), imag(y[0])
 	nyq := a - b
 	y[0] = complex((a+b)*g[0], nyq*g[h])
-	for k := 1; k <= h/2; k++ {
-		j := h - k
+	k1 := 1 + max(min(h/2, h-cut)-1, 0)&^3 // the kernel's pairs: in fours, each h-k above cut
+	low, total = kern.shape(y, p.unpack, g, 1, k1, cut, 0, 0)
+	low, total = shapePairs(y, p.unpack, g, k1, h/2+1, cut, low, total)
+	if cut < 0 {
+		return 0, 0
+	}
+	if h <= cut {
+		low += nyq * nyq
+	}
+	return low, total + nyq*nyq
+}
+
+// shapePairs is shapeHalf's pass over the pairs k, h-k, k0 <= k < k1: it
+// adds the powers of the bins up to cut to low, of all to total, in k order.
+func shapePairs(y, w []complex128, g []float64, k0, k1, cut int, low, total float64) (float64, float64) {
+	for k := k0; k < k1; k++ {
+		j := len(y) - k
 		zk, zj := y[k], cmplx.Conj(y[j])
 		e := (zk + zj) * complex(0.5, 0)
-		wo := p.unpack[k] * ((zk - zj) * complex(0, -0.5))
+		wo := w[k] * ((zk - zj) * complex(0, -0.5))
 		xk, xj := e+wo, cmplx.Conj(e-wo) // X[k], and X[h-k] by conjugate symmetry
 		pk, pj := real(xk)*real(xk)+imag(xk)*imag(xk), real(xj)*real(xj)+imag(xj)*imag(xj)
 		if j == k {
@@ -421,10 +445,6 @@ func (p *RealFFTPlan) shapeHalf(y []complex128, g []float64, cut int) (low, tota
 		y[k] = complex(real(xk)*gk, imag(xk)*gk)
 		y[j] = complex(real(xj)*gj, imag(xj)*gj)
 	}
-	total += nyq * nyq
-	if h <= cut {
-		low += nyq * nyq
-	}
 	return low, total
 }
 
@@ -436,22 +456,13 @@ func (p *RealFFTPlan) inverseInto(dst []float64, y []complex128, step int) {
 	h := p.n / 2
 	a, b := real(y[0]), imag(y[0])
 	y[0] = complex(a+b, a-b)
-	for k := 1; k <= h/2; k++ {
-		j := h - k
-		yk, yj := y[k], cmplx.Conj(y[j])
-		// 2E[k] = Y[k] + conj(Y[h-k]) and 2O[k] = conj(w^k)(Y[k] - conj(Y[h-k]));
-		// E[h-k] and O[h-k] are their conjugates.
-		e := yk + yj
-		o := cmplx.Conj(p.unpack[k]) * (yk - yj)
-		y[k] = e + complex(-imag(o), real(o))
-		y[j] = cmplx.Conj(e) + complex(imag(o), real(o))
-	}
+	k1 := 1 + max(h/2-1, 0)&^3
+	kern.repack(y[:h], p.unpack, 1, k1)
+	repackPairs(y[:h], p.unpack, k1, h/2+1)
 	p.half.transform(y, p.half.inv)
 	scale := 1 / float64(p.n)
 	if step == 1 { // x itself: y's lanes in order, one scaled copy
-		for i, v := range floats(y)[:len(dst)] {
-			dst[i] = v * scale
-		}
+		kern.scale(dst, floats(y), scale)
 		return
 	}
 	for i := range dst {
@@ -461,6 +472,26 @@ func (p *RealFFTPlan) inverseInto(dst []float64, y []complex128, step int) {
 		} else {
 			dst[i] = imag(v) * scale
 		}
+	}
+}
+
+// repackPairs is inverseInto's re-pack of the pairs k, h-k, k0 <= k < k1.
+func repackPairs(y, w []complex128, k0, k1 int) {
+	for k := k0; k < k1; k++ {
+		j := len(y) - k
+		yk, yj := y[k], cmplx.Conj(y[j])
+		// 2E[k] = Y[k] + conj(Y[h-k]) and 2O[k] = conj(w^k)(Y[k] - conj(Y[h-k]));
+		// E[h-k] and O[h-k] are their conjugates.
+		e := yk + yj
+		o := cmplx.Conj(w[k]) * (yk - yj)
+		y[k] = e + complex(-imag(o), real(o))
+		y[j] = cmplx.Conj(e) + complex(imag(o), real(o))
+	}
+}
+
+func scaleInto(dst, src []float64, s float64) {
+	for i := range dst {
+		dst[i] = src[i] * s
 	}
 }
 

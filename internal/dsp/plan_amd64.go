@@ -2,17 +2,15 @@
 
 package dsp
 
-// The butterfly stages run in assembly (plan_amd64.s) when the CPU and the
-// operating system support AVX: two butterflies per YMM operation. The
-// check runs once, at start-up; without AVX the pure-Go loop runs. The
-// AVX kernel is bit-identical to butterfliesGeneric: it uses no FMA, whose
-// single rounding would change the low bits of each complex product.
+// The butterflies and the passes around them run in assembly (plan_amd64.s)
+// when the CPU and the operating system support AVX, checked once at
+// start-up; otherwise the Go loops run. The AVX kernel is bit-identical to
+// generic: it uses no FMA, whose single rounding would change low bits.
 var kernels = amd64Kernels()
 
 func amd64Kernels() []kernel {
-	generic := kernel{"generic", butterfliesGeneric}
 	if hasAVX() {
-		return []kernel{{"avx", butterfliesAVX}, generic}
+		return []kernel{{"avx", butterfliesAVX, shapeAVX, repackAVX, productAVX, foldAVX, scaleAVX, maxAbsAVX, cubicAVX}, generic}
 	}
 	return []kernel{generic}
 }
@@ -34,7 +32,13 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// butterfliesAVX has the contract of butterfliesGeneric.
-//
-//go:noescape
+// The AVX kernel keeps generic's contracts. The per-bin passes take k1-k0 a
+// multiple of 4 and k1 <= len(y)/2, and shapeAVX no pair whose h-k <= cut.
 func butterfliesAVX(x, tw []complex128)
+func shapeAVX(y, w []complex128, g []float64, k0, k1, cut int, low, total float64) (float64, float64)
+func repackAVX(y, w []complex128, k0, k1 int)
+func productAVX(za, y, w []complex128, k0, k1 int)
+func foldAVX(f, y []complex128)
+func scaleAVX(dst, src []float64, s float64)
+func maxAbsAVX(x []float64, m float64) float64
+func cubicAVX(x []float64, peak, gain, d float64)

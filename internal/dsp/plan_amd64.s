@@ -22,14 +22,6 @@ TEXT ·cpuid(SB), NOSPLIT, $0-24
 	MOVL DX, edx+20(FP)
 	RET
 
-// func xgetbv() (eax, edx uint32)
-TEXT ·xgetbv(SB), NOSPLIT, $0-8
-	MOVL $0, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
-	MOVL DX, edx+4(FP)
-	RET
-
 // CMUL sets t = b*w for two complex128 values per YMM register, with the
 // real parts of w duplicated in wr and the imaginary parts in wi. s is
 // scratch.
@@ -194,5 +186,586 @@ avxtwo:
 	VMOVUPD   X7, 16(DI)
 
 avxdone:
+	VZEROUPPER
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET
+
+// The passes around the butterflies. Each reproduces its generic twin in
+// plan.go bit for bit: the same IEEE operations on the same operands, in
+// vector lanes instead of scalars, with no FMA. The per-bin passes work
+// on four bin pairs k..k+3, h-k-3..h-k at a time, split into a vector of
+// real parts and one of imaginary parts with the lanes in the order k,
+// k+2, k+1, k+3, so each scalar line of the Go loop becomes one vector
+// operation. Go's complex products keep their ·0 terms (z·½ is [re·½ -
+// im·0, re·0 + im·½]), which decide the sign of a zero result and turn
+// ±Inf into NaN, so the kernels multiply by 0 too.
+
+DATA half<>+0(SB)/8, $0x3fe0000000000000
+GLOBL half<>(SB), RODATA|NOPTR, $8
+DATA neghalf<>+0(SB)/8, $0xbfe0000000000000
+GLOBL neghalf<>(SB), RODATA|NOPTR, $8
+DATA signbit<>+0(SB)/8, $0x8000000000000000
+GLOBL signbit<>(SB), RODATA|NOPTR, $8
+DATA absmask<>+0(SB)/8, $0x7fffffffffffffff
+GLOBL absmask<>(SB), RODATA|NOPTR, $8
+DATA conjmask<>+0(SB)/8, $0
+DATA conjmask<>+8(SB)/8, $0x8000000000000000
+DATA conjmask<>+16(SB)/8, $0
+DATA conjmask<>+24(SB)/8, $0x8000000000000000
+GLOBL conjmask<>(SB), RODATA|NOPTR, $32
+
+// LOADK loads the four complex values from addr0 (k, k+1) and addr1
+// (k+2, k+3) into re and im, lanes k, k+2, k+1, k+3. t0, t1 are scratch.
+#define LOADK(addr0, addr1, re, im, t0, t1) \
+	VMOVUPD   addr0, t0; \
+	VMOVUPD   addr1, t1; \
+	VUNPCKLPD t1, t0, re; \
+	VUNPCKHPD t1, t0, im
+
+// LOADJ loads the partners h-k, h-k-1, h-k-2, h-k-3 from j0 .. j3 into
+// re and im in the lanes of LOADK. x0/y0 and x1/y1 name two scratch
+// registers.
+#define LOADJ(j0, j1, j2, j3, re, im, x0, y0, x1, y1) \
+	VMOVUPD     j0, x0; \
+	VINSERTF128 $1, j1, y0, y0; \
+	VMOVUPD     j2, x1; \
+	VINSERTF128 $1, j3, y1, y1; \
+	VUNPCKLPD   y1, y0, re; \
+	VUNPCKHPD   y1, y0, im
+
+// STOREK and STOREJ are the inverses of LOADK and LOADJ.
+#define STOREK(re, im, addr0, addr1, t0, t1) \
+	VUNPCKLPD im, re, t0; \
+	VUNPCKHPD im, re, t1; \
+	VMOVUPD   t0, addr0; \
+	VMOVUPD   t1, addr1
+
+#define STOREJ(re, im, j0, j1, j2, j3, x0, y0, x1, y1) \
+	VUNPCKLPD    im, re, y0; \
+	VUNPCKHPD    im, re, y1; \
+	VMOVUPD      x0, j0; \
+	VEXTRACTF128 $1, y0, j1; \
+	VMOVUPD      x1, j2; \
+	VEXTRACTF128 $1, y1, j3
+
+// func shapeAVX(y, w []complex128, g []float64, k0, k1, cut int, low, total float64) (float64, float64)
+//
+// Registers: DI y, SI w, DX g, AX 8k, CX 8(h-k), BX 8k1, R9 8cut, X9 and
+// X8 the running low and total; Y12 0, Y13 -0 (the sign bit), Y14 -½, Y15 ½.
+TEXT ·shapeAVX(SB), NOSPLIT, $0-128
+	MOVQ   y_base+0(FP), DI
+	MOVQ   y_len+8(FP), CX
+	MOVQ   w_base+24(FP), SI
+	MOVQ   g_base+48(FP), DX
+	MOVQ   k0+72(FP), AX
+	MOVQ   k1+80(FP), BX
+	MOVQ   cut+88(FP), R9
+	VMOVSD low+96(FP), X9
+	VMOVSD total+104(FP), X8
+	CMPQ   AX, BX
+	JAE    shapedone
+	SUBQ   AX, CX
+	SHLQ   $3, AX
+	SHLQ   $3, BX
+	SHLQ   $3, CX
+	SHLQ   $3, R9
+	VXORPD       Y12, Y12, Y12
+	VBROADCASTSD signbit<>(SB), Y13
+	VBROADCASTSD neghalf<>(SB), Y14
+	VBROADCASTSD half<>(SB), Y15
+
+shapeloop:
+	LOADK((DI)(AX*2), 32(DI)(AX*2), Y2, Y3, Y0, Y1)
+	LOADJ((DI)(CX*2), -16(DI)(CX*2), -32(DI)(CX*2), -48(DI)(CX*2), Y4, Y5, X0, Y0, X1, Y1)
+	VXORPD Y13, Y5, Y5 // zj = conj(y[h-k])
+	VADDPD Y4, Y2, Y0  // (zk+zj).re
+	VADDPD Y5, Y3, Y1  // (zk+zj).im
+	VSUBPD Y4, Y2, Y2  // (zk-zj).re
+	VSUBPD Y5, Y3, Y3  // (zk-zj).im
+
+	// e = (zk+zj)·½
+	VMULPD Y15, Y0, Y4
+	VMULPD Y12, Y1, Y5
+	VSUBPD Y5, Y4, Y4 // e.re
+	VMULPD Y12, Y0, Y0
+	VMULPD Y15, Y1, Y1
+	VADDPD Y1, Y0, Y0 // e.im
+
+	// t = (zk-zj)·(-½i)
+	VMULPD Y12, Y2, Y5
+	VMULPD Y14, Y3, Y1
+	VSUBPD Y1, Y5, Y5 // t.re
+	VMULPD Y14, Y2, Y2
+	VMULPD Y12, Y3, Y3
+	VADDPD Y3, Y2, Y2 // t.im
+
+	// wo = w·t
+	LOADK((SI)(AX*2), 32(SI)(AX*2), Y6, Y7, Y1, Y3)
+	VMULPD Y5, Y6, Y1
+	VMULPD Y2, Y7, Y3
+	VSUBPD Y3, Y1, Y1 // wo.re
+	VMULPD Y2, Y6, Y2
+	VMULPD Y5, Y7, Y5
+	VADDPD Y5, Y2, Y2 // wo.im
+
+	// X[k] = e + wo, X[h-k] = conj(e - wo)
+	VADDPD Y1, Y4, Y3
+	VADDPD Y2, Y0, Y5
+	VSUBPD Y1, Y4, Y4
+	VSUBPD Y2, Y0, Y0
+	VXORPD Y13, Y0, Y0
+	TESTQ  R9, R9
+	JS     shapegain
+
+	// low += |X[k]|² while k <= cut, and total += |X[k]|² + |X[h-k]|²,
+	// for k, k+1, k+2, k+3 in turn
+	VMULPD       Y3, Y3, Y1
+	VMULPD       Y5, Y5, Y2
+	VADDPD       Y2, Y1, Y1
+	VMULPD       Y4, Y4, Y2
+	VMULPD       Y0, Y0, Y6
+	VADDPD       Y6, Y2, Y2
+	CMPQ         AX, R9
+	JGT          shapetotal
+	VEXTRACTF128 $1, Y1, X6
+	VADDSD       X1, X9, X9
+	LEAQ         8(AX), R11
+	CMPQ         R11, R9
+	JGT          shapetotal
+	VADDSD       X6, X9, X9
+	ADDQ         $8, R11
+	CMPQ         R11, R9
+	JGT          shapetotal
+	VPERMILPD    $1, X1, X7
+	VADDSD       X7, X9, X9
+	ADDQ         $8, R11
+	CMPQ         R11, R9
+	JGT          shapetotal
+	VPERMILPD    $1, X6, X7
+	VADDSD       X7, X9, X9
+
+shapetotal:
+	VADDPD       Y2, Y1, Y1
+	VEXTRACTF128 $1, Y1, X2
+	VADDSD       X1, X8, X8
+	VADDSD       X2, X8, X8
+	VPERMILPD    $1, X1, X1
+	VPERMILPD    $1, X2, X2
+	VADDSD       X1, X8, X8
+	VADDSD       X2, X8, X8
+
+shapegain:
+	VBROADCASTF128 (DX)(AX*1), Y1
+	VBROADCASTF128 16(DX)(AX*1), Y2
+	VUNPCKLPD      Y2, Y1, Y6
+	VUNPCKHPD      Y2, Y1, Y7
+	VBLENDPD       $12, Y7, Y6, Y6 // g[k], g[k+2], g[k+1], g[k+3]
+	VMULPD         Y6, Y3, Y3
+	VMULPD         Y6, Y5, Y5
+	STOREK(Y3, Y5, (DI)(AX*2), 32(DI)(AX*2), Y1, Y2)
+	VBROADCASTF128 -8(DX)(CX*1), Y1
+	VBROADCASTF128 -24(DX)(CX*1), Y2
+	VUNPCKHPD      Y2, Y1, Y6
+	VUNPCKLPD      Y2, Y1, Y7
+	VBLENDPD       $12, Y7, Y6, Y6 // g[h-k], g[h-k-2], g[h-k-1], g[h-k-3]
+	VMULPD         Y6, Y4, Y4
+	VMULPD         Y6, Y0, Y0
+	STOREJ(Y4, Y0, (DI)(CX*2), -16(DI)(CX*2), -32(DI)(CX*2), -48(DI)(CX*2), X1, Y1, X2, Y2)
+	ADDQ           $32, AX
+	SUBQ           $32, CX
+	CMPQ           AX, BX
+	JB             shapeloop
+
+shapedone:
+	VMOVSD X9, ret+112(FP)
+	VMOVSD X8, ret1+120(FP)
+	VZEROUPPER
+	RET
+
+// func repackAVX(y, w []complex128, k0, k1 int)
+//
+// Registers: DI y, SI w, AX 8k, CX 8(h-k), BX 8k1; Y13 -0.
+TEXT ·repackAVX(SB), NOSPLIT, $0-64
+	MOVQ y_base+0(FP), DI
+	MOVQ y_len+8(FP), CX
+	MOVQ w_base+24(FP), SI
+	MOVQ k0+48(FP), AX
+	MOVQ k1+56(FP), BX
+	CMPQ AX, BX
+	JAE  repackdone
+	SUBQ AX, CX
+	SHLQ $3, AX
+	SHLQ $3, BX
+	SHLQ $3, CX
+	VBROADCASTSD signbit<>(SB), Y13
+
+repackloop:
+	LOADK((DI)(AX*2), 32(DI)(AX*2), Y2, Y3, Y0, Y1)
+	LOADJ((DI)(CX*2), -16(DI)(CX*2), -32(DI)(CX*2), -48(DI)(CX*2), Y4, Y5, X0, Y0, X1, Y1)
+	VXORPD Y13, Y5, Y5 // yj = conj(y[h-k])
+	VADDPD Y4, Y2, Y0  // e.re
+	VADDPD Y5, Y3, Y1  // e.im
+	VSUBPD Y4, Y2, Y2  // (yk-yj).re
+	VSUBPD Y5, Y3, Y3  // (yk-yj).im
+
+	// o = conj(w)·(yk-yj)
+	LOADK((SI)(AX*2), 32(SI)(AX*2), Y6, Y7, Y4, Y5)
+	VXORPD Y13, Y7, Y7
+	VMULPD Y2, Y6, Y4
+	VMULPD Y3, Y7, Y5
+	VSUBPD Y5, Y4, Y4 // o.re
+	VMULPD Y3, Y6, Y3
+	VMULPD Y2, Y7, Y2
+	VADDPD Y2, Y3, Y3 // o.im
+
+	// y[k] = e + (-o.im, o.re), y[h-k] = conj(e) + (o.im, o.re)
+	VXORPD Y13, Y3, Y5
+	VADDPD Y5, Y0, Y5
+	VADDPD Y4, Y1, Y6
+	STOREK(Y5, Y6, (DI)(AX*2), 32(DI)(AX*2), Y2, Y7)
+	VADDPD Y3, Y0, Y0
+	VXORPD Y13, Y1, Y1
+	VADDPD Y4, Y1, Y1
+	STOREJ(Y0, Y1, (DI)(CX*2), -16(DI)(CX*2), -32(DI)(CX*2), -48(DI)(CX*2), X2, Y2, X7, Y7)
+	ADDQ   $32, AX
+	SUBQ   $32, CX
+	CMPQ   AX, BX
+	JB     repackloop
+
+repackdone:
+	VZEROUPPER
+	RET
+
+// UNPACK turns the packed entries k (p1 + i·q1) and h-k (p2 + i·q2) into
+// 2X[k] = kr + i·ki and 2X[h-k] = jr + i·ji (productPairs' algebra) with the
+// twiddle in Y14 (real) and Y15 (imaginary): kr, ki land in p1, q1, and
+// jr, ji in q2, p2. t0, t1 are scratch.
+#define UNPACK(p1, q1, p2, q2, t0, t1) \
+	VADDPD p2, p1, t0; \
+	VSUBPD p1, p2, p2; \
+	VSUBPD q2, q1, t1; \
+	VADDPD q2, q1, q1; \
+	VMULPD q1, Y14, q2; \
+	VMULPD p2, Y15, p1; \
+	VSUBPD p1, q2, q2; \
+	VMULPD p2, Y14, p2; \
+	VMULPD q1, Y15, q1; \
+	VADDPD q1, p2, p2; \
+	VADDPD q2, t0, p1; \
+	VSUBPD q2, t0, q2; \
+	VADDPD p2, t1, q1; \
+	VSUBPD t1, p2, p2
+
+// func productAVX(za, y, w []complex128, k0, k1 int)
+//
+// Registers: R8 za, DI y, SI w, AX 8k, CX 8(h-k), BX 8k1; Y14, Y15 the
+// twiddles of the four pairs.
+TEXT ·productAVX(SB), NOSPLIT, $0-88
+	MOVQ za_base+0(FP), R8
+	MOVQ y_base+24(FP), DI
+	MOVQ y_len+32(FP), CX
+	MOVQ w_base+48(FP), SI
+	MOVQ k0+72(FP), AX
+	MOVQ k1+80(FP), BX
+	CMPQ AX, BX
+	JAE  productdone
+	SUBQ AX, CX
+	SHLQ $3, AX
+	SHLQ $3, BX
+	SHLQ $3, CX
+
+productloop:
+	LOADK((SI)(AX*2), 32(SI)(AX*2), Y14, Y15, Y0, Y1)
+	LOADK((R8)(AX*2), 32(R8)(AX*2), Y0, Y1, Y4, Y5)
+	LOADJ((R8)(CX*2), -16(R8)(CX*2), -32(R8)(CX*2), -48(R8)(CX*2), Y2, Y3, X4, Y4, X5, Y5)
+	UNPACK(Y0, Y1, Y2, Y3, Y8, Y9) // 2A: akr Y0, aki Y1, ajr Y3, aji Y2
+	LOADK((DI)(AX*2), 32(DI)(AX*2), Y4, Y5, Y8, Y9)
+	LOADJ((DI)(CX*2), -16(DI)(CX*2), -32(DI)(CX*2), -48(DI)(CX*2), Y6, Y7, X8, Y8, X9, Y9)
+	UNPACK(Y4, Y5, Y6, Y7, Y8, Y9) // 2B: bkr Y4, bki Y5, bjr Y7, bji Y6
+
+	// 4S[k] = conj(2A[k])·2B[k], and 4S[h-k]
+	VMULPD Y4, Y0, Y8
+	VMULPD Y5, Y1, Y9
+	VADDPD Y9, Y8, Y8   // skr = akr·bkr + aki·bki
+	VMULPD Y5, Y0, Y0
+	VMULPD Y4, Y1, Y1
+	VSUBPD Y1, Y0, Y0   // ski = akr·bki - aki·bkr
+	VMULPD Y7, Y3, Y9
+	VMULPD Y6, Y2, Y10
+	VADDPD Y10, Y9, Y9  // sjr = ajr·bjr + aji·bji
+	VMULPD Y6, Y3, Y3
+	VMULPD Y7, Y2, Y2
+	VSUBPD Y2, Y3, Y3   // sji = ajr·bji - aji·bjr
+
+	// Repacked: y[k] = (er - oi, ei + or), y[h-k] = (er + oi, or - ei)
+	VADDPD Y9, Y8, Y1   // er
+	VSUBPD Y3, Y0, Y2   // ei
+	VSUBPD Y9, Y8, Y8   // dr
+	VADDPD Y3, Y0, Y0   // di
+	VMULPD Y8, Y14, Y4
+	VMULPD Y0, Y15, Y5
+	VADDPD Y5, Y4, Y4   // or = wr·dr + wi·di
+	VMULPD Y0, Y14, Y0
+	VMULPD Y8, Y15, Y8
+	VSUBPD Y8, Y0, Y0   // oi = wr·di - wi·dr
+	VSUBPD Y0, Y1, Y5
+	VADDPD Y4, Y2, Y6
+	STOREK(Y5, Y6, (DI)(AX*2), 32(DI)(AX*2), Y8, Y9)
+	VADDPD Y0, Y1, Y1
+	VSUBPD Y2, Y4, Y4
+	STOREJ(Y1, Y4, (DI)(CX*2), -16(DI)(CX*2), -32(DI)(CX*2), -48(DI)(CX*2), X8, Y8, X9, Y9)
+	ADDQ   $32, AX
+	SUBQ   $32, CX
+	CMPQ   AX, BX
+	JB     productloop
+
+productdone:
+	VZEROUPPER
+	RET
+
+// func foldAVX(f, y []complex128)
+//
+// Block by block of l = len(f) entries b of y: f[0] += b[0], then
+// conj(b[0]) (not in the first block, whose entry 0 holds the real bins);
+// for r = 1 .. l/2, f[r] += b[r], then conj(b[l-r]); for r = l/2+1 .. l-1
+// the conjugate term first. Two r at a time, one when one is left.
+//
+// Registers: DI f, R9 the block, R8 end of y, BX 16l, R12 8l, R10 &f[r],
+// R11 &b[r], R13 &b[l-r], CX bytes left in the run; Y13 the conjugate mask.
+TEXT ·foldAVX(SB), NOSPLIT, $0-48
+	MOVQ f_base+0(FP), DI
+	MOVQ f_len+8(FP), BX
+	MOVQ y_base+24(FP), R9
+	MOVQ y_len+32(FP), R8
+	SHLQ $4, BX
+	SHLQ $4, R8
+	ADDQ R9, R8
+	MOVQ BX, R12
+	SHRQ $1, R12
+	VMOVUPD conjmask<>(SB), Y13
+	JMP  foldrun
+
+foldblock:
+	VMOVUPD (DI), X0
+	VMOVUPD (R9), X1
+	VADDPD  X1, X0, X0
+	VXORPD  X13, X1, X1
+	VADDPD  X1, X0, X0
+	VMOVUPD X0, (DI)
+
+foldrun:
+	LEAQ 16(DI), R10
+	LEAQ 16(R9), R11
+	LEAQ -16(R9)(BX*1), R13
+	MOVQ R12, CX
+
+folddirect:
+	CMPQ        CX, $32
+	JB          folddirect1
+	VMOVUPD     (R10), Y0
+	VADDPD      (R11), Y0, Y0
+	VMOVUPD     (R13), X1
+	VINSERTF128 $1, -16(R13), Y1, Y1
+	VXORPD      Y13, Y1, Y1
+	VADDPD      Y1, Y0, Y0
+	VMOVUPD     Y0, (R10)
+	ADDQ        $32, R10
+	ADDQ        $32, R11
+	SUBQ        $32, R13
+	SUBQ        $32, CX
+	JMP         folddirect
+
+folddirect1:
+	TESTQ   CX, CX
+	JZ      foldconj
+	VMOVUPD (R10), X0
+	VADDPD  (R11), X0, X0
+	VMOVUPD (R13), X1
+	VXORPD  X13, X1, X1
+	VADDPD  X1, X0, X0
+	VMOVUPD X0, (R10)
+	ADDQ    $16, R10
+	ADDQ    $16, R11
+	SUBQ    $16, R13
+
+foldconj:
+	LEAQ -16(R12), CX
+
+foldconj2:
+	CMPQ        CX, $32
+	JB          foldconj1
+	VMOVUPD     (R13), X1
+	VINSERTF128 $1, -16(R13), Y1, Y1
+	VXORPD      Y13, Y1, Y1
+	VMOVUPD     (R10), Y0
+	VADDPD      Y1, Y0, Y0
+	VADDPD      (R11), Y0, Y0
+	VMOVUPD     Y0, (R10)
+	ADDQ        $32, R10
+	ADDQ        $32, R11
+	SUBQ        $32, R13
+	SUBQ        $32, CX
+	JMP         foldconj2
+
+foldconj1:
+	TESTQ   CX, CX
+	JZ      foldnext
+	VMOVUPD (R13), X1
+	VXORPD  X13, X1, X1
+	VMOVUPD (R10), X0
+	VADDPD  X1, X0, X0
+	VADDPD  (R11), X0, X0
+	VMOVUPD X0, (R10)
+
+foldnext:
+	ADDQ BX, R9
+	CMPQ R9, R8
+	JB   foldblock
+	VZEROUPPER
+	RET
+
+// func scaleAVX(dst, src []float64, s float64)
+TEXT ·scaleAVX(SB), NOSPLIT, $0-56
+	MOVQ         dst_base+0(FP), DI
+	MOVQ         dst_len+8(FP), CX
+	MOVQ         src_base+24(FP), SI
+	VBROADCASTSD s+48(FP), Y0
+	XORQ         AX, AX
+	SUBQ         $8, CX
+	JB           scaletail
+
+scaleloop:
+	VMULPD  (SI)(AX*8), Y0, Y1
+	VMULPD  32(SI)(AX*8), Y0, Y2
+	VMOVUPD Y1, (DI)(AX*8)
+	VMOVUPD Y2, 32(DI)(AX*8)
+	ADDQ    $8, AX
+	CMPQ    AX, CX
+	JBE     scaleloop
+
+scaletail:
+	ADDQ    $8, CX
+	LEAQ    4(AX), DX
+	CMPQ    DX, CX
+	JA      scalerest
+	VMULPD  (SI)(AX*8), Y0, Y1
+	VMOVUPD Y1, (DI)(AX*8)
+	MOVQ    DX, AX
+
+scalerest:
+	CMPQ AX, CX
+	JAE  scaledone
+
+scaleone:
+	VMULSD (SI)(AX*8), X0, X1
+	VMOVSD X1, (DI)(AX*8)
+	INCQ   AX
+	CMPQ   AX, CX
+	JB     scaleone
+
+scaledone:
+	VZEROUPPER
+	RET
+
+// func maxAbsAVX(x []float64, m float64) float64
+//
+// VMAXPD a, b keeps b unless a > b, as the Go loop keeps m unless |x[i]| >
+// m, so a NaN never replaces m. The maximum of the lanes is exact, so the
+// order in which they combine does not matter.
+TEXT ·maxAbsAVX(SB), NOSPLIT, $0-40
+	MOVQ         x_base+0(FP), SI
+	MOVQ         x_len+8(FP), CX
+	VBROADCASTSD m+24(FP), Y0
+	VBROADCASTSD absmask<>(SB), Y2
+	VMOVAPD      Y0, Y1
+	XORQ         AX, AX
+	SUBQ         $8, CX
+	JB           maxtail
+
+maxloop:
+	VANDPD  (SI)(AX*8), Y2, Y3
+	VANDPD  32(SI)(AX*8), Y2, Y4
+	VMAXPD  Y0, Y3, Y0
+	VMAXPD  Y1, Y4, Y1
+	ADDQ    $8, AX
+	CMPQ    AX, CX
+	JBE     maxloop
+
+maxtail:
+	VMAXPD       Y1, Y0, Y0
+	VEXTRACTF128 $1, Y0, X1
+	VMAXPD       X1, X0, X0
+	VPERMILPD    $1, X0, X1
+	VMAXSD       X1, X0, X0
+	ADDQ         $8, CX
+	CMPQ         AX, CX
+	JAE          maxdone
+
+maxone:
+	VMOVSD (SI)(AX*8), X3
+	VANDPD X2, X3, X3
+	VMAXSD X0, X3, X0
+	INCQ   AX
+	CMPQ   AX, CX
+	JB     maxone
+
+maxdone:
+	VMOVSD X0, ret+32(FP)
+	VZEROUPPER
+	RET
+
+// func cubicAVX(x []float64, peak, gain, d float64)
+TEXT ·cubicAVX(SB), NOSPLIT, $0-48
+	MOVQ         x_base+0(FP), SI
+	MOVQ         x_len+8(FP), CX
+	VMOVSD       gain+32(FP), X0
+	VMULSD       peak+24(FP), X0, X0
+	VMOVDDUP     X0, X0
+	VINSERTF128  $1, X0, Y0, Y0 // gain·peak
+	VBROADCASTSD peak+24(FP), Y1
+	VBROADCASTSD d+40(FP), Y2
+	XORQ         AX, AX
+	SUBQ         $4, CX
+	JB           cubictail
+
+cubicloop:
+	VMOVUPD (SI)(AX*8), Y3
+	VDIVPD  Y1, Y3, Y3 // u
+	VMULPD  Y3, Y2, Y4
+	VMULPD  Y3, Y4, Y4
+	VMULPD  Y3, Y4, Y4 // d·u·u·u
+	VSUBPD  Y4, Y3, Y3
+	VMULPD  Y3, Y0, Y3
+	VMOVUPD Y3, (SI)(AX*8)
+	ADDQ    $4, AX
+	CMPQ    AX, CX
+	JBE     cubicloop
+
+cubictail:
+	ADDQ $4, CX
+	CMPQ AX, CX
+	JAE  cubicdone
+
+cubicone:
+	VMOVSD (SI)(AX*8), X3
+	VDIVSD X1, X3, X3
+	VMULSD X3, X2, X4
+	VMULSD X3, X4, X4
+	VMULSD X3, X4, X4
+	VSUBSD X4, X3, X3
+	VMULSD X3, X0, X3
+	VMOVSD X3, (SI)(AX*8)
+	INCQ   AX
+	CMPQ   AX, CX
+	JB     cubicone
+
+cubicdone:
 	VZEROUPPER
 	RET

@@ -2,5 +2,5 @@
 
 package dsp
 
-// Off amd64 the butterfly stages run in pure Go.
-var kernels = []kernel{{"generic", butterfliesGeneric}}
+// Off amd64 every pass runs in pure Go.
+var kernels = []kernel{generic}

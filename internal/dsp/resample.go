@@ -33,18 +33,3 @@ func Resample(x []float64, fsIn, fsOut float64) ([]float64, error) {
 	}
 	return out, nil
 }
-
-// DecimateSampleHold decimates x by an integer factor by taking every
-// factor-th sample (pure point sampling, maximal aliasing). This models an
-// ADC that samples an analog waveform at a low rate with no front-end
-// filter, as wearable accelerometers do.
-func DecimateSampleHold(x []float64, factor int) ([]float64, error) {
-	if factor <= 0 {
-		return nil, fmt.Errorf("decimate: factor %d must be positive", factor)
-	}
-	out := make([]float64, 0, len(x)/factor+1)
-	for i := 0; i < len(x); i += factor {
-		out = append(out, x[i])
-	}
-	return out, nil
-}

@@ -124,22 +124,3 @@ func TestResampleTinyInput(t *testing.T) {
 		t.Errorf("tiny input: %v", y)
 	}
 }
-
-func TestDecimateSampleHoldEdgeFactors(t *testing.T) {
-	x := []float64{0, 1, 2, 3, 4, 5, 6, 7, 8, 9}
-	if _, err := DecimateSampleHold(x, -2); err == nil {
-		t.Error("negative factor should error")
-	}
-	one, err := DecimateSampleHold(x, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(one) != len(x) {
-		t.Errorf("factor 1 changed length: %d", len(one))
-	}
-	for i := range x {
-		if one[i] != x[i] {
-			t.Fatalf("factor 1 changed sample %d", i)
-		}
-	}
-}

@@ -67,7 +67,7 @@ func TestFrequencyShapeWithinBoundOfLegacy(t *testing.T) {
 
 // ShapeDecimate folds the shaped spectrum and inverts at the folded size;
 // it must stay within shapeBound of shaping with the legacy pair and then
-// point-sampling with DecimateSampleHold, for every edge length, for
+// point-sampling with dspbench.DecimateSampleHold, for every edge length, for
 // factors whose fold is 1 (1, 3), 16 (80) and 32 (160), and on the
 // all-zero signal exactly. Its power sums must stay within powerBound of
 // summing the legacy power spectrum of the signal zero-padded to m =
@@ -83,7 +83,7 @@ func TestShapeDecimateWithinBoundOfLegacy(t *testing.T) {
 			for i, gain := range boundGains {
 				shaped := dspbench.FrequencyShapeLegacy(x, 16000, gain)
 				for j, factor := range []int{1, 3, 80, 160} {
-					want, err := dsp.DecimateSampleHold(shaped, factor)
+					want, err := dspbench.DecimateSampleHold(shaped, factor)
 					if err != nil {
 						t.Fatal(err)
 					}
