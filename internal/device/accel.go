@@ -150,7 +150,15 @@ func (a *Accelerometer) Drive(audio []float64, audioRate float64) (Drive, error)
 	if len(audio) == 0 {
 		return Drive{}, nil
 	}
-	vib, rho := a.conduct(audio, audioRate)
+	b := dsp.NewShapeBuffer(audio)
+	defer b.Release()
+	return a.drive(b, audioRate, func() []float64 { return audio }), nil
+}
+
+// drive is Drive on the audio b holds, whose buffer it uses up; audio
+// gives that audio again (see conduct).
+func (a *Accelerometer) drive(b dsp.ShapeBuffer, audioRate float64, audio func() []float64) Drive {
+	vib, rho := a.conduct(b, audioRate, audio)
 
 	// 3. The 0-5 Hz hypersensitivity artifact of Fig. 7.
 	vib = dsp.FrequencyShape(vib, a.SampleRate, func(f float64) float64 {
@@ -181,15 +189,15 @@ func (a *Accelerometer) Drive(audio []float64, audioRate float64) (Drive, error)
 		sigma = math.MaxFloat64
 	}
 	sigma += a.NoiseFloor
-	return Drive{vib: vib, sigma: sigma}, nil
+	return Drive{vib: vib, sigma: sigma}
 }
 
-// conduct runs steps 1 and 2 of a drive and returns the vibration with
-// the audio's low-frequency dominance rho: the share of the energy of its
-// spectrum zero-padded to NextPow2(len(audio)), the one the coupling is
-// applied to, below the 500 Hz cutoff. Thru-barrier sound is dominated by
-// low frequencies (rho near 1); direct speech keeps its high band.
-func (a *Accelerometer) conduct(audio []float64, audioRate float64) (vib []float64, rho float64) {
+// conduct runs steps 1 and 2 of a drive on the audio in b and returns the
+// vibration with its low-frequency dominance rho: the share of the energy
+// of its spectrum zero-padded to NextPow2(len(audio)), the one the coupling
+// is applied to, below the 500 Hz cutoff. Thru-barrier sound is dominated
+// by low frequencies (rho near 1); direct speech keeps its high band.
+func (a *Accelerometer) conduct(b dsp.ShapeBuffer, audioRate float64, audio func() []float64) (vib []float64, rho float64) {
 	// 1. Frequency-dependent conduction coupling at the audio rate: audio
 	// below ~800 Hz drives the chassis very weakly (falling off
 	// quadratically toward DC), with full coupling only above ~1.6 kHz
@@ -212,14 +220,15 @@ func (a *Accelerometer) conduct(audio []float64, audioRate float64) (vib []float
 	// 2. Point-sample at the accelerometer rate with no anti-alias filter:
 	// content above 100 Hz folds into the vibration band.
 	factor := max(int(audioRate/a.SampleRate), 1)
-	gains := gainTable([5]float64{1, a.CouplingLow, a.CouplingHigh, audioRate, float64(dsp.NextPow2(len(audio)))}, coupling)
-	vib, low, total := dsp.ShapeDecimateTable(audio, audioRate, gains, factor, lowFreqCutoff)
+	gains := gainTable([5]float64{1, a.CouplingLow, a.CouplingHigh, audioRate, float64(dsp.NextPow2(len(b.Samples())))}, coupling)
+	vib, low, total := b.ShapeDecimate(audioRate, gains, factor, lowFreqCutoff)
 	if math.IsInf(total, 1) {
 		// |X[k]|² overflowed (max|x|·len(x) past about 1e154). The share
 		// does not depend on scale, so take it from the audio at unit peak.
 		// A NaN total means the transform itself overflowed; rho stays 0
 		// and Drive saturates the level.
-		_, low, total = dsp.ShapeDecimateTable(dsp.Scale(audio, 1/dsp.MaxAbs(audio)), audioRate, gains, factor, lowFreqCutoff)
+		x := audio()
+		_, low, total = dsp.ShapeDecimateTable(dsp.Scale(x, 1/dsp.MaxAbs(x)), audioRate, gains, factor, lowFreqCutoff)
 	}
 	if total > 0 {
 		rho = min(low/total, 1) // the two sums round apart

@@ -282,3 +282,47 @@ func TestDriveCopyIsolatesNoise(t *testing.T) {
 		}
 	}
 }
+
+// A wearable's drive runs the speaker and the accelerometer on one
+// transform buffer; it must carry the bits of rendering the audio and
+// driving the accelerometer with the result, at edge and replay lengths,
+// on the all-zero signal, and past the power sums' overflow, where the
+// drive renders the audio a second time (with no noise ceiling, the
+// dominance taken there sets the noise level).
+func TestWearableDriveBitIdenticalToRenderThenDrive(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	open := device.NewFossilGen5()
+	open.Accel.NoiseCeiling = 0
+	for _, w := range []*device.Wearable{device.NewFossilGen5(), device.NewMoto360(), open} {
+		for _, n := range []int{1, 2, 63, 64, 65, 4096, 45040, 45041} {
+			for _, amp := range []float64{0, 1, 1e150, 1e160} {
+				audio := make([]float64, n) // low-frequency dominated, so the dominance matters
+				for i := range audio {
+					audio[i] = amp * (math.Sin(float64(i)*0.12) + 0.01*rng.NormFloat64())
+				}
+				emitted, err := w.Speaker.Render(audio)
+				if err != nil {
+					t.Fatal(err)
+				}
+				want, err := w.Accel.Drive(emitted, w.Speaker.SampleRate)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := w.Drive(audio)
+				if err != nil {
+					t.Fatal(err)
+				}
+				gotVib, gotSigma := got.Parts()
+				wantVib, wantSigma := want.Parts()
+				if len(gotVib) != len(wantVib) || math.Float64bits(gotSigma) != math.Float64bits(wantSigma) {
+					t.Fatalf("%s n=%d amp=%g: %d samples, sigma %v; want %d, %v", w.Name, n, amp, len(gotVib), gotSigma, len(wantVib), wantSigma)
+				}
+				for i := range wantVib {
+					if math.Float64bits(gotVib[i]) != math.Float64bits(wantVib[i]) {
+						t.Fatalf("%s n=%d amp=%g: sample %d is %v, want %v", w.Name, n, amp, i, gotVib[i], wantVib[i])
+					}
+				}
+			}
+		}
+	}
+}

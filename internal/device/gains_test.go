@@ -114,7 +114,7 @@ func (c *replayCase) check() error {
 	if !sameBits(got, c.render) {
 		return fmt.Errorf("%s: Render differs from its oracle", c.name)
 	}
-	vib, rho := c.accel.conduct(c.x, c.audioRate)
+	vib, rho := c.accel.conductOf(c.x, c.audioRate)
 	if !sameBits(vib, c.vib) || math.Float64bits(rho) != math.Float64bits(c.rho) {
 		return fmt.Errorf("%s: conduction differs from its oracle (rho %v, want %v)", c.name, rho, c.rho)
 	}

@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"sync"
 
@@ -151,10 +152,19 @@ func (s *Loudspeaker) Validate() error {
 // Render converts a digital waveform into the emitted acoustic pressure:
 // band-limits it and applies the driver nonlinearity.
 func (s *Loudspeaker) Render(x []float64) ([]float64, error) {
-	if err := s.Validate(); err != nil {
+	if err := s.Validate(); err != nil || len(x) == 0 {
 		return nil, err
 	}
-	gains := gainTable([5]float64{0, s.LowCutHz, s.HighCutHz, s.SampleRate, float64(dsp.NextPow2(len(x)))}, func(f float64) float64 {
+	b := dsp.NewShapeBuffer(x)
+	defer b.Release()
+	s.render(b)
+	return slices.Clone(b.Samples()), nil
+}
+
+// render is Render in place on the waveform b holds.
+func (s *Loudspeaker) render(b dsp.ShapeBuffer) {
+	shaped := b.Samples()
+	gains := gainTable([5]float64{0, s.LowCutHz, s.HighCutHz, s.SampleRate, float64(dsp.NextPow2(len(shaped)))}, func(f float64) float64 {
 		switch {
 		case f < s.LowCutHz:
 			return math.Pow(f/s.LowCutHz, 2)
@@ -168,15 +178,13 @@ func (s *Loudspeaker) Render(x []float64) ([]float64, error) {
 			return 1
 		}
 	})
-	shaped, _, _ := dsp.ShapeDecimateTable(x, s.SampleRate, gains, 1, -1)
-	// The shaped signal is a fresh slice: apply the nonlinearity in place.
+	b.Shape(gains)
 	peak := dsp.MaxAbs(shaped)
 	if peak == 0 {
 		clear(shaped) // the all-zero signal, with any -0 made +0
-		return shaped, nil
+		return
 	}
 	dsp.Cubic(shaped, peak, s.Gain, s.Distortion)
-	return shaped, nil
 }
 
 // checkFinite returns an error naming the first NaN or ±Inf of vals,

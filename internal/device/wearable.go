@@ -3,6 +3,8 @@ package device
 import (
 	"fmt"
 	"math/rand"
+
+	"vibguard/internal/dsp"
 )
 
 // Wearable models a smartwatch: its microphone (recording the voice
@@ -73,20 +75,22 @@ func (w *Wearable) SenseVibration(audio []float64, rng *rand.Rand) ([]float64, e
 }
 
 // Drive runs the deterministic part of a sensing pass: the speaker replay
-// and the accelerometer's noise-free response (see Accelerometer.Drive).
+// and the accelerometer's noise-free response (see Accelerometer.Drive),
+// both on one transform buffer that holds the emitted signal in between.
 func (w *Wearable) Drive(audio []float64) (Drive, error) {
 	if err := w.Validate(); err != nil {
 		return Drive{}, err
 	}
-	emitted, err := w.Speaker.Render(audio)
-	if err != nil {
-		return Drive{}, fmt.Errorf("wearable %s: %w", w.Name, err)
+	if len(audio) == 0 {
+		return Drive{}, nil
 	}
-	d, err := w.Accel.Drive(emitted, w.Speaker.SampleRate)
-	if err != nil {
-		return Drive{}, fmt.Errorf("wearable %s: %w", w.Name, err)
-	}
-	return d, nil
+	b := dsp.NewShapeBuffer(audio)
+	defer b.Release()
+	w.Speaker.render(b)
+	return w.Accel.drive(b, w.Speaker.SampleRate, func() []float64 {
+		emitted, _ := w.Speaker.Render(audio)
+		return emitted
+	}), nil
 }
 
 // Record captures a voice command with the wearable's microphone.

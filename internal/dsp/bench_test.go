@@ -23,11 +23,6 @@ func runGroup(b *testing.B, group string) {
 	}
 }
 
-// BenchmarkFFTPlan measures planned transforms into a reused destination
-// (zero allocations): 1024 points next to the legacy per-call transform,
-// and the 65536/131072-point sizes the replay stage runs.
-func BenchmarkFFTPlan(b *testing.B) { runGroup(b, "FFTPlan") }
-
 // BenchmarkSTFT measures the planned zero-alloc spectrogram on the paper's
 // vibration configuration (64-point frames at 200 Hz) and an audio-scale
 // configuration (512-point frames at 16 kHz).

@@ -121,14 +121,14 @@ func (p *RealFFTPlan) delay(a []float64, za []complex128, b []float64, zb []comp
 // scaled by the power of two that brings the peak of |x| into [1/2, 1)
 // when it has a finite nonzero peak (NaN aside).
 func (p *RealFFTPlan) packedSpectrum(z []complex128, x []float64, unit bool) {
-	p.half.pack(z, x)
+	pack(z, x)
 	if unit {
 		if peak := MaxAbs(x); peak != 0 && !math.IsInf(peak, 0) {
 			_, e := math.Frexp(peak)
 			kern.scale(floats(z), floats(z), math.Ldexp(1, -e))
 		}
 	}
-	kern.butterflies(z, p.half.fwd)
+	kern.forward(z, p.half.fwd)
 }
 
 // searchDelay returns the lag in [0, maxLag] that maximizes the
@@ -137,22 +137,22 @@ func (p *RealFFTPlan) packedSpectrum(z []complex128, x []float64, unit bool) {
 // transform it takes in y, and whether every lag of that range came out
 // finite. In one pass over the bin pairs k,
 // h-k (h = Size/2) it unpacks both spectra (see shapeHalf), forms S[k] =
-// conj(A[k])·B[k] and repacks S as inverseInto does. After the h-point
+// conj(A[k])·B[k] and repacks S as inverseInto does, all in the
+// transforms' layout. After the h-point
 // inverse the float lanes, in order, hold 4·Size·Corr(tau): leaving out
 // the halves scales every lag alike, so no argmax moves.
 func (p *RealFFTPlan) searchDelay(za []complex128, b []float64, y []complex128, unit bool, maxLag int) (tau int, finite bool) {
 	p.packedSpectrum(y, b, unit)
 	h := p.n / 2
-	y, za, w := y[:h], za[:h], p.unpack[:h+1]
+	y, za, w := y[:h], za[:h], p.unpack
 	// The real bins 0 and h share entry 0: X[0] = Re Z[0] + Im Z[0] and
 	// X[h] = Re Z[0] - Im Z[0].
 	a0, a1, b0, b1 := real(za[0]), imag(za[0]), real(y[0]), imag(y[0])
 	s0, sh := 4*(a0+a1)*(b0+b1), 4*(a0-a1)*(b0-b1)
 	y[0] = complex(s0+sh, s0-sh)
-	k1 := 1 + max(h/2-1, 0)&^3
-	kern.product(za, y, w, 1, k1)
-	productPairs(za, y, w, k1, h/2+1)
-	p.half.transform(y, p.half.inv)
+	productPairs(za, y, w, 1, min(h, 8))
+	kern.product(za, y, w, 8, h)
+	kern.butterflies(y, p.half.inv)
 	bestVal := math.Inf(-1)
 	finite = true
 	for t, v := range floats(y)[:maxLag+1] {
@@ -164,31 +164,34 @@ func (p *RealFFTPlan) searchDelay(za []complex128, b []float64, y []complex128, 
 	return tau, finite
 }
 
-// productPairs is searchDelay's per-bin pass over the pairs k, h-k, k0 <= k < k1.
-func productPairs(za, y, w []complex128, k0, k1 int) {
-	for k := k0; k < k1; k++ {
-		j := len(y) - k
-		wr, wi := real(w[k]), imag(w[k])
-		// 2A[k], 2A[h-k]
-		p1, q1, p2, q2 := real(za[k]), imag(za[k]), real(za[j]), imag(za[j])
-		er, ei, or, oi := p1+p2, q1-q2, q1+q2, p2-p1
-		wor, woi := wr*or-wi*oi, wr*oi+wi*or
-		akr, aki, ajr, aji := er+wor, ei+woi, er-wor, woi-ei
-		// 2B[k], 2B[h-k]
-		p1, q1, p2, q2 = real(y[k]), imag(y[k]), real(y[j]), imag(y[j])
-		er, ei, or, oi = p1+p2, q1-q2, q1+q2, p2-p1
-		wor, woi = wr*or-wi*oi, wr*oi+wi*or
-		bkr, bki, bjr, bji := er+wor, ei+woi, er-wor, woi-ei
-		// 4S[k] = conj(2A[k])·2B[k], and 4S[h-k]
-		skr, ski := akr*bkr+aki*bki, akr*bki-aki*bkr
-		sjr, sji := ajr*bjr+aji*bji, ajr*bji-aji*bjr
-		// Repacked: y[k] = 2E + i·2O and y[h-k] = conj(2E) + i·conj(2O)
-		// with 2E = S[k] + conj(S[h-k]), 2O = conj(w^k)(S[k] - conj(S[h-k])).
-		er, ei = skr+sjr, ski-sji
-		dr, di := skr-sjr, ski+sji
-		or, oi = wr*dr+wi*di, wr*di-wi*dr
-		y[k] = complex(er-oi, ei+or)
-		y[j] = complex(er+oi, or-ei)
+// productPairs is searchDelay's per-bin pass over the pairs of the octave
+// blocks [b, 2b), lo <= b < hi.
+func productPairs(za, y, w []complex128, lo, hi int) {
+	for b := lo; b < hi; b *= 2 {
+		for k := b; k < 2*b; k += 2 {
+			j := 3*b - 1 - k
+			wr, wi := real(w[k]), imag(w[k])
+			// 2A[k], 2A[h-k]
+			p1, q1, p2, q2 := real(za[k]), imag(za[k]), real(za[j]), imag(za[j])
+			er, ei, or, oi := p1+p2, q1-q2, q1+q2, p2-p1
+			wor, woi := wr*or-wi*oi, wr*oi+wi*or
+			akr, aki, ajr, aji := er+wor, ei+woi, er-wor, woi-ei
+			// 2B[k], 2B[h-k]
+			p1, q1, p2, q2 = real(y[k]), imag(y[k]), real(y[j]), imag(y[j])
+			er, ei, or, oi = p1+p2, q1-q2, q1+q2, p2-p1
+			wor, woi = wr*or-wi*oi, wr*oi+wi*or
+			bkr, bki, bjr, bji := er+wor, ei+woi, er-wor, woi-ei
+			// 4S[k] = conj(2A[k])·2B[k], and 4S[h-k]
+			skr, ski := akr*bkr+aki*bki, akr*bki-aki*bkr
+			sjr, sji := ajr*bjr+aji*bji, ajr*bji-aji*bjr
+			// Repacked: y[k] = 2E + i·2O and y[h-k] = conj(2E) + i·conj(2O)
+			// with 2E = S[k] + conj(S[h-k]), 2O = conj(w^k)(S[k] - conj(S[h-k])).
+			er, ei = skr+sjr, ski-sji
+			dr, di := skr-sjr, ski+sji
+			or, oi = wr*dr+wi*di, wr*di-wi*dr
+			y[k] = complex(er-oi, ei+or)
+			y[j] = complex(er+oi, or-ei)
+		}
 	}
 }
 

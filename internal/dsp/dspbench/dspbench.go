@@ -249,18 +249,15 @@ func EstimateDelayLegacy(a, b []float64, maxLag int) int {
 // EstimateDelayPacked is the transform delay search the real-input one
 // (dsp.EstimateDelayFFT) replaced: a + ib in one m-point complex
 // transform, m = NextPow2(max(len(a)+maxLag, len(b))), conj(A)·B from its
-// Hermitian halves, and one m-point inverse. Its lags carry the old
-// path's bits, so it gives every SyncOffset the old alignment gave.
+// Hermitian halves, and one m-point inverse, on the legacy transforms,
+// whose bits the planned ones keep. Its lags carry the old path's bits,
+// so it gives every SyncOffset the old alignment gave.
 func EstimateDelayPacked(a, b []float64, maxLag int) int {
 	maxLag = max(maxLag, 0)
 	if len(a) == 0 || len(b) == 0 {
 		return 0
 	}
 	m := dsp.NextPow2(max(len(a)+maxLag, len(b)))
-	p, err := dsp.PlanFFT(m)
-	if err != nil {
-		panic(err)
-	}
 	f := make([]complex128, m)
 	for i, v := range a {
 		f[i] = complex(v, 0)
@@ -268,7 +265,7 @@ func EstimateDelayPacked(a, b []float64, maxLag int) int {
 	for i, v := range b {
 		f[i] = complex(real(f[i]), v)
 	}
-	p.Forward(f, f)
+	f = FFTLegacy(f)
 	for k := 0; k <= m/2; k++ {
 		fk, fmk := f[k], cmplx.Conj(f[(m-k)%m])
 		ak, bk := (fk+fmk)*complex(0.5, 0), (fk-fmk)*complex(0, -0.5)
@@ -276,7 +273,7 @@ func EstimateDelayPacked(a, b []float64, maxLag int) int {
 			f[m-k] = cmplx.Conj(f[k])
 		}
 	}
-	p.Inverse(f, f)
+	f = IFFTLegacy(f)
 	best, bestVal := 0, math.Inf(-1)
 	for tau, v := range f[:maxLag+1] {
 		if real(v) > bestVal {
@@ -284,6 +281,18 @@ func EstimateDelayPacked(a, b []float64, maxLag int) int {
 		}
 	}
 	return best
+}
+
+// PreEmphasis applies the first-order pre-emphasis filter y[n] = x[n] -
+// coef*x[n-1] (0 before x[0]) that mfcc.Extractor applies as it windows.
+func PreEmphasis(x []float64, coef float64) []float64 {
+	out := make([]float64, len(x))
+	prev := 0.0
+	for i, v := range x {
+		out[i] = v - coef*prev
+		prev = v
+	}
+	return out
 }
 
 // DCT2Legacy is the historical dsp.DCT2: the orthonormal type-II DCT of x,
@@ -351,7 +360,7 @@ func MFCCExtractLegacy(audio []float64, cfg mfcc.Config) ([][]float64, error) {
 	window := dsp.Window(dsp.WindowHamming, frameLen)
 	x := audio
 	if cfg.PreEmphasis > 0 {
-		x = dsp.PreEmphasis(audio, cfg.PreEmphasis)
+		x = PreEmphasis(audio, cfg.PreEmphasis)
 	}
 	numFrames := 1 + (len(x)-frameLen)/shiftLen
 	out := make([][]float64, 0, numFrames)
@@ -405,14 +414,6 @@ func Signal(n int, seed int64) []float64 {
 	x := make([]float64, n)
 	for i := range x {
 		x[i] = math.Sin(2*math.Pi*float64(i)/37) + 0.3*rng.NormFloat64()
-	}
-	return x
-}
-
-func complexSignal(n int) []complex128 {
-	x := make([]complex128, n)
-	for i := range x {
-		x[i] = complex(math.Sin(float64(i)), 0)
 	}
 	return x
 }
@@ -471,17 +472,6 @@ func benchDelayFFT(n int) func(b *testing.B) {
 // side by side on identical workloads.
 func Cases() []Case {
 	return []Case{
-		{"FFTPlan", "1024", benchPlan(1024)},
-		{"FFTPlan", "legacy-1024", func(b *testing.B) {
-			src := complexSignal(1024)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				FFTLegacy(src)
-			}
-		}},
-		{"FFTPlan", "65536", benchPlan(65536)},
-		{"FFTPlan", "131072", benchPlan(131072)},
 		{"FrequencyShape", "45040", func(b *testing.B) {
 			x := Signal(replayLen, 5)
 			b.ReportAllocs()
@@ -603,24 +593,6 @@ func benchWearableDrive(gain float64) func(b *testing.B) {
 			if _, err := w.Drive(x); err != nil {
 				b.Fatal(err)
 			}
-		}
-	}
-}
-
-// benchPlan measures one planned forward transform of size n into a
-// reused destination.
-func benchPlan(n int) func(b *testing.B) {
-	return func(b *testing.B) {
-		p, err := dsp.PlanFFT(n)
-		if err != nil {
-			b.Fatal(err)
-		}
-		src := complexSignal(n)
-		dst := make([]complex128, n)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			p.Forward(dst, src)
 		}
 	}
 }

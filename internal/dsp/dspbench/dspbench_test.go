@@ -1,6 +1,9 @@
 package dspbench
 
-import "testing"
+import (
+	"math"
+	"testing"
+)
 
 func TestDecimateSampleHold(t *testing.T) {
 	x := []float64{0, 1, 2, 3, 4, 5, 6}
@@ -38,5 +41,16 @@ func TestDecimateSampleHoldEdgeFactors(t *testing.T) {
 		if one[i] != x[i] {
 			t.Fatalf("factor 1 changed sample %d", i)
 		}
+	}
+}
+
+func TestPreEmphasis(t *testing.T) {
+	x := []float64{1, 1, 1}
+	y := PreEmphasis(x, 0.97)
+	if y[0] != 1 {
+		t.Errorf("y[0] = %v, want 1", y[0])
+	}
+	if math.Abs(y[1]-0.03) > 1e-12 || math.Abs(y[2]-0.03) > 1e-12 {
+		t.Errorf("y = %v, want [1 0.03 0.03]", y)
 	}
 }

@@ -9,7 +9,7 @@
 // deterministic across platforms.
 //
 // All transforms run on the planned FFT engine (see plan.go): bit-reversal
-// permutations and twiddle tables are precomputed once per power-of-two
+// index maps and twiddle tables are precomputed once per power-of-two
 // length and cached process-wide, so repeated transforms of the same size —
 // the normal case in every pipeline stage — do no trigonometric work and no
 // table allocation. Bluestein chirp filters for the spectra of other

@@ -3,6 +3,7 @@ package dsp
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"math/cmplx"
 )
 
@@ -121,18 +122,6 @@ func (f *Biquad) Response(freq, sampleRate float64) float64 {
 	return num / den
 }
 
-// PreEmphasis applies the standard first-order pre-emphasis filter
-// y[n] = x[n] - coef*x[n-1] used before MFCC extraction.
-func PreEmphasis(x []float64, coef float64) []float64 {
-	out := make([]float64, len(x))
-	prev := 0.0
-	for i, v := range x {
-		out[i] = v - coef*prev
-		prev = v
-	}
-	return out
-}
-
 // FrequencyShape filters a real signal in the frequency domain by
 // multiplying each FFT bin magnitude with gain(freq). It is used to apply
 // measured transfer functions (barrier transmission, microphone and
@@ -167,16 +156,22 @@ func ShapeDecimate(x []float64, sampleRate float64, gain func(freqHz float64) fl
 		return nil, 0, 0
 	}
 	p := mustPlanRealFFT(NextPow2(len(x)))
-	g := p.gains.Get().(*[]float64)
-	defer p.gains.Put(g)
+	g := p.tables.Get().(*[]float64)
+	defer p.tables.Put(g)
 	*g = GainTable((*g)[:0], p.n, sampleRate, gain)
 	return ShapeDecimateTable(x, sampleRate, *g, factor, cutHz)
 }
 
 // GainTable appends gain at the frequencies of bins 0..m/2 of an m-point
-// transform (m a power of two) to dst: the table ShapeDecimateTable takes.
+// transform (m a power of two) to dst in the transforms' layout, bin m/2
+// last: the table ShapeDecimateTable takes.
 func GainTable(dst []float64, m int, sampleRate float64, gain func(freqHz float64) float64) []float64 {
-	for k := 0; k <= m/2; k++ {
+	perm := mustPlanFFT(max(m/2, 1)).perm
+	for i := 0; i <= m/2; i++ {
+		k := m / 2
+		if i < len(perm) {
+			k = int(perm[i])
+		}
 		dst = append(dst, gain(BinFrequency(k, m, sampleRate)))
 	}
 	return dst
@@ -186,27 +181,65 @@ func GainTable(dst []float64, m int, sampleRate float64, gain func(freqHz float6
 // advance: gains = GainTable(nil, NextPow2(len(x)), sampleRate, gain)
 // gives the same bits.
 func ShapeDecimateTable(x []float64, sampleRate float64, gains []float64, factor int, cutHz float64) (out []float64, low, total float64) {
-	n := len(x)
-	if n == 0 {
+	if len(x) == 0 {
 		return nil, 0, 0
 	}
-	out = make([]float64, (n+factor-1)/factor)
-	m := NextPow2(n)
+	b := NewShapeBuffer(x)
+	out, low, total = b.ShapeDecimate(sampleRate, gains, factor, cutHz)
+	b.Release()
+	return out, low, total
+}
+
+// A ShapeBuffer holds a real signal of n > 0 samples, zero-padded to m =
+// NextPow2(n), in a pooled transform buffer, so that one signal can be
+// shaped, changed in place and shaped again without leaving it. Release
+// returns the buffer.
+type ShapeBuffer struct {
+	p   *RealFFTPlan
+	buf *[]complex128
+	n   int
+}
+
+// NewShapeBuffer copies x, which must not be empty, into a buffer.
+func NewShapeBuffer(x []float64) ShapeBuffer {
+	p := mustPlanRealFFT(NextPow2(len(x)))
+	b := ShapeBuffer{p, mustPlanFFT(max(p.n/2, 1)).getScratch(), len(x)}
+	pack(*b.buf, x)
+	return b
+}
+
+// Samples returns the signal's samples; they may be changed in place.
+func (b ShapeBuffer) Samples() []float64 { return floats(*b.buf)[:b.n] }
+
+// Release returns the buffer to its pool; b is not used after.
+func (b ShapeBuffer) Release() { mustPlanFFT(len(*b.buf)).putScratch(b.buf) }
+
+// Shape is FrequencyShape in place, with the gain curve sampled in advance
+// (GainTable of m): the samples become the shaped signal, with
+// FrequencyShape's bits, and the padding is zero again.
+func (b ShapeBuffer) Shape(gains []float64) {
+	b.shapeInto(b.Samples(), 0, gains, 1, -1)
+	clear(floats(*b.buf)[b.n:])
+}
+
+// ShapeDecimate is ShapeDecimateTable of the samples, whose buffer it
+// uses up.
+func (b ShapeBuffer) ShapeDecimate(sampleRate float64, gains []float64, factor int, cutHz float64) (out []float64, low, total float64) {
+	return b.shapeInto(make([]float64, (b.n+factor-1)/factor), sampleRate, gains, factor, cutHz)
+}
+
+func (b ShapeBuffer) shapeInto(out []float64, sampleRate float64, gains []float64, factor int, cutHz float64) ([]float64, float64, float64) {
+	p, y, m := b.p, *b.buf, b.p.n
 	if m == 1 {
-		out[0] = x[0] * gains[0]
+		out[0] = real(y[0]) * gains[0]
 		return out, 0, 0
 	}
-	p := mustPlanRealFFT(m)
-	buf := p.half.getScratch()
-	defer p.half.putScratch(buf)
-	y := *buf
-	p.half.pack(y, x)
-	kern.butterflies(y, p.half.fwd)
+	kern.forward(y, p.half.fwd)
 	cut := FrequencyBin(cutHz, m, sampleRate)
 	if cutHz < 0 {
 		cut = -1
 	}
-	low, total = p.shapeHalf(y, gains, cut)
+	low, total := p.shapeHalf(y, gains, cut)
 	fold := min(factor&-factor, m/2)
 	if fold == 1 {
 		p.inverseInto(out, y, factor)
@@ -220,8 +253,10 @@ func ShapeDecimateTable(x []float64, sampleRate float64, gains []float64, factor
 	clear(f)
 	// The real bins 0 and m/2 both alias onto bin 0.
 	f[0] = complex(real(y[0])+imag(y[0]), 0)
-	kern.fold(f, y)
-	q.transform(f, q.inv)
+	rev := mustPlanFFT(fold / 2).perm
+	foldPairs(f, y, rev, 0, 2)
+	kern.fold(f, y, rev, 2, l)
+	kern.butterflies(f, q.inv)
 	step, inv := factor/fold, 1/float64(m)
 	for i := range out {
 		out[i] = real(f[i*step]) * inv
@@ -229,19 +264,28 @@ func ShapeDecimateTable(x []float64, sampleRate float64, gains []float64, factor
 	return out, low, total
 }
 
-// foldBlocks adds y[k] to f[k mod l] and conj(y[k]), the bin above len(y),
-// to f[-k mod l] for 0 < k < len(y) (l = len(f) divides len(y)), in blocks
-// of l with each f[r]'s terms in k order: y[ql+r]'s first for r <= l/2.
-func foldBlocks(f, y []complex128) {
-	l := len(f)
-	for q := 0; q < len(y); q += l {
-		for r := max(1-q, 0); r < l; r++ { // y[0] holds the real bins
-			d, c := y[q+r], cmplx.Conj(y[q+(l-r)&(l-1)])
-			if r > l/2 {
-				d, c = c, d
+// foldPairs adds the bins that alias onto bin r of an l-point spectrum
+// (l = len(f)) to the accumulator at r's position P, lo <= P < hi: the
+// direct bins r+q·l and the conjugates of the bins l-r+q·l, 0 <= q < g =
+// len(y)/l, for q in order, each q's direct term first for r <= l/2 and
+// its conjugate term first above. In the layout both sets are blocks of g
+// entries, P's and its mirror's, with bin q at offset rev[q].
+func foldPairs(f, y []complex128, rev []int32, lo, hi int) {
+	g := len(y) / len(f)
+	for P := lo; P < hi; P++ {
+		M := P // the mirror position
+		if P > 1 {
+			M = 3<<(bits.Len(uint(P))-1) - 1 - P
+		}
+		for q, t := range rev {
+			a, b := y[P*g+int(t)], cmplx.Conj(y[M*g+int(t)])
+			if P > 1 && P&1 == 1 {
+				a, b = b, a
 			}
-			f[r] += d
-			f[r] += c
+			if P|q != 0 { // y[0] holds the real bins
+				f[P] += a
+				f[P] += b
+			}
 		}
 	}
 }

@@ -116,17 +116,6 @@ func TestBiquadReset(t *testing.T) {
 	}
 }
 
-func TestPreEmphasis(t *testing.T) {
-	x := []float64{1, 1, 1}
-	y := PreEmphasis(x, 0.97)
-	if y[0] != 1 {
-		t.Errorf("y[0] = %v, want 1", y[0])
-	}
-	if math.Abs(y[1]-0.03) > 1e-12 || math.Abs(y[2]-0.03) > 1e-12 {
-		t.Errorf("y = %v, want [1 0.03 0.03]", y)
-	}
-}
-
 func TestFrequencyShapeAppliesGainCurve(t *testing.T) {
 	const fs = 16000.0
 	x := Mix(Tone(100, 1, 0.25, fs), Tone(3000, 1, 0.25, fs))

@@ -8,10 +8,12 @@ import (
 )
 
 // The oracles below are the shaping glue as it was before the gain
-// tables, the in-order packing and the unzeroed pool scratch: every
-// sample scattered to its bit-reversed position in a fresh zeroed buffer,
-// the gain called per bin, and the decimated inverse read back sample by
-// sample. The planned transforms must keep their bits.
+// tables, the in-order packing, the unzeroed pool scratch and the
+// permutation-free layout: every sample scattered to its bit-reversed
+// position in a fresh zeroed buffer, the butterflies and every per-bin
+// pass in natural order, the gain called per bin, and the decimated
+// inverse read back sample by sample. The planned transforms must keep
+// their bits.
 
 func packOracle(p *FFTPlan, dst []complex128, x []float64) {
 	h := len(x) / 2
@@ -29,11 +31,12 @@ func shapeHalfOracle(p *RealFFTPlan, y []complex128, sampleRate float64, gain fu
 	a, b := real(y[0]), imag(y[0])
 	nyq := a - b
 	y[0] = complex((a+b)*g(0), nyq*g(h))
+	w := naturalUnpack(p)
 	for k := 1; k <= h/2; k++ {
 		j := h - k
 		zk, zj := y[k], cmplx.Conj(y[j])
 		e := (zk + zj) * complex(0.5, 0)
-		wo := p.unpack[k] * ((zk - zj) * complex(0, -0.5))
+		wo := w[k] * ((zk - zj) * complex(0, -0.5))
 		xk, xj := e+wo, cmplx.Conj(e-wo)
 		pk, pj := real(xk)*real(xk)+imag(xk)*imag(xk), real(xj)*real(xj)+imag(xj)*imag(xj)
 		if j == k {
@@ -61,15 +64,17 @@ func inverseIntoOracle(p *RealFFTPlan, dst []float64, y []complex128, step int) 
 	h := p.n / 2
 	a, b := real(y[0]), imag(y[0])
 	y[0] = complex(a+b, a-b)
+	w := naturalUnpack(p)
 	for k := 1; k <= h/2; k++ {
 		j := h - k
 		yk, yj := y[k], cmplx.Conj(y[j])
 		e := yk + yj
-		o := cmplx.Conj(p.unpack[k]) * (yk - yj)
+		o := cmplx.Conj(w[k]) * (yk - yj)
 		y[k] = e + complex(-imag(o), real(o))
 		y[j] = cmplx.Conj(e) + complex(imag(o), real(o))
 	}
-	p.half.transform(y, p.half.inv)
+	p.half.permute(y)
+	kern.butterflies(y, p.half.inv)
 	scale := 1 / float64(p.n)
 	for i := range dst {
 		t := i * step
@@ -95,7 +100,7 @@ func shapeDecimateOracle(x []float64, sampleRate float64, gain func(freqHz float
 	p := mustPlanRealFFT(m)
 	y := make([]complex128, m/2)
 	packOracle(p.half, y, x)
-	kern.butterflies(y, p.half.fwd)
+	kern.butterflies(y, naturalTwiddles(p.half))
 	low, total = shapeHalfOracle(p, y, sampleRate, gain, FrequencyBin(cutHz, m, sampleRate))
 	fold := min(factor&-factor, m/2)
 	if fold == 1 {
@@ -110,7 +115,8 @@ func shapeDecimateOracle(x []float64, sampleRate float64, gain func(freqHz float
 		f[k&(l-1)] += y[k]
 		f[(m-k)&(l-1)] += cmplx.Conj(y[k])
 	}
-	q.transform(f, q.inv)
+	q.permute(f)
+	kern.butterflies(f, q.inv)
 	step, inv := factor/fold, 1/float64(m)
 	for i := range out {
 		out[i] = real(f[i*step]) * inv

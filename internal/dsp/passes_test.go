@@ -10,7 +10,8 @@ import (
 // The passes around the butterflies (shapeHalf's unpack, gain and power
 // sums, inverseInto's re-pack and scaled copy, the decimation fold, the
 // delay search's per-bin product, MaxAbs and the speaker's cubic) run on
-// every kernel of this CPU and must give the generic Go loops' bits. Only
+// every kernel of this CPU and must give the generic Go loops' bits; the
+// layout the transforms leave holds them all. Only
 // NaN-ness is pinned for NaN: its payload and sign follow operand order,
 // which neither the compiler nor the kernels fix.
 
@@ -122,17 +123,17 @@ func TestReplayPassesBitIdentical(t *testing.T) {
 				}
 				za := passSpectra(h, int64(m)+2)["clean"]
 				want, got := slices.Clone(y), slices.Clone(y)
-				k1 := 1 + max(h/2-1, 0)&^3
-				productPairs(za, want, p.unpack, 1, k1)
-				kern.product(za, got, p.unpack, 1, k1)
+				productPairs(za, want, p.unpack, 8, h)
+				kern.product(za, got, p.unpack, 8, h)
 				if i := firstDiff(floats(got), floats(want)); i >= 0 {
 					t.Fatalf("product m=%d %s: lane %d differs", m, name, i)
 				}
 				for l := 2; l <= h; l *= 2 {
 					want, got := make([]complex128, l), make([]complex128, l)
 					want[0], got[0] = 1, 1
-					foldBlocks(want, y)
-					kern.fold(got, y)
+					rev := mustPlanFFT(h / l).perm
+					foldPairs(want, y, rev, 2, l)
+					kern.fold(got, y, rev, 2, l)
 					if i := firstDiff(floats(got), floats(want)); i >= 0 {
 						t.Fatalf("fold m=%d %s l=%d: lane %d differs", m, name, l, i)
 					}
@@ -195,8 +196,10 @@ func samplePasses(t *testing.T) {
 }
 
 // BenchmarkReplayPasses times each pass of one replay on every kernel:
-// the accelerometer's shaping pass at 65,536 points (power sums to 500 Hz
-// at 16 kHz), its fold by 80, the per-bin pass of a 65,536-point delay
+// the forward path every transform takes (packing 65,536 real samples
+// and the natural-order forward at 32,768 complex points), the
+// accelerometer's shaping pass at 65,536 points (power sums to 500 Hz at
+// 16 kHz), its fold by 80, the per-bin pass of a 65,536-point delay
 // search, and the speaker's peak and cubic over a 45,040-sample replay.
 // `make bench-dsp` writes the rows to BENCH_dsp_passes.txt.
 func BenchmarkReplayPasses(b *testing.B) {
@@ -205,16 +208,18 @@ func BenchmarkReplayPasses(b *testing.B) {
 	spec := passSpectra(m/2, 1)["clean"]
 	za := passSpectra(m/2, 2)["clean"]
 	g := GainTable(nil, m, 16000, func(f float64) float64 { return 1 / (1 + f/4000) })
-	x := glueSignal(n, 3, false)
+	x, full := glueSignal(n, 3, false), glueSignal(m, 4, false)
 	y, f, shaped := make([]complex128, m/2), make([]complex128, m/(80&-80)), make([]float64, n)
+	rev := mustPlanFFT(len(spec) / len(f)).perm
 	passes := []struct {
 		name  string
 		reset func()
 		run   func()
 	}{
+		{"PackForward/32768", func() {}, func() { pack(y, full); kern.forward(y, p.half.fwd) }},
 		{"ShapeHalf/65536", func() { copy(y, spec) }, func() { p.shapeHalf(y, g, FrequencyBin(500, m, 16000)) }},
-		{"Fold/65536x80", func() {}, func() { kern.fold(f, spec) }},
-		{"DelayProduct/65536", func() { copy(y, spec) }, func() { kern.product(za, y, p.unpack, 1, 1+(m/4-1)&^3) }},
+		{"Fold/65536x80", func() {}, func() { kern.fold(f, spec, rev, 2, len(f)) }},
+		{"DelayProduct/65536", func() { copy(y, spec) }, func() { kern.product(za, y, p.unpack, 8, m/2) }},
 		{"RenderPeakCubic/45040", func() { copy(shaped, x) }, func() { Cubic(shaped, MaxAbs(shaped), 1, 0.05) }},
 	}
 	for _, pass := range passes {

@@ -5,15 +5,18 @@ import (
 	"math/bits"
 	"math/cmplx"
 	"runtime"
+	"slices"
 	"sync"
 	"unsafe"
 )
 
 // This file implements the planned FFT engine: transforms that precompute
-// their bit-reversal permutation and per-stage twiddle tables once per size
-// and cache the result process-wide, so the hot paths (STFT frames, MFCC
-// power spectra, FFT-based delay search) never recompute trigonometry or
-// allocate per call.
+// their twiddle tables once per size and cache the result process-wide, so
+// the hot paths (STFT frames, MFCC power spectra, FFT-based delay search)
+// never recompute trigonometry or allocate per call. They never permute
+// either: a forward transform leaves bin rev(p) at position p (rev reverses
+// the index bits), every per-bin pass works in that layout, and an inverse
+// takes it as its input (DESIGN.md §9).
 //
 // Plans are immutable after construction and therefore safe for concurrent
 // use from any number of goroutines — the eval package's ParallelScorer
@@ -22,7 +25,7 @@ import (
 // package's own transforms borrow theirs from the plan's scratch pool.
 
 // FFTPlan holds the precomputed state for radix-2 transforms of one
-// power-of-two size: the bit-reversal permutation and flattened per-stage
+// power-of-two size: the bit-reversal index map and flattened per-stage
 // twiddle-factor tables for both transform directions.
 //
 // The twiddle tables are filled with the same repeated-multiplication
@@ -32,8 +35,8 @@ import (
 type FFTPlan struct {
 	n    int
 	perm []int32      // bit-reversal target index per position
-	fwd  []complex128 // forward twiddles, stages flattened (n-1 entries)
-	inv  []complex128 // inverse (conjugate) twiddles, same layout
+	fwd  []complex128 // forward twiddles per stage in group order (n-1 entries, see forwardGeneric)
+	inv  []complex128 // inverse twiddles, stages flattened (n-1 entries, see fillTwiddles)
 	// scratch recycles n-entry work buffers (boxed as *[]complex128) for
 	// the package's transforms that need one per call.
 	scratch sync.Pool
@@ -70,15 +73,23 @@ func mustPlanFFT(n int) *FFTPlan {
 
 func newFFTPlan(n int) *FFTPlan {
 	p := &FFTPlan{n: n, perm: make([]int32, n)}
-	shift := 64 - uint(bits.TrailingZeros(uint(n)))
+	lg := bits.TrailingZeros(uint(n))
 	for i := 0; i < n; i++ {
-		p.perm[i] = int32(bits.Reverse64(uint64(i)) >> shift)
+		p.perm[i] = int32(bits.Reverse64(uint64(i)) >> (64 - lg))
 	}
 	if n > 1 {
 		p.fwd = make([]complex128, n-1)
 		p.inv = make([]complex128, n-1)
 		fillTwiddles(p.fwd, n, -1)
 		fillTwiddles(p.inv, n, +1)
+		// The stage of half-size h gives group g the twiddle of butterfly
+		// rev(g) of its block (rev over log2(h) bits).
+		for half, s := 2, 1; half < n; half, s = 2*half, s+1 {
+			t := slices.Clone(p.fwd[half-1 : 2*half-1])
+			for g := range t {
+				p.fwd[half-1+g] = t[p.perm[g]>>(lg-s)]
+			}
+		}
 	}
 	return p
 }
@@ -101,44 +112,6 @@ func fillTwiddles(dst []complex128, n int, sign float64) {
 	}
 }
 
-// Size returns the transform length the plan was built for.
-func (p *FFTPlan) Size() int { return p.n }
-
-// Forward computes the DFT of src into dst and returns dst. dst is grown
-// (reallocated) when nil or too short and may alias src for an in-place
-// transform; passing a reused buffer makes the call allocation-free.
-func (p *FFTPlan) Forward(dst, src []complex128) []complex128 {
-	dst = p.into(dst, src)
-	p.transform(dst, p.fwd)
-	return dst
-}
-
-// Inverse computes the inverse DFT of src into dst, including the 1/N
-// normalization, and returns dst. Buffer semantics match Forward.
-func (p *FFTPlan) Inverse(dst, src []complex128) []complex128 {
-	dst = p.into(dst, src)
-	p.transform(dst, p.inv)
-	inv := 1 / float64(p.n)
-	for i := range dst {
-		dst[i] = complex(real(dst[i])*inv, imag(dst[i])*inv)
-	}
-	return dst
-}
-
-func (p *FFTPlan) into(dst, src []complex128) []complex128 {
-	if len(src) != p.n {
-		panic("dsp: FFTPlan length mismatch")
-	}
-	if cap(dst) < p.n {
-		dst = make([]complex128, p.n)
-	}
-	dst = dst[:p.n]
-	if &dst[0] != &src[0] {
-		copy(dst, src)
-	}
-	return dst
-}
-
 // getScratch returns an n-entry buffer from the plan's pool. A recycled
 // buffer comes back as its last user left it: callers write or clear every
 // entry they read. The boxed header travels through the pool with the
@@ -154,69 +127,48 @@ func (p *FFTPlan) getScratch() *[]complex128 {
 
 func (p *FFTPlan) putScratch(buf *[]complex128) { p.scratch.Put(buf) }
 
-// transform runs the permutation and butterfly stages with the precomputed
-// twiddle table tw (p.fwd or p.inv).
-func (p *FFTPlan) transform(x []complex128, tw []complex128) {
-	p.permute(x)
-	kern.butterflies(x, tw)
-}
-
-// permute applies the bit-reversal permutation to x in place. From 64
-// points up it works in 8x8 tiles: the tile whose rows start at
-// a*n/8 + b (a = 0..7, b a multiple of 8 below n/8) maps element for
-// element onto the tile of rows a*n/8 + perm[b], so each swap pass reads
-// and writes whole 128-byte rows of two tiles instead of one random cache
-// line per element — about twice as fast once x outgrows the L1 cache.
-func (p *FFTPlan) permute(x []complex128) {
-	const tile = 8
-	n := p.n
-	if n < tile*tile {
-		for i, pi := range p.perm {
-			if j := int(pi); j > i {
-				x[i], x[j] = x[j], x[i]
-			}
-		}
-		return
-	}
-	stride := n / tile
-	for b := 0; b < stride; b += tile {
-		pb := int(p.perm[b])
-		if b > pb {
-			continue // swapped while visiting its partner tile
-		}
-		for r := b; r < n; r += stride {
-			row := x[r : r+tile : r+tile]
-			for c, pj := range p.perm[r : r+tile : r+tile] {
-				// Two distinct tiles swap every element; a tile that is
-				// its own partner swaps each pair once.
-				if j := int(pj); b < pb || r+c < j {
-					row[c], x[j] = x[j], row[c]
-				}
-			}
-		}
-	}
-}
-
-// kernel is one implementation of the butterflies and the passes around
+// kernel is one implementation of the transforms and the passes around
 // them, each with the contract of its Go loop in generic. kernels lists the
 // ones this CPU can run, preferred first; all give identical bits.
 type kernel struct {
 	name        string
+	forward     func(x, tw []complex128)
 	butterflies func(x, tw []complex128)
-	shape       func(y, w []complex128, g []float64, k0, k1, cut int, low, total float64) (float64, float64)
-	repack      func(y, w []complex128, k0, k1 int)
-	product     func(za, y, w []complex128, k0, k1 int)
-	fold        func(f, y []complex128)
+	shape       func(y, w []complex128, g, pw []float64, lo, hi int)
+	repack      func(y, w []complex128, lo, hi int)
+	product     func(za, y, w []complex128, lo, hi int)
+	fold        func(f, y []complex128, rev []int32, lo, hi int)
 	scale       func(dst, src []float64, s float64)
 	maxAbs      func(x []float64, m float64) float64
 	cubic       func(x []float64, peak, gain, d float64)
 }
 
 // generic is the pure-Go kernel: the fallback and the tests' oracle.
-var generic = kernel{"generic", butterfliesGeneric, shapePairs, repackPairs, productPairs, foldBlocks, scaleInto, maxAbsFrom, cubicInto}
+var generic = kernel{"generic", forwardGeneric, butterfliesGeneric, shapePairs, repackPairs, productPairs, foldPairs, scaleInto, maxAbsFrom, cubicInto}
 
 // kern is the preferred kernel of this CPU; only tests switch it.
 var kern = kernels[0]
+
+// forwardGeneric is the forward transform of x in natural order, which
+// leaves bin rev(p) at position p, with the group-order twiddle table tw
+// (FFTPlan.fwd). Stage by stage (half-size h = 1, 2, ..., n/2), the
+// entries d = n/(2h) apart pair up, and group g of 2d entries shares
+// twiddle tw[h-1+g].
+func forwardGeneric(x, tw []complex128) {
+	n := len(x)
+	for half := 1; half < n; half <<= 1 {
+		d := n / (2 * half)
+		for g, w := range tw[half-1 : 2*half-1] {
+			blk := x[2*d*g : 2*d*(g+1) : 2*d*(g+1)]
+			for j := 0; j < d; j++ {
+				a := blk[j]
+				b := blk[j+d] * w
+				blk[j] = a + b
+				blk[j+d] = a - b
+			}
+		}
+	}
+}
 
 // butterfliesGeneric runs every radix-2 butterfly stage over x, which must
 // already be in bit-reversed order, with the flattened twiddle table tw
@@ -247,8 +199,8 @@ func butterfliesGeneric(x, tw []complex128) {
 type RealFFTPlan struct {
 	n      int          // real input length
 	half   *FFTPlan     // complex plan of size n/2 (nil when n == 1)
-	unpack []complex128 // e^{-2*pi*i*k/n} for k = 0..n/2
-	gains  sync.Pool    // recycles ShapeDecimate's gain tables (*[]float64)
+	unpack []complex128 // e^{-2*pi*i*k/n} for bin k at its position, k = rev(p)
+	tables sync.Pool    // recycles ShapeDecimate's gain tables and shapeHalf's powers (*[]float64)
 }
 
 var realPlanCache sync.Map
@@ -263,20 +215,17 @@ func PlanRealFFT(n int) (*RealFFTPlan, error) {
 		return v.(*RealFFTPlan), nil
 	}
 	p := &RealFFTPlan{n: n}
-	p.gains.New = func() any { return new([]float64) }
+	p.tables.New = func() any { return new([]float64) }
 	if n > 1 {
 		p.half = mustPlanFFT(n / 2)
-		p.unpack = make([]complex128, n/2+1)
-		for k := range p.unpack {
-			p.unpack[k] = cmplx.Rect(1, -2*math.Pi*float64(k)/float64(n))
+		p.unpack = make([]complex128, n/2)
+		for i, k := range p.half.perm {
+			p.unpack[i] = cmplx.Rect(1, -2*math.Pi*float64(k)/float64(n))
 		}
 	}
 	v, _ := realPlanCache.LoadOrStore(n, p)
 	return v.(*RealFFTPlan), nil
 }
-
-// Size returns the real input length the plan was built for.
-func (p *RealFFTPlan) Size() int { return p.n }
 
 // NumBins returns the number of single-sided spectrum bins, Size/2+1.
 func (p *RealFFTPlan) NumBins() int { return p.n/2 + 1 }
@@ -327,12 +276,12 @@ func (p *RealFFTPlan) reduceInto(dst []float64, x []float64, scratch []complex12
 		scratch = make([]complex128, m)
 	}
 	scratch = scratch[:m]
-	p.half.pack(scratch, x)
-	kern.butterflies(scratch, p.half.fwd)
+	pack(scratch, x)
+	kern.forward(scratch, p.half.fwd)
 	// Scalar unpack (shapeHalf's algebra, spelled out on float64 so
 	// the compiler keeps everything in registers — this loop dominates the
 	// per-frame STFT cost at small sizes). DC and Nyquist come from the
-	// packed bin 0 alone.
+	// packed bin 0 alone; bin k and its partner sit at rev(k) and rev(m-k).
 	a0, b0 := real(scratch[0]), imag(scratch[0])
 	s, d := a0+b0, a0-b0
 	if sqrt {
@@ -344,14 +293,15 @@ func (p *RealFFTPlan) reduceInto(dst []float64, x []float64, scratch []complex12
 	if bins > m {
 		dst[m] = d
 	}
-	w := p.unpack
+	w, perm := p.unpack, p.half.perm
 	for k := 1; k < min(m, bins); k++ {
-		z1, z2 := scratch[k], scratch[m-k]
+		i := perm[k]
+		z1, z2 := scratch[i], scratch[perm[m-k]]
 		a1, b1 := real(z1), imag(z1)
 		a2, b2 := real(z2), imag(z2)
 		er, ei := (a1+a2)*0.5, (b1-b2)*0.5
 		or, oi := (b1+b2)*0.5, (a2-a1)*0.5
-		wr, wi := real(w[k]), imag(w[k])
+		wr, wi := real(w[i]), imag(w[i])
 		re := er + (wr*or - wi*oi)
 		im := ei + (wr*oi + wi*or)
 		pw := re*re + im*im
@@ -363,29 +313,13 @@ func (p *RealFFTPlan) reduceInto(dst []float64, x []float64, scratch []complex12
 	return dst
 }
 
-// pack writes the real signal x (at most 2*Size samples) into dst as Size
-// complex values, even samples in the real lane and odd samples in the
-// imaginary lane and zero past them, at their bit-reversed positions: the
-// butterflies can run on dst directly. dst's old contents are not read.
-// A plan that fits in the L2 cache scatters each value to its position;
-// past that a linear copy and the tiled permute are faster.
-func (p *FFTPlan) pack(dst []complex128, x []float64) {
-	if p.n > 1<<13 {
-		f := floats(dst)
-		clear(f[copy(f, x):])
-		p.permute(dst)
-		return
-	}
-	h := len(x) / 2
-	for j, pj := range p.perm[:h] {
-		dst[pj] = complex(x[2*j], x[2*j+1])
-	}
-	for _, pj := range p.perm[h:] {
-		dst[pj] = 0
-	}
-	if len(x)%2 == 1 {
-		dst[p.perm[h]] = complex(x[2*h], 0)
-	}
+// pack writes the real signal x (at most 2·len(dst) samples) into dst,
+// even samples in the real lane and odd samples in the imaginary lane and
+// zero past them: the forward transform's input. dst's old contents are
+// not read.
+func pack(dst []complex128, x []float64) {
+	f := floats(dst)
+	clear(f[copy(f, x):])
 }
 
 // floats views x as its 2·len(x) float64 lanes, real then imaginary.
@@ -399,21 +333,41 @@ func floats(x []complex128) []float64 {
 // (Z[k]+conj(Z[h-k]))/2, O[k] = -i(Z[k]-conj(Z[h-k]))/2, X[k] = E[k] +
 // w^k·O[k] and X[h-k] = conj(E[k] - w^k·O[k]) (w = e^{-2πi/Size}), so each
 // pair k, h-k unpacks from the two entries it overwrites. The layout is
-// packed: y[k] = Y[k] for 0 < k < h, and the real bins share y[0] =
-// complex(Y[0], Y[h]). In the same pass it sums the ungained |X[k]|²
-// over bins 1..cut (low) and over bins 1..h (total); DC is in neither, and
-// a negative cut skips both (0). g holds the gain of each bin 0..h.
+// the transform's: Y[k] at position rev(k) for 0 < k < h, and the real
+// bins share y[0] = complex(Y[0], Y[h]). It also sums the ungained
+// |X[k]|² over bins 1..cut (low) and over bins 1..h (total), in k order;
+// DC is in neither, and a negative cut skips both (0). g holds the gain
+// of each bin at its position, and of bin h at g[h] (GainTable's order).
 func (p *RealFFTPlan) shapeHalf(y []complex128, g []float64, cut int) (low, total float64) {
 	h := p.n / 2
 	y, g = y[:h], g[:h+1]
 	a, b := real(y[0]), imag(y[0])
 	nyq := a - b
 	y[0] = complex((a+b)*g[0], nyq*g[h])
-	k1 := 1 + max(min(h/2, h-cut)-1, 0)&^3 // the kernel's pairs: in fours, each h-k above cut
-	low, total = kern.shape(y, p.unpack, g, 1, k1, cut, 0, 0)
-	low, total = shapePairs(y, p.unpack, g, k1, h/2+1, cut, low, total)
+	var pw []float64 // |X|² of each bin at its position
+	if cut >= 0 {
+		buf := p.tables.Get().(*[]float64)
+		defer p.tables.Put(buf)
+		*buf = slices.Grow((*buf)[:0], h)[:h]
+		pw = *buf
+	}
+	shapePairs(y, p.unpack, g, pw, 1, min(h, 8))
+	kern.shape(y, p.unpack, g, pw, 8, h)
 	if cut < 0 {
 		return 0, 0
+	}
+	for k, perm := 1, p.half.perm; k <= h/2; k++ {
+		pk, pj := pw[perm[k]], pw[perm[h-k]]
+		if k == h-k {
+			pj = 0 // the middle bin is its own partner
+		}
+		total += pk + pj
+		if k <= cut {
+			low += pk
+		}
+		if h-k <= cut {
+			low += pj
+		}
 	}
 	if h <= cut {
 		low += nyq * nyq
@@ -421,45 +375,42 @@ func (p *RealFFTPlan) shapeHalf(y []complex128, g []float64, cut int) (low, tota
 	return low, total + nyq*nyq
 }
 
-// shapePairs is shapeHalf's pass over the pairs k, h-k, k0 <= k < k1: it
-// adds the powers of the bins up to cut to low, of all to total, in k order.
-func shapePairs(y, w []complex128, g []float64, k0, k1, cut int, low, total float64) (float64, float64) {
-	for k := k0; k < k1; k++ {
-		j := len(y) - k
-		zk, zj := y[k], cmplx.Conj(y[j])
-		e := (zk + zj) * complex(0.5, 0)
-		wo := w[k] * ((zk - zj) * complex(0, -0.5))
-		xk, xj := e+wo, cmplx.Conj(e-wo) // X[k], and X[h-k] by conjugate symmetry
-		pk, pj := real(xk)*real(xk)+imag(xk)*imag(xk), real(xj)*real(xj)+imag(xj)*imag(xj)
-		if j == k {
-			pj = 0 // the middle bin is its own partner
+// shapePairs is shapeHalf's pass over the pairs of the octave blocks
+// [b, 2b), lo <= b < hi: bin k below h/2 sits at an even position of its
+// block (or at 1, the middle bin) and its partner at the mirror c. With pw
+// not empty it stores there each bin's |X|² at the bin's position.
+func shapePairs(y, w []complex128, g, pw []float64, lo, hi int) {
+	for b := lo; b < hi; b *= 2 {
+		for k := b; k < 2*b; k += 2 {
+			c := 3*b - 1 - k
+			zk, zj := y[k], cmplx.Conj(y[c])
+			e := (zk + zj) * complex(0.5, 0)
+			wo := w[k] * ((zk - zj) * complex(0, -0.5))
+			xk, xj := e+wo, cmplx.Conj(e-wo) // X[k], and X[h-k] by conjugate symmetry
+			if len(pw) > 0 {
+				pw[c] = real(xj)*real(xj) + imag(xj)*imag(xj)
+				pw[k] = real(xk)*real(xk) + imag(xk)*imag(xk)
+			}
+			gk, gj := g[k], g[c]
+			y[k] = complex(real(xk)*gk, imag(xk)*gk)
+			y[c] = complex(real(xj)*gj, imag(xj)*gj)
 		}
-		total += pk + pj
-		if k <= cut {
-			low += pk
-		}
-		if j <= cut {
-			low += pj
-		}
-		gk, gj := g[k], g[j]
-		y[k] = complex(real(xk)*gk, imag(xk)*gk)
-		y[j] = complex(real(xj)*gj, imag(xj)*gj)
 	}
-	return low, total
 }
 
 // inverseInto inverts y, the packed half spectrum (see shapeHalf) of a
 // real Size-point signal x, in place: it re-packs the spectra of the even
 // and odd samples as E + iO, runs the Size/2-point inverse transform, and
-// writes dst[i] = x[i*step]. (len(dst)-1)*step must be below Size.
+// writes dst[i] = x[i*step]. (len(dst)-1)*step must be below Size; with
+// step 1, dst may be y's own lanes.
 func (p *RealFFTPlan) inverseInto(dst []float64, y []complex128, step int) {
 	h := p.n / 2
+	y = y[:h]
 	a, b := real(y[0]), imag(y[0])
 	y[0] = complex(a+b, a-b)
-	k1 := 1 + max(h/2-1, 0)&^3
-	kern.repack(y[:h], p.unpack, 1, k1)
-	repackPairs(y[:h], p.unpack, k1, h/2+1)
-	p.half.transform(y, p.half.inv)
+	repackPairs(y, p.unpack, 1, min(h, 8))
+	kern.repack(y, p.unpack, 8, h)
+	kern.butterflies(y, p.half.inv)
 	scale := 1 / float64(p.n)
 	if step == 1 { // x itself: y's lanes in order, one scaled copy
 		kern.scale(dst, floats(y), scale)
@@ -475,17 +426,20 @@ func (p *RealFFTPlan) inverseInto(dst []float64, y []complex128, step int) {
 	}
 }
 
-// repackPairs is inverseInto's re-pack of the pairs k, h-k, k0 <= k < k1.
-func repackPairs(y, w []complex128, k0, k1 int) {
-	for k := k0; k < k1; k++ {
-		j := len(y) - k
-		yk, yj := y[k], cmplx.Conj(y[j])
-		// 2E[k] = Y[k] + conj(Y[h-k]) and 2O[k] = conj(w^k)(Y[k] - conj(Y[h-k]));
-		// E[h-k] and O[h-k] are their conjugates.
-		e := yk + yj
-		o := cmplx.Conj(w[k]) * (yk - yj)
-		y[k] = e + complex(-imag(o), real(o))
-		y[j] = cmplx.Conj(e) + complex(imag(o), real(o))
+// repackPairs is inverseInto's re-pack of the pairs of the octave blocks
+// [b, 2b), lo <= b < hi.
+func repackPairs(y, w []complex128, lo, hi int) {
+	for b := lo; b < hi; b *= 2 {
+		for k := b; k < 2*b; k += 2 {
+			c := 3*b - 1 - k
+			yk, yj := y[k], cmplx.Conj(y[c])
+			// 2E[k] = Y[k] + conj(Y[h-k]) and 2O[k] = conj(w^k)(Y[k] - conj(Y[h-k]));
+			// E[h-k] and O[h-k] are their conjugates.
+			e := yk + yj
+			o := cmplx.Conj(w[k]) * (yk - yj)
+			y[k] = e + complex(-imag(o), real(o))
+			y[c] = cmplx.Conj(e) + complex(imag(o), real(o))
+		}
 	}
 }
 
@@ -570,7 +524,8 @@ func bluesteinChirp(n int) []complex128 {
 }
 
 // filter returns the length-m spectrum of the conjugate-chirp correlation
-// filter b (b[k] = b[m-k] = conj(chirp[k])), computed once per plan.
+// filter b (b[k] = b[m-k] = conj(chirp[k])) in the transforms' layout,
+// computed once per plan.
 func (bp *bluesteinPlan) filter(chirp []complex128) []complex128 {
 	b := make([]complex128, bp.m)
 	for k := 0; k < bp.n; k++ {
@@ -579,7 +534,7 @@ func (bp *bluesteinPlan) filter(chirp []complex128) []complex128 {
 	for k := 1; k < bp.n; k++ {
 		b[bp.m-k] = cmplx.Conj(chirp[k])
 	}
-	bp.plan.transform(b, bp.plan.fwd)
+	kern.forward(b, bp.plan.fwd)
 	return b
 }
 
@@ -598,11 +553,11 @@ func (bp *bluesteinPlan) reduceInto(x []float64, sqrt bool) []float64 {
 	clear(a[len(x):])
 	// The chirp-z convolution: forward transform, product with the filter
 	// spectrum, inverse transform.
-	bp.plan.transform(a, bp.plan.fwd)
+	kern.forward(a, bp.plan.fwd)
 	for i := range a {
 		a[i] *= filt[i]
 	}
-	bp.plan.transform(a, bp.plan.inv)
+	kern.butterflies(a, bp.plan.inv)
 	invM := 1 / float64(bp.m)
 	out := make([]float64, bp.n/2+1)
 	for k := range out {

@@ -10,7 +10,7 @@ var kernels = amd64Kernels()
 
 func amd64Kernels() []kernel {
 	if hasAVX() {
-		return []kernel{{"avx", butterfliesAVX, shapeAVX, repackAVX, productAVX, foldAVX, scaleAVX, maxAbsAVX, cubicAVX}, generic}
+		return []kernel{{"avx", forwardAVX, butterfliesAVX, shapeAVX, repackAVX, productAVX, foldAVX, scaleAVX, maxAbsAVX, cubicAVX}, generic}
 	}
 	return []kernel{generic}
 }
@@ -32,13 +32,14 @@ func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 
 func xgetbv() (eax, edx uint32)
 
-// The AVX kernel keeps generic's contracts. The per-bin passes take k1-k0 a
-// multiple of 4 and k1 <= len(y)/2, and shapeAVX no pair whose h-k <= cut.
+// The AVX kernel keeps generic's contracts. The pair passes take lo a
+// multiple of 8 or lo >= hi, and foldAVX an even lo and hi.
+func forwardAVX(x, tw []complex128)
 func butterfliesAVX(x, tw []complex128)
-func shapeAVX(y, w []complex128, g []float64, k0, k1, cut int, low, total float64) (float64, float64)
-func repackAVX(y, w []complex128, k0, k1 int)
-func productAVX(za, y, w []complex128, k0, k1 int)
-func foldAVX(f, y []complex128)
+func shapeAVX(y, w []complex128, g, pw []float64, lo, hi int)
+func repackAVX(y, w []complex128, lo, hi int)
+func productAVX(za, y, w []complex128, lo, hi int)
+func foldAVX(f, y []complex128, rev []int32, lo, hi int)
 func scaleAVX(dst, src []float64, s float64)
 func maxAbsAVX(x []float64, m float64) float64
 func cubicAVX(x []float64, peak, gain, d float64)

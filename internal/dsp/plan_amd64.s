@@ -189,6 +189,149 @@ avxdone:
 	VZEROUPPER
 	RET
 
+// func forwardAVX(x, tw []complex128)
+//
+// forwardGeneric's stages: natural-order input, the spectrum left in the
+// transforms' layout. Every group of entries shares one twiddle, which is
+// broadcast once per group. The stages run two per pass over x while the
+// second one pairs entries at least four apart (the first stage alone
+// first when that leaves one over), and the last two, which pair entries
+// 2 and 1 apart, run together in registers on blocks of four.
+//
+// Registers: DI x, R10 end of x, CX tw, R8 the pass's distance d in bytes,
+// AX d/2, BX 3d/2, R12 the groups of its first stage in bytes (16 per
+// group), SI and DX the twiddles of its two stages, R9 the current group,
+// R11 the byte offset inside the group's first quarter, R13 = R9+R11.
+TEXT ·forwardAVX(SB), NOSPLIT, $0-48
+	MOVQ x_base+0(FP), DI
+	MOVQ x_len+8(FP), R10
+	MOVQ tw_base+24(FP), CX
+	CMPQ R10, $2
+	JB   fwddone
+	JE   fwdtwo
+	BSFQ R10, AX          // log2 n
+	SHLQ $4, R10
+	MOVQ R10, R8
+	SHRQ $1, R8           // d = n/2 entries
+	ADDQ DI, R10
+	MOVQ $16, R12
+	TESTQ $1, AX
+	JZ   fwdpairs         // an even number of stages before the last two
+
+	// The first stage alone: one group, twiddle tw[0].
+	VBROADCASTSD (CX), Y0
+	VBROADCASTSD 8(CX), Y1
+	MOVQ         DI, R9
+	LEAQ         (DI)(R8*1), R13
+
+fwdsingle:
+	VMOVUPD (R9)(R8*1), Y2
+	CMUL(Y2, Y0, Y1, Y3, Y4)
+	VMOVUPD (R9), Y2
+	VADDPD  Y3, Y2, Y5
+	VSUBPD  Y3, Y2, Y6
+	VMOVUPD Y5, (R9)
+	VMOVUPD Y6, (R9)(R8*1)
+	ADDQ    $32, R9
+	CMPQ    R9, R13
+	JB      fwdsingle
+	SHRQ    $1, R8
+	SHLQ    $1, R12
+
+fwdpairs:
+	CMPQ R8, $128         // the second stage's distance d/2 >= 4 entries
+	JB   fwdquads
+	MOVQ R8, AX
+	SHRQ $1, AX
+	LEAQ (AX)(R8*1), BX
+	LEAQ -16(CX)(R12*1), SI     // stage of h groups: entries h-1 ..
+	LEAQ -16(CX)(R12*2), DX     // stage of 2h groups: entries 2h-1 ..
+	MOVQ DI, R9
+
+fwdgroup:
+	VBROADCASTSD (SI), Y0
+	VBROADCASTSD 8(SI), Y1
+	VBROADCASTSD (DX), Y12
+	VBROADCASTSD 8(DX), Y13
+	VBROADCASTSD 16(DX), Y14
+	VBROADCASTSD 24(DX), Y15
+	XORQ         R11, R11
+
+fwdbfly:
+	LEAQ    (R9)(R11*1), R13
+	VMOVUPD (R13)(R8*1), Y2 // x2
+	CMUL(Y2, Y0, Y1, Y3, Y4)
+	VMOVUPD (R13), Y2       // x0
+	VADDPD  Y3, Y2, Y5      // y0
+	VSUBPD  Y3, Y2, Y6      // y2
+	VMOVUPD (R13)(BX*1), Y2 // x3
+	CMUL(Y2, Y0, Y1, Y3, Y4)
+	VMOVUPD (R13)(AX*1), Y2 // x1
+	VADDPD  Y3, Y2, Y7      // y1
+	VSUBPD  Y3, Y2, Y8      // y3
+	CMUL(Y7, Y12, Y13, Y3, Y4)
+	VADDPD  Y3, Y5, Y9
+	VSUBPD  Y3, Y5, Y10
+	VMOVUPD Y9, (R13)
+	VMOVUPD Y10, (R13)(AX*1)
+	CMUL(Y8, Y14, Y15, Y3, Y4)
+	VADDPD  Y3, Y6, Y9
+	VSUBPD  Y3, Y6, Y10
+	VMOVUPD Y9, (R13)(R8*1)
+	VMOVUPD Y10, (R13)(BX*1)
+	ADDQ    $32, R11
+	CMPQ    R11, AX
+	JB      fwdbfly
+
+	ADDQ $16, SI
+	ADDQ $32, DX
+	LEAQ (R9)(R8*2), R9
+	CMPQ R9, R10
+	JB   fwdgroup
+	SHRQ $2, R8
+	SHLQ $2, R12
+	JMP  fwdpairs
+
+	// The last two stages, on blocks [x0 x1 x2 x3]: x0, x2 and x1, x3
+	// with the block's twiddle, then x0, x1 and x2, x3 with one each.
+fwdquads:
+	LEAQ -16(CX)(R12*1), SI
+	LEAQ -16(CX)(R12*2), DX
+	MOVQ DI, R9
+
+fwdquad:
+	VBROADCASTSD (SI), Y0
+	VBROADCASTSD 8(SI), Y1
+	VMOVUPD      (R9), Y5            // [x0, x1]
+	VMOVUPD      32(R9), Y6          // [x2, x3]
+	CMUL(Y6, Y0, Y1, Y9, Y10)
+	VADDPD       Y9, Y5, Y7          // [y0, y1]
+	VSUBPD       Y9, Y5, Y8          // [y2, y3]
+	VPERM2F128   $0x20, Y8, Y7, Y5   // [y0, y2]
+	VPERM2F128   $0x31, Y8, Y7, Y6   // [y1, y3]
+	SPLITW((DX), Y3, Y4)
+	CMUL(Y6, Y3, Y4, Y9, Y10)
+	VADDPD       Y9, Y5, Y7          // [z0, z2]
+	VSUBPD       Y9, Y5, Y8          // [z1, z3]
+	VPERM2F128   $0x20, Y8, Y7, Y5   // [z0, z1]
+	VPERM2F128   $0x31, Y8, Y7, Y6   // [z2, z3]
+	VMOVUPD      Y5, (R9)
+	VMOVUPD      Y6, 32(R9)
+	ADDQ         $16, SI
+	ADDQ         $32, DX
+	ADDQ         $64, R9
+	CMPQ         R9, R10
+	JB           fwdquad
+	JMP          fwddone
+
+	// n == 2: the one butterfly of butterfliesAVX, whose table it shares.
+fwdtwo:
+	JMP ·butterfliesAVX(SB)
+
+fwddone:
+	VZEROUPPER
+	RET
+
 // func xgetbv() (eax, edx uint32)
 TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL $0, CX
@@ -199,13 +342,16 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 
 // The passes around the butterflies. Each reproduces its generic twin in
 // plan.go bit for bit: the same IEEE operations on the same operands, in
-// vector lanes instead of scalars, with no FMA. The per-bin passes work
-// on four bin pairs k..k+3, h-k-3..h-k at a time, split into a vector of
-// real parts and one of imaginary parts with the lanes in the order k,
-// k+2, k+1, k+3, so each scalar line of the Go loop becomes one vector
-// operation. Go's complex products keep their ·0 terms (z·½ is [re·½ -
-// im·0, re·0 + im·½]), which decide the sign of a zero result and turn
-// ±Inf into NaN, so the kernels multiply by 0 too.
+// vector lanes instead of scalars, with no FMA. The pair passes walk each
+// octave block [b, 2b) of the layout from both ends, four pairs i+t, j-t
+// (t = 0..3, j = 2b-1-(i-b)) at a time. The pairs of even t hold bin k
+// below h/2 at i+t and of odd t at j-t, so a vector of the bins k holds
+// the lanes i, i+2, j-1, j-3 and one of their partners j, j-2, i+1, i+3;
+// each splits into a vector of real parts and one of imaginary parts, and
+// each scalar line of the Go loop becomes one vector operation. Go's
+// complex products keep their ·0 terms (z·½ is [re·½ - im·0, re·0 +
+// im·½]), which decide the sign of a zero result and turn ±Inf into NaN,
+// so the kernels multiply by 0 too.
 
 DATA half<>+0(SB)/8, $0x3fe0000000000000
 GLOBL half<>(SB), RODATA|NOPTR, $8
@@ -215,75 +361,69 @@ DATA signbit<>+0(SB)/8, $0x8000000000000000
 GLOBL signbit<>(SB), RODATA|NOPTR, $8
 DATA absmask<>+0(SB)/8, $0x7fffffffffffffff
 GLOBL absmask<>(SB), RODATA|NOPTR, $8
-DATA conjmask<>+0(SB)/8, $0
-DATA conjmask<>+8(SB)/8, $0x8000000000000000
-DATA conjmask<>+16(SB)/8, $0
-DATA conjmask<>+24(SB)/8, $0x8000000000000000
-GLOBL conjmask<>(SB), RODATA|NOPTR, $32
+DATA conjlo<>+0(SB)/8, $0
+DATA conjlo<>+8(SB)/8, $0x8000000000000000
+DATA conjlo<>+16(SB)/8, $0
+DATA conjlo<>+24(SB)/8, $0
+GLOBL conjlo<>(SB), RODATA|NOPTR, $32
+DATA conjhi<>+0(SB)/8, $0
+DATA conjhi<>+8(SB)/8, $0
+DATA conjhi<>+16(SB)/8, $0
+DATA conjhi<>+24(SB)/8, $0x8000000000000000
+GLOBL conjhi<>(SB), RODATA|NOPTR, $32
 
-// LOADK loads the four complex values from addr0 (k, k+1) and addr1
-// (k+2, k+3) into re and im, lanes k, k+2, k+1, k+3. t0, t1 are scratch.
-#define LOADK(addr0, addr1, re, im, t0, t1) \
-	VMOVUPD   addr0, t0; \
-	VMOVUPD   addr1, t1; \
-	VUNPCKLPD t1, t0, re; \
-	VUNPCKHPD t1, t0, im
-
-// LOADJ loads the partners h-k, h-k-1, h-k-2, h-k-3 from j0 .. j3 into
-// re and im in the lanes of LOADK. x0/y0 and x1/y1 name two scratch
-// registers.
-#define LOADJ(j0, j1, j2, j3, re, im, x0, y0, x1, y1) \
-	VMOVUPD     j0, x0; \
-	VINSERTF128 $1, j1, y0, y0; \
-	VMOVUPD     j2, x1; \
-	VINSERTF128 $1, j3, y1, y1; \
+// LOAD4 loads the complex values at a0, a1, a2, a3 into re and im, lanes
+// a0, a2, a1, a3. x0/y0 and x1/y1 name two scratch registers.
+#define LOAD4(a0, a1, a2, a3, re, im, x0, y0, x1, y1) \
+	VMOVUPD     a0, x0; \
+	VINSERTF128 $1, a1, y0, y0; \
+	VMOVUPD     a2, x1; \
+	VINSERTF128 $1, a3, y1, y1; \
 	VUNPCKLPD   y1, y0, re; \
 	VUNPCKHPD   y1, y0, im
 
-// STOREK and STOREJ are the inverses of LOADK and LOADJ.
-#define STOREK(re, im, addr0, addr1, t0, t1) \
-	VUNPCKLPD im, re, t0; \
-	VUNPCKHPD im, re, t1; \
-	VMOVUPD   t0, addr0; \
-	VMOVUPD   t1, addr1
-
-#define STOREJ(re, im, j0, j1, j2, j3, x0, y0, x1, y1) \
+// STORE4 is the inverse of LOAD4.
+#define STORE4(re, im, a0, a1, a2, a3, x0, y0, x1, y1) \
 	VUNPCKLPD    im, re, y0; \
 	VUNPCKHPD    im, re, y1; \
-	VMOVUPD      x0, j0; \
-	VEXTRACTF128 $1, y0, j1; \
-	VMOVUPD      x1, j2; \
-	VEXTRACTF128 $1, y1, j3
+	VMOVUPD      x0, a0; \
+	VEXTRACTF128 $1, y0, a1; \
+	VMOVUPD      x1, a2; \
+	VEXTRACTF128 $1, y1, a3
 
-// func shapeAVX(y, w []complex128, g []float64, k0, k1, cut int, low, total float64) (float64, float64)
+// PAIRBLOCK starts the block [b, 2b) of R12 = b: AX = 8i and CX = 8j,
+// with which the bins k of four pairs sit at (AX*2), -16(CX*2), 32(AX*2)
+// and -48(CX*2) from the base, and their partners at (CX*2), 16(AX*2),
+// -32(CX*2) and 48(AX*2).
+#define PAIRBLOCK \
+	MOVQ R12, AX; \
+	SHLQ $3, AX; \
+	LEAQ -8(AX)(AX*1), CX
+
+// func shapeAVX(y, w []complex128, g, pw []float64, lo, hi int)
 //
-// Registers: DI y, SI w, DX g, AX 8k, CX 8(h-k), BX 8k1, R9 8cut, X9 and
-// X8 the running low and total; Y12 0, Y13 -0 (the sign bit), Y14 -½, Y15 ½.
-TEXT ·shapeAVX(SB), NOSPLIT, $0-128
-	MOVQ   y_base+0(FP), DI
-	MOVQ   y_len+8(FP), CX
-	MOVQ   w_base+24(FP), SI
-	MOVQ   g_base+48(FP), DX
-	MOVQ   k0+72(FP), AX
-	MOVQ   k1+80(FP), BX
-	MOVQ   cut+88(FP), R9
-	VMOVSD low+96(FP), X9
-	VMOVSD total+104(FP), X8
-	CMPQ   AX, BX
-	JAE    shapedone
-	SUBQ   AX, CX
-	SHLQ   $3, AX
-	SHLQ   $3, BX
-	SHLQ   $3, CX
-	SHLQ   $3, R9
+// Registers: DI y, SI w, DX g, R8 pw, R10 len(pw), R12 the block b, R13
+// hi, AX 8i, CX 8j; Y12 0, Y13 -0 (the sign bit), Y14 -½, Y15 ½.
+TEXT ·shapeAVX(SB), NOSPLIT, $0-112
+	MOVQ         y_base+0(FP), DI
+	MOVQ         w_base+24(FP), SI
+	MOVQ         g_base+48(FP), DX
+	MOVQ         pw_base+72(FP), R8
+	MOVQ         pw_len+80(FP), R10
+	MOVQ         lo+96(FP), R12
+	MOVQ         hi+104(FP), R13
 	VXORPD       Y12, Y12, Y12
 	VBROADCASTSD signbit<>(SB), Y13
 	VBROADCASTSD neghalf<>(SB), Y14
 	VBROADCASTSD half<>(SB), Y15
+	JMP          shapenext
+
+shapeblock:
+	PAIRBLOCK
 
 shapeloop:
-	LOADK((DI)(AX*2), 32(DI)(AX*2), Y2, Y3, Y0, Y1)
-	LOADJ((DI)(CX*2), -16(DI)(CX*2), -32(DI)(CX*2), -48(DI)(CX*2), Y4, Y5, X0, Y0, X1, Y1)
+	LOAD4((DI)(AX*2), -16(DI)(CX*2), 32(DI)(AX*2), -48(DI)(CX*2), Y2, Y3, X0, Y0, X1, Y1)
+	LOAD4((DI)(CX*2), 16(DI)(AX*2), -32(DI)(CX*2), 48(DI)(AX*2), Y4, Y5, X0, Y0, X1, Y1)
 	VXORPD Y13, Y5, Y5 // zj = conj(y[h-k])
 	VADDPD Y4, Y2, Y0  // (zk+zj).re
 	VADDPD Y5, Y3, Y1  // (zk+zj).im
@@ -307,7 +447,7 @@ shapeloop:
 	VADDPD Y3, Y2, Y2 // t.im
 
 	// wo = w·t
-	LOADK((SI)(AX*2), 32(SI)(AX*2), Y6, Y7, Y1, Y3)
+	LOAD4((SI)(AX*2), -16(SI)(CX*2), 32(SI)(AX*2), -48(SI)(CX*2), Y6, Y7, X1, Y1, X3, Y3)
 	VMULPD Y5, Y6, Y1
 	VMULPD Y2, Y7, Y3
 	VSUBPD Y3, Y1, Y1 // wo.re
@@ -321,94 +461,72 @@ shapeloop:
 	VSUBPD Y1, Y4, Y4
 	VSUBPD Y2, Y0, Y0
 	VXORPD Y13, Y0, Y0
-	TESTQ  R9, R9
-	JS     shapegain
+	TESTQ  R10, R10
+	JZ     shapegain
 
-	// low += |X[k]|² while k <= cut, and total += |X[k]|² + |X[h-k]|²,
-	// for k, k+1, k+2, k+3 in turn
+	// pw gets |X[k]|² and |X[h-k]|² at the bins' positions.
 	VMULPD       Y3, Y3, Y1
 	VMULPD       Y5, Y5, Y2
 	VADDPD       Y2, Y1, Y1
 	VMULPD       Y4, Y4, Y2
 	VMULPD       Y0, Y0, Y6
 	VADDPD       Y6, Y2, Y2
-	CMPQ         AX, R9
-	JGT          shapetotal
-	VEXTRACTF128 $1, Y1, X6
-	VADDSD       X1, X9, X9
-	LEAQ         8(AX), R11
-	CMPQ         R11, R9
-	JGT          shapetotal
-	VADDSD       X6, X9, X9
-	ADDQ         $8, R11
-	CMPQ         R11, R9
-	JGT          shapetotal
-	VPERMILPD    $1, X1, X7
-	VADDSD       X7, X9, X9
-	ADDQ         $8, R11
-	CMPQ         R11, R9
-	JGT          shapetotal
-	VPERMILPD    $1, X6, X7
-	VADDSD       X7, X9, X9
-
-shapetotal:
-	VADDPD       Y2, Y1, Y1
-	VEXTRACTF128 $1, Y1, X2
-	VADDSD       X1, X8, X8
-	VADDSD       X2, X8, X8
-	VPERMILPD    $1, X1, X1
-	VPERMILPD    $1, X2, X2
-	VADDSD       X1, X8, X8
-	VADDSD       X2, X8, X8
+	VMOVSD       X1, (R8)(AX*1)
+	VMOVHPD      X1, 16(R8)(AX*1)
+	VEXTRACTF128 $1, Y1, X1
+	VMOVSD       X1, -8(R8)(CX*1)
+	VMOVHPD      X1, -24(R8)(CX*1)
+	VMOVSD       X2, (R8)(CX*1)
+	VMOVHPD      X2, -16(R8)(CX*1)
+	VEXTRACTF128 $1, Y2, X2
+	VMOVSD       X2, 8(R8)(AX*1)
+	VMOVHPD      X2, 24(R8)(AX*1)
 
 shapegain:
-	VBROADCASTF128 (DX)(AX*1), Y1
-	VBROADCASTF128 16(DX)(AX*1), Y2
-	VUNPCKLPD      Y2, Y1, Y6
-	VUNPCKHPD      Y2, Y1, Y7
-	VBLENDPD       $12, Y7, Y6, Y6 // g[k], g[k+2], g[k+1], g[k+3]
-	VMULPD         Y6, Y3, Y3
-	VMULPD         Y6, Y5, Y5
-	STOREK(Y3, Y5, (DI)(AX*2), 32(DI)(AX*2), Y1, Y2)
-	VBROADCASTF128 -8(DX)(CX*1), Y1
-	VBROADCASTF128 -24(DX)(CX*1), Y2
-	VUNPCKHPD      Y2, Y1, Y6
-	VUNPCKLPD      Y2, Y1, Y7
-	VBLENDPD       $12, Y7, Y6, Y6 // g[h-k], g[h-k-2], g[h-k-1], g[h-k-3]
-	VMULPD         Y6, Y4, Y4
-	VMULPD         Y6, Y0, Y0
-	STOREJ(Y4, Y0, (DI)(CX*2), -16(DI)(CX*2), -32(DI)(CX*2), -48(DI)(CX*2), X1, Y1, X2, Y2)
-	ADDQ           $32, AX
-	SUBQ           $32, CX
-	CMPQ           AX, BX
-	JB             shapeloop
+	VMOVUPD    (DX)(AX*1), Y1      // g[i .. i+3]
+	VMOVUPD    -24(DX)(CX*1), Y2   // g[j-3 .. j]
+	VPERM2F128 $0x20, Y2, Y1, Y6
+	VPERM2F128 $0x31, Y2, Y1, Y7
+	VUNPCKLPD  Y7, Y6, Y1
+	VPERMILPD  $6, Y1, Y1          // g[i], g[i+2], g[j-1], g[j-3]
+	VUNPCKHPD  Y7, Y6, Y2
+	VPERM2F128 $0x01, Y2, Y2, Y2
+	VPERMILPD  $9, Y2, Y2          // g[j], g[j-2], g[i+1], g[i+3]
+	VMULPD     Y1, Y3, Y3
+	VMULPD     Y1, Y5, Y5
+	STORE4(Y3, Y5, (DI)(AX*2), -16(DI)(CX*2), 32(DI)(AX*2), -48(DI)(CX*2), X6, Y6, X7, Y7)
+	VMULPD     Y2, Y4, Y4
+	VMULPD     Y2, Y0, Y0
+	STORE4(Y4, Y0, (DI)(CX*2), 16(DI)(AX*2), -32(DI)(CX*2), 48(DI)(AX*2), X6, Y6, X7, Y7)
+	ADDQ       $32, AX
+	SUBQ       $32, CX
+	CMPQ       AX, CX
+	JB         shapeloop
+	SHLQ       $1, R12
 
-shapedone:
-	VMOVSD X9, ret+112(FP)
-	VMOVSD X8, ret1+120(FP)
+shapenext:
+	CMPQ R12, R13
+	JB   shapeblock
 	VZEROUPPER
 	RET
 
-// func repackAVX(y, w []complex128, k0, k1 int)
+// func repackAVX(y, w []complex128, lo, hi int)
 //
-// Registers: DI y, SI w, AX 8k, CX 8(h-k), BX 8k1; Y13 -0.
+// Registers: DI y, SI w, R12 the block b, R13 hi, AX 8i, CX 8j; Y13 -0.
 TEXT ·repackAVX(SB), NOSPLIT, $0-64
-	MOVQ y_base+0(FP), DI
-	MOVQ y_len+8(FP), CX
-	MOVQ w_base+24(FP), SI
-	MOVQ k0+48(FP), AX
-	MOVQ k1+56(FP), BX
-	CMPQ AX, BX
-	JAE  repackdone
-	SUBQ AX, CX
-	SHLQ $3, AX
-	SHLQ $3, BX
-	SHLQ $3, CX
+	MOVQ         y_base+0(FP), DI
+	MOVQ         w_base+24(FP), SI
+	MOVQ         lo+48(FP), R12
+	MOVQ         hi+56(FP), R13
 	VBROADCASTSD signbit<>(SB), Y13
+	JMP          repacknext
+
+repackblock:
+	PAIRBLOCK
 
 repackloop:
-	LOADK((DI)(AX*2), 32(DI)(AX*2), Y2, Y3, Y0, Y1)
-	LOADJ((DI)(CX*2), -16(DI)(CX*2), -32(DI)(CX*2), -48(DI)(CX*2), Y4, Y5, X0, Y0, X1, Y1)
+	LOAD4((DI)(AX*2), -16(DI)(CX*2), 32(DI)(AX*2), -48(DI)(CX*2), Y2, Y3, X0, Y0, X1, Y1)
+	LOAD4((DI)(CX*2), 16(DI)(AX*2), -32(DI)(CX*2), 48(DI)(AX*2), Y4, Y5, X0, Y0, X1, Y1)
 	VXORPD Y13, Y5, Y5 // yj = conj(y[h-k])
 	VADDPD Y4, Y2, Y0  // e.re
 	VADDPD Y5, Y3, Y1  // e.im
@@ -416,7 +534,7 @@ repackloop:
 	VSUBPD Y5, Y3, Y3  // (yk-yj).im
 
 	// o = conj(w)·(yk-yj)
-	LOADK((SI)(AX*2), 32(SI)(AX*2), Y6, Y7, Y4, Y5)
+	LOAD4((SI)(AX*2), -16(SI)(CX*2), 32(SI)(AX*2), -48(SI)(CX*2), Y6, Y7, X4, Y4, X5, Y5)
 	VXORPD Y13, Y7, Y7
 	VMULPD Y2, Y6, Y4
 	VMULPD Y3, Y7, Y5
@@ -429,17 +547,20 @@ repackloop:
 	VXORPD Y13, Y3, Y5
 	VADDPD Y5, Y0, Y5
 	VADDPD Y4, Y1, Y6
-	STOREK(Y5, Y6, (DI)(AX*2), 32(DI)(AX*2), Y2, Y7)
+	STORE4(Y5, Y6, (DI)(AX*2), -16(DI)(CX*2), 32(DI)(AX*2), -48(DI)(CX*2), X2, Y2, X7, Y7)
 	VADDPD Y3, Y0, Y0
 	VXORPD Y13, Y1, Y1
 	VADDPD Y4, Y1, Y1
-	STOREJ(Y0, Y1, (DI)(CX*2), -16(DI)(CX*2), -32(DI)(CX*2), -48(DI)(CX*2), X2, Y2, X7, Y7)
+	STORE4(Y0, Y1, (DI)(CX*2), 16(DI)(AX*2), -32(DI)(CX*2), 48(DI)(AX*2), X2, Y2, X7, Y7)
 	ADDQ   $32, AX
 	SUBQ   $32, CX
-	CMPQ   AX, BX
+	CMPQ   AX, CX
 	JB     repackloop
+	SHLQ   $1, R12
 
-repackdone:
+repacknext:
+	CMPQ R12, R13
+	JB   repackblock
 	VZEROUPPER
 	RET
 
@@ -463,31 +584,28 @@ repackdone:
 	VADDPD p2, t1, q1; \
 	VSUBPD t1, p2, p2
 
-// func productAVX(za, y, w []complex128, k0, k1 int)
+// func productAVX(za, y, w []complex128, lo, hi int)
 //
-// Registers: R8 za, DI y, SI w, AX 8k, CX 8(h-k), BX 8k1; Y14, Y15 the
-// twiddles of the four pairs.
+// Registers: R8 za, DI y, SI w, R12 the block b, R13 hi, AX 8i, CX 8j;
+// Y14, Y15 the twiddles of the four pairs.
 TEXT ·productAVX(SB), NOSPLIT, $0-88
 	MOVQ za_base+0(FP), R8
 	MOVQ y_base+24(FP), DI
-	MOVQ y_len+32(FP), CX
 	MOVQ w_base+48(FP), SI
-	MOVQ k0+72(FP), AX
-	MOVQ k1+80(FP), BX
-	CMPQ AX, BX
-	JAE  productdone
-	SUBQ AX, CX
-	SHLQ $3, AX
-	SHLQ $3, BX
-	SHLQ $3, CX
+	MOVQ lo+72(FP), R12
+	MOVQ hi+80(FP), R13
+	JMP  productnext
+
+productblock:
+	PAIRBLOCK
 
 productloop:
-	LOADK((SI)(AX*2), 32(SI)(AX*2), Y14, Y15, Y0, Y1)
-	LOADK((R8)(AX*2), 32(R8)(AX*2), Y0, Y1, Y4, Y5)
-	LOADJ((R8)(CX*2), -16(R8)(CX*2), -32(R8)(CX*2), -48(R8)(CX*2), Y2, Y3, X4, Y4, X5, Y5)
+	LOAD4((SI)(AX*2), -16(SI)(CX*2), 32(SI)(AX*2), -48(SI)(CX*2), Y14, Y15, X0, Y0, X1, Y1)
+	LOAD4((R8)(AX*2), -16(R8)(CX*2), 32(R8)(AX*2), -48(R8)(CX*2), Y0, Y1, X4, Y4, X5, Y5)
+	LOAD4((R8)(CX*2), 16(R8)(AX*2), -32(R8)(CX*2), 48(R8)(AX*2), Y2, Y3, X4, Y4, X5, Y5)
 	UNPACK(Y0, Y1, Y2, Y3, Y8, Y9) // 2A: akr Y0, aki Y1, ajr Y3, aji Y2
-	LOADK((DI)(AX*2), 32(DI)(AX*2), Y4, Y5, Y8, Y9)
-	LOADJ((DI)(CX*2), -16(DI)(CX*2), -32(DI)(CX*2), -48(DI)(CX*2), Y6, Y7, X8, Y8, X9, Y9)
+	LOAD4((DI)(AX*2), -16(DI)(CX*2), 32(DI)(AX*2), -48(DI)(CX*2), Y4, Y5, X8, Y8, X9, Y9)
+	LOAD4((DI)(CX*2), 16(DI)(AX*2), -32(DI)(CX*2), 48(DI)(AX*2), Y6, Y7, X8, Y8, X9, Y9)
 	UNPACK(Y4, Y5, Y6, Y7, Y8, Y9) // 2B: bkr Y4, bki Y5, bjr Y7, bji Y6
 
 	// 4S[k] = conj(2A[k])·2B[k], and 4S[h-k]
@@ -517,117 +635,86 @@ productloop:
 	VSUBPD Y8, Y0, Y0   // oi = wr·di - wi·dr
 	VSUBPD Y0, Y1, Y5
 	VADDPD Y4, Y2, Y6
-	STOREK(Y5, Y6, (DI)(AX*2), 32(DI)(AX*2), Y8, Y9)
+	STORE4(Y5, Y6, (DI)(AX*2), -16(DI)(CX*2), 32(DI)(AX*2), -48(DI)(CX*2), X8, Y8, X9, Y9)
 	VADDPD Y0, Y1, Y1
 	VSUBPD Y2, Y4, Y4
-	STOREJ(Y1, Y4, (DI)(CX*2), -16(DI)(CX*2), -32(DI)(CX*2), -48(DI)(CX*2), X8, Y8, X9, Y9)
+	STORE4(Y1, Y4, (DI)(CX*2), 16(DI)(AX*2), -32(DI)(CX*2), 48(DI)(AX*2), X8, Y8, X9, Y9)
 	ADDQ   $32, AX
 	SUBQ   $32, CX
-	CMPQ   AX, BX
+	CMPQ   AX, CX
 	JB     productloop
+	SHLQ   $1, R12
 
-productdone:
+productnext:
+	CMPQ R12, R13
+	JB   productblock
 	VZEROUPPER
 	RET
 
-// func foldAVX(f, y []complex128)
+// func foldAVX(f, y []complex128, rev []int32, lo, hi int)
 //
-// Block by block of l = len(f) entries b of y: f[0] += b[0], then
-// conj(b[0]) (not in the first block, whose entry 0 holds the real bins);
-// for r = 1 .. l/2, f[r] += b[r], then conj(b[l-r]); for r = l/2+1 .. l-1
-// the conjugate term first. Two r at a time, one when one is left.
+// foldPairs on two accumulators P, P+1 (P even) per YMM: P's direct term
+// comes first and P+1's conjugate term, so the first vector holds P's
+// block and P+1's mirror block, conjugated in the upper lane, and the
+// second P's mirror block, conjugated in the lower lane, and P+1's block.
 //
-// Registers: DI f, R9 the block, R8 end of y, BX 16l, R12 8l, R10 &f[r],
-// R11 &b[r], R13 &b[l-r], CX bytes left in the run; Y13 the conjugate mask.
-TEXT ·foldAVX(SB), NOSPLIT, $0-48
-	MOVQ f_base+0(FP), DI
-	MOVQ f_len+8(FP), BX
-	MOVQ y_base+24(FP), R9
-	MOVQ y_len+32(FP), R8
-	SHLQ $4, BX
-	SHLQ $4, R8
-	ADDQ R9, R8
-	MOVQ BX, R12
-	SHRQ $1, R12
-	VMOVUPD conjmask<>(SB), Y13
-	JMP  foldrun
+// Registers: DI f, SI y, R8 rev, R11 len(rev) (g), R12 16g, AX P, DX P's
+// mirror block, BX P+1's, R10 P's block, R13 P+1's, CX q, R9 16rev[q];
+// Y14 and Y15 the conjugate masks of the upper and lower lane.
+TEXT ·foldAVX(SB), NOSPLIT, $0-88
+	MOVQ    f_base+0(FP), DI
+	MOVQ    y_base+24(FP), SI
+	MOVQ    rev_base+48(FP), R8
+	MOVQ    rev_len+56(FP), R11
+	MOVQ    lo+72(FP), AX
+	MOVQ    R11, R12
+	SHLQ    $4, R12
+	VMOVUPD conjhi<>(SB), Y14
+	VMOVUPD conjlo<>(SB), Y15
 
-foldblock:
-	VMOVUPD (DI), X0
-	VMOVUPD (R9), X1
-	VADDPD  X1, X0, X0
-	VXORPD  X13, X1, X1
-	VADDPD  X1, X0, X0
-	VMOVUPD X0, (DI)
+foldpair:
+	CMPQ AX, hi+80(FP)
+	JAE  folddone
+	BSRQ AX, CX
+	MOVQ $3, DX
+	SHLQ CX, DX
+	DECQ DX
+	SUBQ AX, DX       // the mirror position 3·2^s-1-P
+	IMULQ R12, DX
+	ADDQ SI, DX
+	MOVQ DX, BX
+	SUBQ R12, BX
+	MOVQ AX, R10
+	IMULQ R12, R10
+	ADDQ SI, R10
+	LEAQ (R10)(R12*1), R13
+	MOVQ AX, R9
+	SHLQ $4, R9
+	VMOVUPD (DI)(R9*1), Y0
+	XORQ CX, CX
 
-foldrun:
-	LEAQ 16(DI), R10
-	LEAQ 16(R9), R11
-	LEAQ -16(R9)(BX*1), R13
-	MOVQ R12, CX
-
-folddirect:
-	CMPQ        CX, $32
-	JB          folddirect1
-	VMOVUPD     (R10), Y0
-	VADDPD      (R11), Y0, Y0
-	VMOVUPD     (R13), X1
-	VINSERTF128 $1, -16(R13), Y1, Y1
-	VXORPD      Y13, Y1, Y1
+foldterm:
+	MOVLQSX     (R8)(CX*4), R9
+	SHLQ        $4, R9
+	VMOVUPD     (R10)(R9*1), X1
+	VINSERTF128 $1, (BX)(R9*1), Y1, Y1
+	VXORPD      Y14, Y1, Y1
 	VADDPD      Y1, Y0, Y0
-	VMOVUPD     Y0, (R10)
-	ADDQ        $32, R10
-	ADDQ        $32, R11
-	SUBQ        $32, R13
-	SUBQ        $32, CX
-	JMP         folddirect
+	VMOVUPD     (DX)(R9*1), X2
+	VINSERTF128 $1, (R13)(R9*1), Y2, Y2
+	VXORPD      Y15, Y2, Y2
+	VADDPD      Y2, Y0, Y0
+	INCQ        CX
+	CMPQ        CX, R11
+	JB          foldterm
 
-folddirect1:
-	TESTQ   CX, CX
-	JZ      foldconj
-	VMOVUPD (R10), X0
-	VADDPD  (R11), X0, X0
-	VMOVUPD (R13), X1
-	VXORPD  X13, X1, X1
-	VADDPD  X1, X0, X0
-	VMOVUPD X0, (R10)
-	ADDQ    $16, R10
-	ADDQ    $16, R11
-	SUBQ    $16, R13
+	MOVQ    AX, R9
+	SHLQ    $4, R9
+	VMOVUPD Y0, (DI)(R9*1)
+	ADDQ    $2, AX
+	JMP     foldpair
 
-foldconj:
-	LEAQ -16(R12), CX
-
-foldconj2:
-	CMPQ        CX, $32
-	JB          foldconj1
-	VMOVUPD     (R13), X1
-	VINSERTF128 $1, -16(R13), Y1, Y1
-	VXORPD      Y13, Y1, Y1
-	VMOVUPD     (R10), Y0
-	VADDPD      Y1, Y0, Y0
-	VADDPD      (R11), Y0, Y0
-	VMOVUPD     Y0, (R10)
-	ADDQ        $32, R10
-	ADDQ        $32, R11
-	SUBQ        $32, R13
-	SUBQ        $32, CX
-	JMP         foldconj2
-
-foldconj1:
-	TESTQ   CX, CX
-	JZ      foldnext
-	VMOVUPD (R13), X1
-	VXORPD  X13, X1, X1
-	VMOVUPD (R10), X0
-	VADDPD  X1, X0, X0
-	VADDPD  (R11), X0, X0
-	VMOVUPD X0, (R10)
-
-foldnext:
-	ADDQ BX, R9
-	CMPQ R9, R8
-	JB   foldblock
+folddone:
 	VZEROUPPER
 	RET
 

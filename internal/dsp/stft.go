@@ -107,15 +107,6 @@ func (s *Spectrogram) Normalize() {
 	}
 }
 
-// Flatten returns all values in frame-major order.
-func (s *Spectrogram) Flatten() []float64 {
-	out := make([]float64, 0, s.NumFrames()*s.NumBins())
-	for _, row := range s.Power {
-		out = append(out, row...)
-	}
-	return out
-}
-
 // STFTConfig configures short-time Fourier analysis.
 type STFTConfig struct {
 	// FFTSize is both the analysis window length and the FFT length.

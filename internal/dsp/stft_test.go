@@ -171,23 +171,3 @@ func TestSpectrogramCloneIsDeep(t *testing.T) {
 		t.Error("Clone shares backing storage")
 	}
 }
-
-func TestSpectrogramFlatten(t *testing.T) {
-	spec := &Spectrogram{Power: [][]float64{{1, 2}, {3, 4}}}
-	flat := spec.Flatten()
-	want := []float64{1, 2, 3, 4}
-	for i, v := range want {
-		if flat[i] != v {
-			t.Fatalf("flatten[%d] = %v, want %v", i, flat[i], v)
-		}
-	}
-}
-
-func TestApplyWindow(t *testing.T) {
-	x := []float64{2, 2, 2}
-	w := []float64{0.5, 1}
-	out := ApplyWindow(x, w)
-	if len(out) != 2 || out[0] != 1 || out[1] != 2 {
-		t.Errorf("ApplyWindow = %v", out)
-	}
-}

@@ -83,17 +83,3 @@ func cachedWindow(kind WindowKind, n int) []float64 {
 	v, _ := windowCache.LoadOrStore(key, Window(kind, n))
 	return v.([]float64)
 }
-
-// ApplyWindow multiplies x element-wise by window w into a new slice. If the
-// lengths differ, the shorter length is used.
-func ApplyWindow(x, w []float64) []float64 {
-	n := len(x)
-	if len(w) < n {
-		n = len(w)
-	}
-	out := make([]float64, n)
-	for i := 0; i < n; i++ {
-		out[i] = x[i] * w[i]
-	}
-	return out
-}

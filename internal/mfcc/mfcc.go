@@ -134,11 +134,7 @@ func (e *Extractor) Extract(audio []float64) ([][]float64, error) {
 	if len(audio) < e.frameLen {
 		return nil, nil
 	}
-	x := audio
-	if e.cfg.PreEmphasis > 0 {
-		x = dsp.PreEmphasis(audio, e.cfg.PreEmphasis)
-	}
-	numFrames := e.NumFrames(len(x))
+	numFrames := e.NumFrames(len(audio))
 	out := make([][]float64, numFrames)
 	// All per-frame scratch is hoisted out of the loop and reused: the
 	// planned transform writes into the same power buffer every frame, and
@@ -154,10 +150,19 @@ func (e *Extractor) Extract(audio []float64) ([][]float64, error) {
 	bins := e.bank.LastBin() + 1
 	energies := make([]float64, e.bank.NumChannels())
 	logE := make([]float64, e.bank.NumChannels())
+	c, prev := e.cfg.PreEmphasis, 0.0
 	for idx := 0; idx < numFrames; idx++ {
-		frame := x[idx*e.shiftLen : idx*e.shiftLen+e.frameLen]
+		start := idx * e.shiftLen
+		frame := audio[start : start+e.frameLen]
+		if start > 0 {
+			prev = audio[start-1]
+		}
 		for i, w := range e.window {
-			buf[i] = frame[i] * w
+			v := frame[i]
+			if c > 0 { // pre-emphasis: x[j] - c·x[j-1], 0 before the first sample
+				v, prev = v-c*prev, v
+			}
+			buf[i] = v * w
 		}
 		e.plan.LowPowerInto(power, buf, scratch, bins)
 		if _, err := e.bank.ApplyInto(energies, power); err != nil {

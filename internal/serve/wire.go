@@ -44,8 +44,16 @@ import (
 // extWearableAddrs flags the extra-wearable-addrs extension field.
 const extWearableAddrs = byte(1)
 
-// AppendRequestPayload appends the encoded request to dst.
+// AppendRequestPayload appends the encoded request to dst, growing dst
+// at most once.
 func AppendRequestPayload(dst []byte, req Request) []byte {
+	need := 4*binary.MaxVarintLen64 + len(req.UserID) + len(req.WearableAddr) + 8 + 8*len(req.VARecording) + 1
+	for _, addr := range req.WearableAddrs {
+		need += binary.MaxVarintLen64 + len(addr)
+	}
+	if cap(dst)-len(dst) < need {
+		dst = append(make([]byte, 0, len(dst)+need), dst...)
+	}
 	dst = wire.AppendString(dst, req.UserID)
 	dst = wire.AppendString(dst, req.WearableAddr)
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(req.RNGSeed))

@@ -79,6 +79,17 @@ func TestRequestPayloadExtensionRoundTrip(t *testing.T) {
 	}
 }
 
+// TestRequestPayloadOneAllocation pins the encoder's sizing: a replay-length
+// request with extra wearable addrs is encoded into one buffer, sized once
+// for the whole payload.
+func TestRequestPayloadOneAllocation(t *testing.T) {
+	req := Request{UserID: "alice", WearableAddr: "watch:1", WearableAddrs: []string{"earbud:2", "anklet:3"},
+		RNGSeed: 42, VARecording: make([]float64, 45040)}
+	if n := testing.AllocsPerRun(20, func() { AppendRequestPayload(nil, req) }); n != 1 {
+		t.Fatalf("encoding a %d-sample request with %d extra addrs allocates %v times, want 1", len(req.VARecording), len(req.WearableAddrs), n)
+	}
+}
+
 // TestRequestPayloadExtensionMalformed pins the hardened decode: mangled
 // extension blocks are typed wire.ErrMalformedFrame, never a panic or a
 // silently dropped field.
