@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test check race fuzz bench bench-scoring bench-dsp bench-brnn benchgen obs-smoke serve-smoke serve-race race-brnn pins-gomaxprocs1 route-race route-smoke stream-race stream-smoke bench-stream profile-race profile-smoke attack-race race-eval
+.PHONY: build test check lines race fuzz bench bench-scoring bench-dsp bench-brnn benchgen obs-smoke serve-smoke serve-race race-brnn pins-gomaxprocs1 route-race route-smoke stream-race stream-smoke bench-stream profile-race profile-smoke attack-race race-eval
 
 build:
 	$(GO) build ./...
@@ -14,6 +14,19 @@ test:
 
 check: build test
 	test -z "$$(gofmt -l .)"
+
+# Size report, not a gate: non-test Go lines outside perfbench/ (the
+# benchmark harness) and its .bench_build/ output, then the assembly lines
+# of each package and their total. ROADMAP's line-count items read these
+# figures.
+LINES_FIND = find . \( -path ./perfbench -o -path ./.bench_build -o -path ./.git \) -prune -o
+
+lines:
+	@echo "non-test Go lines: $$($(LINES_FIND) -name '*.go' ! -name '*_test.go' -print | xargs cat | wc -l)"
+	@total=0; for d in $$($(LINES_FIND) -name '*.s' -print | xargs -n1 dirname | sort -u); do \
+		n=$$(cat $$d/*.s | wc -l); total=$$((total + n)); \
+		echo "assembly lines $${d#./}: $$n"; \
+	done; echo "assembly lines total: $$total"
 
 # Concurrency gate: vet everything, then run the race detector over the
 # whole module (the eval engine's equivalence and overlapping-slice tests
@@ -51,7 +64,8 @@ attack-race:
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ .
 
-# Serial-vs-parallel dataset-scoring throughput (EXPERIMENTS.md records
+# Dataset-scoring throughput of the parallel engine at one worker (the
+# sequential reference) and on its worker pool (EXPERIMENTS.md records
 # the output).
 bench-scoring:
 	$(GO) test -bench='BenchmarkDatasetScoring|BenchmarkScoreAll' -run=^$$ . ./internal/eval/

@@ -291,7 +291,11 @@ func BenchmarkAblationNoSync(b *testing.B) {
 	}
 	provider := &eval.OracleProvider{Selected: selection.CanonicalSelected()}
 	for i := 0; i < b.N; i++ {
-		sum, err := eval.EvaluateWithoutSync(ds, ds.Attacks[attack.Replay], device.NewFossilGen5(), provider, 99)
+		sc, err := eval.NewParallelScorer(detector.MethodFull, device.NewFossilGen5(), provider, 99, eval.WithoutSync())
+		if err != nil {
+			b.Fatal(err)
+		}
+		sum, err := sc.ScoreDataset("no-sync ablation", ds.Legit, ds.Attacks[attack.Replay])
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -311,14 +315,15 @@ func BenchmarkPipelineScore(b *testing.B) {
 		b.Fatal(err)
 	}
 	provider := &eval.OracleProvider{Selected: selection.CanonicalSelected()}
-	sc, err := eval.NewScorer(detector.MethodFull, device.NewFossilGen5(), provider, 1)
+	sc, err := eval.NewParallelScorer(detector.MethodFull, device.NewFossilGen5(), provider, 1, eval.Workers(1))
 	if err != nil {
 		b.Fatal(err)
 	}
+	samples := []*eval.Sample{s}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := sc.Score(s); err != nil {
+		if _, err := sc.ScoreAll(samples); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -343,33 +348,16 @@ func datasetScoring(b *testing.B) ([]*eval.Sample, []*eval.Sample) {
 	return ds.Legit, ds.Attacks[attack.Replay]
 }
 
-// BenchmarkDatasetScoringSerial scores the workload on the sequential
-// Scorer; BenchmarkDatasetScoringParallel on the worker pool. The score
-// vectors are bit-identical; only throughput differs.
-func BenchmarkDatasetScoringSerial(b *testing.B) {
-	legit, attacks := datasetScoring(b)
-	provider := &eval.OracleProvider{Selected: selection.CanonicalSelected()}
-	sc, err := eval.NewScorer(detector.MethodFull, device.NewFossilGen5(), provider, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	n := len(legit) + len(attacks)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sc.ScoreAll(legit); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := sc.ScoreAll(attacks); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(n*b.N)/b.Elapsed().Seconds(), "samples/s")
-}
+// BenchmarkDatasetScoringSerial scores the workload on one worker, in
+// index order; BenchmarkDatasetScoringParallel on the default worker pool.
+// The score vectors are bit-identical; only throughput differs.
+func BenchmarkDatasetScoringSerial(b *testing.B)   { benchmarkDatasetScoring(b, 1) }
+func BenchmarkDatasetScoringParallel(b *testing.B) { benchmarkDatasetScoring(b, 0) }
 
-func BenchmarkDatasetScoringParallel(b *testing.B) {
+func benchmarkDatasetScoring(b *testing.B, workers int) {
 	legit, attacks := datasetScoring(b)
 	provider := &eval.OracleProvider{Selected: selection.CanonicalSelected()}
-	sc, err := eval.NewParallelScorer(detector.MethodFull, device.NewFossilGen5(), provider, 1)
+	sc, err := eval.NewParallelScorer(detector.MethodFull, device.NewFossilGen5(), provider, 1, eval.Workers(workers))
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -94,11 +94,6 @@ func (b Barrier) Gain(f float64) float64 {
 	return math.Exp(-b.Material.Alpha(f) * b.ThicknessCM)
 }
 
-// TransmissionLossDB returns the barrier's insertion loss at f in dB.
-func (b Barrier) TransmissionLossDB(f float64) float64 {
-	return -dsp.AmplitudeToDB(b.Gain(f))
-}
-
 // Apply filters a 16 kHz signal through the barrier's transmission curve.
 func (b Barrier) Apply(x []float64, sampleRate float64) []float64 {
 	return dsp.FrequencyShape(x, sampleRate, b.Gain)

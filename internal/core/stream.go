@@ -69,9 +69,6 @@ type StreamConfig struct {
 	VAD dsp.VADConfig
 }
 
-// DefaultStreamConfig returns the streaming tuning used by the serve tier.
-func DefaultStreamConfig() StreamConfig { return StreamConfig{} }
-
 // withStreamDefaults resolves defaults against the defense sample rate.
 func (c StreamConfig) withStreamDefaults(sampleRate float64) StreamConfig {
 	if c.ChunkSamples <= 0 {
@@ -162,9 +159,6 @@ func (d *Defense) NewStreamInspector(cfg StreamConfig, seed int64) (*StreamInspe
 
 // Config returns the resolved streaming configuration.
 func (si *StreamInspector) Config() StreamConfig { return si.cfg }
-
-// ConsumedSamples returns how many VA samples have been fed so far.
-func (si *StreamInspector) ConsumedSamples() int { return len(si.va) }
 
 // FeedWearable appends wearable audio to the session. The wearable side
 // carries no evaluation trigger — provisional evaluations fire on VA

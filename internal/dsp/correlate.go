@@ -217,28 +217,6 @@ func EstimateDelayRange(a, b []float64, loLag, hiLag int) int {
 	return best
 }
 
-// Pearson computes the Pearson correlation coefficient of two equal-length
-// vectors. It returns 0 when either vector has zero variance or the lengths
-// differ.
-func Pearson(a, b []float64) float64 {
-	if len(a) != len(b) || len(a) == 0 {
-		return 0
-	}
-	meanA, meanB := Mean(a), Mean(b)
-	var num, varA, varB float64
-	for i := range a {
-		da, db := a[i]-meanA, b[i]-meanB
-		num += da * db
-		varA += da * da
-		varB += db * db
-	}
-	den := math.Sqrt(varA * varB)
-	if den == 0 {
-		return 0
-	}
-	return num / den
-}
-
 // Correlate2D computes the 2D correlation coefficient of Eq. (6) between
 // two spectrograms: the Pearson correlation over all (time, frequency)
 // cells. The spectrograms are compared over their overlapping region so

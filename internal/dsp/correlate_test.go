@@ -29,28 +29,26 @@ func TestEstimateDelayRecoversShift(t *testing.T) {
 	}
 }
 
-func TestPearsonKnownValues(t *testing.T) {
-	a := []float64{1, 2, 3, 4}
-	if r := Pearson(a, a); math.Abs(r-1) > 1e-12 {
+// oneRow wraps a vector as a one-frame spectrogram, so Correlate2D is the
+// plain Pearson coefficient of two vectors.
+func oneRow(x []float64) *Spectrogram { return &Spectrogram{Power: [][]float64{x}} }
+
+func TestCorrelate2DKnownValues(t *testing.T) {
+	a := oneRow([]float64{1, 2, 3, 4})
+	if r := Correlate2D(a, a); math.Abs(r-1) > 1e-12 {
 		t.Errorf("self correlation = %v, want 1", r)
 	}
-	neg := []float64{4, 3, 2, 1}
-	if r := Pearson(a, neg); math.Abs(r+1) > 1e-12 {
+	neg := oneRow([]float64{4, 3, 2, 1})
+	if r := Correlate2D(a, neg); math.Abs(r+1) > 1e-12 {
 		t.Errorf("anti correlation = %v, want -1", r)
 	}
-	if r := Pearson(a, []float64{5, 5, 5, 5}); r != 0 {
-		t.Errorf("constant vector correlation = %v, want 0", r)
-	}
-	if r := Pearson(a, []float64{1, 2}); r != 0 {
-		t.Errorf("mismatched lengths = %v, want 0", r)
-	}
-	if r := Pearson(nil, nil); r != 0 {
-		t.Errorf("empty = %v, want 0", r)
+	if r := Correlate2D(a, oneRow([]float64{5, 5, 5, 5})); r != 0 {
+		t.Errorf("constant spectrogram correlation = %v, want 0", r)
 	}
 }
 
-// Property: Pearson correlation is always in [-1, 1] and symmetric.
-func TestPearsonProperty(t *testing.T) {
+// Property: the correlation is always in [-1, 1] and symmetric.
+func TestCorrelate2DProperty(t *testing.T) {
 	f := func(pairs []struct{ A, B float64 }) bool {
 		if len(pairs) < 2 {
 			return true
@@ -68,19 +66,19 @@ func TestPearsonProperty(t *testing.T) {
 			a[i] = math.Mod(av, 1e6)
 			b[i] = math.Mod(bv, 1e6)
 		}
-		r := Pearson(a, b)
+		r := Correlate2D(oneRow(a), oneRow(b))
 		if r < -1-1e-9 || r > 1+1e-9 {
 			return false
 		}
-		return math.Abs(r-Pearson(b, a)) < 1e-12
+		return math.Abs(r-Correlate2D(oneRow(b), oneRow(a))) < 1e-12
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: Pearson is invariant under positive affine transforms.
-func TestPearsonAffineInvariance(t *testing.T) {
+// Property: the correlation is invariant under positive affine transforms.
+func TestCorrelate2DAffineInvariance(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for trial := 0; trial < 30; trial++ {
 		n := 5 + rng.Intn(50)
@@ -96,7 +94,7 @@ func TestPearsonAffineInvariance(t *testing.T) {
 		for i := range a {
 			a2[i] = a[i]*scale + offset
 		}
-		if math.Abs(Pearson(a, b)-Pearson(a2, b)) > 1e-9 {
+		if math.Abs(Correlate2D(oneRow(a), oneRow(b))-Correlate2D(oneRow(a2), oneRow(b))) > 1e-9 {
 			t.Fatalf("trial %d: affine transform changed correlation", trial)
 		}
 	}

@@ -9,7 +9,7 @@ import (
 
 // Biquad is a second-order IIR filter section in direct form II transposed.
 // The zero value is an identity filter only after normalization; construct
-// instances with the NewHighPass/NewLowPass/NewBandPass helpers.
+// instances with the NewHighPass/NewBandPass helpers.
 type Biquad struct {
 	b0, b1, b2 float64
 	a1, a2     float64
@@ -31,24 +31,6 @@ func NewHighPass(cutoff, sampleRate, q float64) (*Biquad, error) {
 		b0: (1 + cosW0) / 2 / a0,
 		b1: -(1 + cosW0) / a0,
 		b2: (1 + cosW0) / 2 / a0,
-		a1: -2 * cosW0 / a0,
-		a2: (1 - alpha) / a0,
-	}, nil
-}
-
-// NewLowPass returns a Butterworth-style low-pass biquad.
-func NewLowPass(cutoff, sampleRate, q float64) (*Biquad, error) {
-	if err := validateCutoff(cutoff, sampleRate); err != nil {
-		return nil, fmt.Errorf("lowpass: %w", err)
-	}
-	w0 := 2 * math.Pi * cutoff / sampleRate
-	alpha := math.Sin(w0) / (2 * q)
-	cosW0 := math.Cos(w0)
-	a0 := 1 + alpha
-	return &Biquad{
-		b0: (1 - cosW0) / 2 / a0,
-		b1: (1 - cosW0) / a0,
-		b2: (1 - cosW0) / 2 / a0,
 		a1: -2 * cosW0 / a0,
 		a2: (1 - alpha) / a0,
 	}, nil

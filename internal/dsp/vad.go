@@ -121,10 +121,6 @@ type VAD struct {
 	hpPrimed   bool
 	decided    int
 	hangover   int
-	voicedOn   bool
-	cntVoiced  int
-	cntGated   int
-	cntHang    int
 	finishDone bool
 }
 
@@ -157,13 +153,6 @@ func (v *VAD) Config() VADConfig { return v.cfg }
 
 // FramesDecided returns the number of frames decided so far.
 func (v *VAD) FramesDecided() int { return v.decided }
-
-// FramesVoiced returns the number of frames judged voiced (including
-// hangover frames).
-func (v *VAD) FramesVoiced() int { return v.cntVoiced }
-
-// FramesGated returns the number of frames the gate rejected.
-func (v *VAD) FramesGated() int { return v.cntGated }
 
 // Feed consumes a chunk and returns how many of the newly decided frames
 // were voiced and how many were gated. Feed after Finish panics.
@@ -241,8 +230,6 @@ func (v *VAD) decideFrames(n int) (voiced, gated int) {
 			v.base += drop
 		}
 	}
-	v.cntVoiced += voiced
-	v.cntGated += gated
 	return voiced, gated
 }
 
@@ -256,7 +243,6 @@ func (v *VAD) decide(raw, hp []float64, power []float64) bool {
 	}
 	if v.hangover > 0 {
 		v.hangover--
-		v.cntHang++
 		return true
 	}
 	return false

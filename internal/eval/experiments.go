@@ -668,15 +668,7 @@ func WearableComparison(cfg FigureConfig) ([]WearableCell, error) {
 		if err != nil {
 			return nil, err
 		}
-		legit, err := sc.ScoreAll(ds.Legit)
-		if err != nil {
-			return nil, err
-		}
-		attacks, err := sc.ScoreAll(ds.Attacks[attack.Replay])
-		if err != nil {
-			return nil, err
-		}
-		sum, err := Summarize(w.Name, legit, attacks)
+		sum, err := sc.ScoreDataset(w.Name, ds.Legit, ds.Attacks[attack.Replay])
 		if err != nil {
 			return nil, err
 		}
@@ -795,15 +787,7 @@ func BodyMotionRobustness(cfg FigureConfig, amps []float64) ([]MotionCell, error
 		if err != nil {
 			return nil, err
 		}
-		legit, err := sc.ScoreAll(ds.Legit)
-		if err != nil {
-			return nil, err
-		}
-		attacks, err := sc.ScoreAll(ds.Attacks[attack.Replay])
-		if err != nil {
-			return nil, err
-		}
-		sum, err := Summarize(fmt.Sprintf("motion %.2f", amp), legit, attacks)
+		sum, err := sc.ScoreDataset(fmt.Sprintf("motion %.2f", amp), ds.Legit, ds.Attacks[attack.Replay])
 		if err != nil {
 			return nil, err
 		}

@@ -75,8 +75,8 @@ func WithoutSync() ParallelOption {
 // and scores every sample with a deterministic RNG derived from
 // (seed, sample index) via SampleSeed. Because nothing about a sample's
 // score depends on worker identity, scheduling order, or pool size, the
-// output vector is bit-identical to the sequential Scorer's for any worker
-// count.
+// output vector is bit-identical for any worker count; Workers(1) scores
+// the samples in index order and is the sequential reference.
 //
 // A ParallelScorer holds no mutable state; concurrent ScoreAll calls (even
 // on overlapping sample slices) are safe.
@@ -120,8 +120,8 @@ func NewParallelScorer(method detector.Method, w *device.Wearable, provider Span
 func (ps *ParallelScorer) Workers() int { return ps.workers }
 
 // ScoreAll scores a slice of samples across the worker pool and returns
-// one score per sample, in input order. The result is bit-identical to
-// (*Scorer).ScoreAll with the same seed, regardless of worker count.
+// one score per sample, in input order. Each score depends on (seed,
+// index), never on the worker count.
 func (ps *ParallelScorer) ScoreAll(samples []*Sample) ([]float64, error) {
 	n := len(samples)
 	if n == 0 {

@@ -24,15 +24,15 @@ func mixedSamples(t *testing.T) []*Sample {
 }
 
 // TestParallelMatchesSequential is the determinism proof the engine is
-// built around: the parallel score vector must be bit-identical to the
-// sequential Scorer's for every worker count.
+// built around: the score vector must be bit-identical for every worker
+// count to the one-worker run, which scores the samples in index order.
 func TestParallelMatchesSequential(t *testing.T) {
 	samples := mixedSamples(t)
 	provider := &OracleProvider{Selected: selection.CanonicalSelected()}
 	w := device.NewFossilGen5()
 	const seed = 7
 
-	serial, err := NewScorer(detector.MethodFull, w, provider, seed)
+	serial, err := NewParallelScorer(detector.MethodFull, w, provider, seed, Workers(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +72,7 @@ func TestParallelEquivalenceAllMethods(t *testing.T) {
 	w := device.NewFossilGen5()
 	provider := &OracleProvider{Selected: selection.CanonicalSelected()}
 	for _, method := range MethodArms() {
-		serial, err := NewScorer(method, w, provider, 3)
+		serial, err := NewParallelScorer(method, w, provider, 3, Workers(1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -275,23 +275,10 @@ func scoringWorkload(b *testing.B) []*Sample {
 	return benchScoringSamples
 }
 
-// BenchmarkScoreAllSerial / BenchmarkScoreAllParallel compare dataset
-// scoring throughput; report samples/sec for direct comparison.
-func BenchmarkScoreAllSerial(b *testing.B) {
-	samples := scoringWorkload(b)
-	provider := &OracleProvider{Selected: selection.CanonicalSelected()}
-	sc, err := NewScorer(detector.MethodFull, device.NewFossilGen5(), provider, 1)
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := sc.ScoreAll(samples); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(len(samples)*b.N)/b.Elapsed().Seconds(), "samples/s")
-}
+// BenchmarkScoreAllSerial (one worker) / BenchmarkScoreAllParallel
+// compare dataset scoring throughput; report samples/sec for direct
+// comparison.
+func BenchmarkScoreAllSerial(b *testing.B) { benchmarkScoreAllParallel(b, 1) }
 
 func benchmarkScoreAllParallel(b *testing.B, workers int) {
 	samples := scoringWorkload(b)

@@ -84,17 +84,6 @@ type DatasetConfig struct {
 	Seed int64
 }
 
-// DefaultDatasetConfig returns a medium-size configuration suitable for
-// the figure reproductions.
-func DefaultDatasetConfig() DatasetConfig {
-	return DatasetConfig{
-		Participants:    20,
-		CommandsPerUser: 5,
-		AttacksPerKind:  60,
-		Seed:            1,
-	}
-}
-
 // BuildDataset generates a dataset.
 func BuildDataset(cfg DatasetConfig) (*Dataset, error) {
 	if cfg.Participants < 2 || cfg.CommandsPerUser <= 0 || cfg.AttacksPerKind < 0 {
@@ -142,9 +131,9 @@ func BuildDataset(cfg DatasetConfig) (*Dataset, error) {
 }
 
 // scorerSpec captures everything needed to build one Defense instance for
-// scoring: the parallel engine replays it once per worker, the serial
-// Scorer once in total. The wearable is copied by value per build, so
-// every Defense owns an independent device model.
+// scoring: the parallel engine replays it once per worker. The wearable
+// is copied by value per build, so every Defense owns an independent
+// device model.
 type scorerSpec struct {
 	method   detector.Method
 	wearable *device.Wearable
@@ -199,35 +188,6 @@ func SampleSeed(seed int64, index int) int64 {
 	return int64(z)
 }
 
-// Scorer scores datasets with one detection method through the full
-// defense pipeline (synchronization included), sequentially. Scores are
-// bit-identical to ParallelScorer's for the same (seed, index) pairs.
-type Scorer struct {
-	spec    scorerSpec
-	defense *core.Defense
-}
-
-// NewScorer builds a scorer for one method. The provider is required for
-// MethodFull and ignored otherwise.
-func NewScorer(method detector.Method, w *device.Wearable, provider SpanProvider, seed int64) (*Scorer, error) {
-	return NewScorerWithSensing(method, w, provider, seed, nil)
-}
-
-// NewScorerWithSensing builds a scorer whose vibration-domain sensing
-// configuration is modified by mutate (nil means defaults). Used by the
-// ablation benchmarks.
-func NewScorerWithSensing(method detector.Method, w *device.Wearable, provider SpanProvider, seed int64, mutate func(*sensing.Config)) (*Scorer, error) {
-	spec := scorerSpec{method: method, wearable: w, provider: provider, seed: seed, mutate: mutate}
-	if err := spec.validate(); err != nil {
-		return nil, err
-	}
-	defense, err := spec.newDefense()
-	if err != nil {
-		return nil, err
-	}
-	return &Scorer{spec: spec, defense: defense}, nil
-}
-
 // scoreSample runs the pipeline on one sample with the given rng,
 // resolving spans through the per-sample provider for MethodFull.
 func scoreSample(defense *core.Defense, spec *scorerSpec, s *Sample, rng *rand.Rand) (float64, error) {
@@ -242,52 +202,6 @@ func scoreSample(defense *core.Defense, spec *scorerSpec, s *Sample, rng *rand.R
 	return defense.ScoreWithSpans(s.VARec, s.WearRec, spans, rng)
 }
 
-// ScoreIndexed scores one sample as the index-th element of a dataset: the
-// rng is freshly derived from (seed, index), so the result is independent
-// of any other sample's scoring.
-func (sc *Scorer) ScoreIndexed(s *Sample, index int) (float64, error) {
-	rng := rand.New(rand.NewSource(SampleSeed(sc.spec.seed, index)))
-	return scoreSample(sc.defense, &sc.spec, s, rng)
-}
-
-// Score runs the pipeline on one sample (as index 0).
-func (sc *Scorer) Score(s *Sample) (float64, error) {
-	return sc.ScoreIndexed(s, 0)
-}
-
-// ScoreAll scores a slice of samples sequentially.
-func (sc *Scorer) ScoreAll(samples []*Sample) ([]float64, error) {
-	out := make([]float64, 0, len(samples))
-	for i, s := range samples {
-		score, err := sc.ScoreIndexed(s, i)
-		if err != nil {
-			return nil, fmt.Errorf("eval: sample %d: %w", i, err)
-		}
-		out = append(out, score)
-	}
-	return out, nil
-}
-
-// EvaluateWithoutSync scores the dataset with the Eq. (5) synchronization
-// disabled (zero maximum lag), quantifying how much the cross-correlation
-// alignment contributes: the wearable's 50-150 ms network-delay offset is
-// left in place.
-func EvaluateWithoutSync(ds *Dataset, attackSamples []*Sample, w *device.Wearable, provider SpanProvider, seed int64) (Summary, error) {
-	sc, err := NewParallelScorer(detector.MethodFull, w, provider, seed, WithoutSync())
-	if err != nil {
-		return Summary{}, err
-	}
-	legit, err := sc.ScoreAll(ds.Legit)
-	if err != nil {
-		return Summary{}, err
-	}
-	attacks, err := sc.ScoreAll(attackSamples)
-	if err != nil {
-		return Summary{}, err
-	}
-	return Summarize("no-sync ablation", legit, attacks)
-}
-
 // MethodArm names the three detector arms of every figure, in the order
 // the paper plots them.
 func MethodArms() []detector.Method {
@@ -295,9 +209,7 @@ func MethodArms() []detector.Method {
 }
 
 // EvaluateArms scores the dataset's legit samples and the given attack
-// samples with all three methods and returns one summary per arm. Scoring
-// runs on the parallel engine; results are identical to the sequential
-// Scorer's for the same seed.
+// samples with all three methods and returns one summary per arm.
 func EvaluateArms(ds *Dataset, attackSamples []*Sample, w *device.Wearable, provider SpanProvider, seed int64) ([]Summary, error) {
 	summaries := make([]Summary, 0, 3)
 	for _, method := range MethodArms() {
@@ -305,15 +217,7 @@ func EvaluateArms(ds *Dataset, attackSamples []*Sample, w *device.Wearable, prov
 		if err != nil {
 			return nil, err
 		}
-		legit, err := sc.ScoreAll(ds.Legit)
-		if err != nil {
-			return nil, err
-		}
-		attacks, err := sc.ScoreAll(attackSamples)
-		if err != nil {
-			return nil, err
-		}
-		s, err := Summarize(method.String(), legit, attacks)
+		s, err := sc.ScoreDataset(method.String(), ds.Legit, attackSamples)
 		if err != nil {
 			return nil, err
 		}

@@ -117,7 +117,7 @@ func TestOracleProviderShiftsSpans(t *testing.T) {
 func TestScorerSeparatesClasses(t *testing.T) {
 	ds := smallDataset(t)
 	provider := &OracleProvider{Selected: selection.CanonicalSelected()}
-	sc, err := NewScorer(detector.MethodFull, device.NewFossilGen5(), provider, 7)
+	sc, err := NewParallelScorer(detector.MethodFull, device.NewFossilGen5(), provider, 7)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,5 +1,5 @@
 // Package faults provides deterministic, seedable fault injection for the
-// defense pipeline: net.Conn/Listener wrappers that inject latency, jitter,
+// defense pipeline: dialer wrappers whose connections inject latency, jitter,
 // partial reads, refused dials, and mid-stream resets, plus signal-level
 // corruptors (truncation, clipping, non-finite samples, DC offset,
 // sample-rate mismatch, dropouts).
@@ -70,10 +70,10 @@ type NetSpec struct {
 	ResetAfterBytes int64
 }
 
-// Injector wraps dialers and listeners with the fault behavior of one
-// NetSpec. Dial attempts and established connections are counted across the
-// injector's lifetime, so "the first N connections misbehave" is well
-// defined even when dials race.
+// Injector wraps dialers with the fault behavior of one NetSpec. Dial
+// attempts and established connections are counted across the injector's
+// lifetime, so "the first N connections misbehave" is well defined even
+// when dials race.
 type Injector struct {
 	spec  NetSpec
 	dials atomic.Int64
@@ -82,12 +82,6 @@ type Injector struct {
 
 // NewInjector creates an injector for the spec.
 func NewInjector(spec NetSpec) *Injector { return &Injector{spec: spec} }
-
-// Dials returns the number of dial attempts observed so far.
-func (in *Injector) Dials() int64 { return in.dials.Load() }
-
-// Conns returns the number of connections established so far.
-func (in *Injector) Conns() int64 { return in.conns.Load() }
 
 // WrapDial returns a dial function that injects the spec's faults. A nil
 // base uses net.DialTimeout over TCP. The returned function matches
@@ -112,12 +106,6 @@ func (in *Injector) WrapDial(base func(addr string, timeout time.Duration) (net.
 	}
 }
 
-// WrapListener returns a listener whose accepted connections carry the
-// spec's faults, for injecting faults on the wearable-agent side.
-func (in *Injector) WrapListener(ln net.Listener) net.Listener {
-	return &faultListener{Listener: ln, in: in}
-}
-
 func (in *Injector) wrap(conn net.Conn) net.Conn {
 	idx := in.conns.Add(1) - 1
 	destructive := in.spec.ResetConnections < 0 || idx < int64(in.spec.ResetConnections)
@@ -127,19 +115,6 @@ func (in *Injector) wrap(conn net.Conn) net.Conn {
 		destructive: destructive,
 		rng:         rand.New(rand.NewSource(Mix(in.spec.Seed, idx))),
 	}
-}
-
-type faultListener struct {
-	net.Listener
-	in *Injector
-}
-
-func (l *faultListener) Accept() (net.Conn, error) {
-	conn, err := l.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	return l.in.wrap(conn), nil
 }
 
 // faultConn injects the spec's read-side faults. Requests in the syncnet

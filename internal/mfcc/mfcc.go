@@ -176,19 +176,3 @@ func (e *Extractor) Extract(audio []float64) ([][]float64, error) {
 	}
 	return out, nil
 }
-
-// ExtractFrame computes the MFCC vector of exactly one frame of audio
-// (len >= FrameLength; extra samples are ignored).
-func (e *Extractor) ExtractFrame(frame []float64) ([]float64, error) {
-	if len(frame) < e.frameLen {
-		return nil, fmt.Errorf("mfcc: frame has %d samples, want >= %d", len(frame), e.frameLen)
-	}
-	seq, err := e.Extract(frame[:e.frameLen])
-	if err != nil {
-		return nil, err
-	}
-	if len(seq) == 0 {
-		return nil, fmt.Errorf("mfcc: no frame produced")
-	}
-	return seq[0], nil
-}

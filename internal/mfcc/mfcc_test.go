@@ -167,20 +167,3 @@ func TestMFCCDiscriminatesPhonemeClasses(t *testing.T) {
 			dist(ae1, s1), dist(ae1, ae2))
 	}
 }
-
-func TestExtractFrame(t *testing.T) {
-	e, err := NewExtractor(DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
-	vec, err := e.ExtractFrame(dsp.Tone(300, 0.1, 0.05, 16000))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(vec) != 14 {
-		t.Errorf("coeffs = %d", len(vec))
-	}
-	if _, err := e.ExtractFrame(make([]float64, 10)); err == nil {
-		t.Error("short frame should error")
-	}
-}

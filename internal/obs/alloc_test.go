@@ -36,13 +36,3 @@ func TestStageTimerSpanZeroAlloc(t *testing.T) {
 		t.Errorf("StageTimer span allocates %v per op, want 0", avg)
 	}
 }
-
-func TestMutedRecordZeroAlloc(t *testing.T) {
-	r := Nop()
-	c := r.Counter("c")
-	h := r.Histogram("h")
-	st := r.StageTimer("t")
-	if avg := testing.AllocsPerRun(100, func() { c.Inc(); h.Observe(1); st.Start().End() }); avg != 0 {
-		t.Errorf("muted records allocate %v per op, want 0", avg)
-	}
-}

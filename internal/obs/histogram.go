@@ -29,7 +29,6 @@ const (
 // atomic bucket increment plus CAS updates of sum/min/max on fixed
 // storage. Negative observations are clamped to zero.
 type Histogram struct {
-	on      *atomic.Bool
 	count   atomic.Uint64
 	sum     atomic.Uint64 // float64 bits, CAS-add
 	min     atomic.Uint64 // float64 bits
@@ -37,8 +36,8 @@ type Histogram struct {
 	buckets [histBuckets]atomic.Uint64
 }
 
-func newHistogram(on *atomic.Bool) *Histogram {
-	h := &Histogram{on: on}
+func newHistogram() *Histogram {
+	h := &Histogram{}
 	h.min.Store(math.Float64bits(math.Inf(1)))
 	h.max.Store(math.Float64bits(math.Inf(-1)))
 	return h
@@ -85,7 +84,7 @@ func bucketBounds(i int) (lower, upper float64) {
 
 // Observe records one value.
 func (h *Histogram) Observe(v float64) {
-	if h == nil || !h.on.Load() {
+	if h == nil {
 		return
 	}
 	if v < 0 || math.IsNaN(v) {

@@ -8,8 +8,7 @@ import (
 // Counter is a monotonically increasing event count. All methods are
 // lock-free, allocation-free, and safe for concurrent use.
 type Counter struct {
-	on *atomic.Bool
-	v  atomic.Uint64
+	v atomic.Uint64
 }
 
 // Inc adds one.
@@ -17,7 +16,7 @@ func (c *Counter) Inc() { c.Add(1) }
 
 // Add adds n to the counter.
 func (c *Counter) Add(n uint64) {
-	if c == nil || !c.on.Load() {
+	if c == nil {
 		return
 	}
 	c.v.Add(n)
@@ -35,13 +34,12 @@ func (c *Counter) Value() uint64 {
 // depths). All methods are lock-free, allocation-free, and safe for
 // concurrent use.
 type Gauge struct {
-	on *atomic.Bool
-	v  atomic.Uint64 // float64 bits
+	v atomic.Uint64 // float64 bits
 }
 
 // Set stores the value.
 func (g *Gauge) Set(v float64) {
-	if g == nil || !g.on.Load() {
+	if g == nil {
 		return
 	}
 	g.v.Store(math.Float64bits(v))
@@ -49,7 +47,7 @@ func (g *Gauge) Set(v float64) {
 
 // Add shifts the gauge by delta with a CAS loop.
 func (g *Gauge) Add(delta float64) {
-	if g == nil || !g.on.Load() {
+	if g == nil {
 		return
 	}
 	for {

@@ -18,67 +18,38 @@
 //     sync/atomic + math on the hot path.
 //
 // The process-wide registry is obs.Default(); instrumented packages bind
-// their metric handles to it at init. A muted registry (obs.Nop(), or any
-// registry after SetEnabled(false)) turns every record call into a cheap
-// atomic load + branch, so the library remains usable with observability
-// off.
+// their metric handles to it at init. Every registry always records: a
+// record call is its atomic update and nothing else.
 package obs
 
-import (
-	"sort"
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // Registry owns a namespace of metrics. Metric constructors are
 // idempotent: asking twice for the same name returns the same handle, so
 // packages can bind handles at init without coordination. A registry is
 // safe for concurrent use; recording into its metrics is lock-free.
 type Registry struct {
-	on atomic.Bool
-
 	mu         sync.Mutex
 	counters   map[string]*Counter
 	gauges     map[string]*Gauge
 	histograms map[string]*Histogram
 }
 
-// New creates an enabled registry.
+// New creates an empty registry.
 func New() *Registry {
-	r := &Registry{
+	return &Registry{
 		counters:   make(map[string]*Counter),
 		gauges:     make(map[string]*Gauge),
 		histograms: make(map[string]*Histogram),
 	}
-	r.on.Store(true)
-	return r
-}
-
-// Nop creates a muted registry: metric handles work (and stay zero-alloc)
-// but never accumulate, and snapshots are empty of activity. It lets
-// library code thread a *Registry unconditionally while keeping
-// observability off.
-func Nop() *Registry {
-	r := New()
-	r.on.Store(false)
-	return r
 }
 
 // defaultRegistry is the process-wide registry instrumented packages bind
 // to at init.
 var defaultRegistry = New()
 
-// Default returns the process-wide registry. It is enabled from process
-// start; call Default().SetEnabled(false) to mute all built-in
-// instrumentation.
+// Default returns the process-wide registry, recording from process start.
 func Default() *Registry { return defaultRegistry }
-
-// SetEnabled switches recording on or off for every metric of the
-// registry. Disabling does not clear accumulated values.
-func (r *Registry) SetEnabled(on bool) { r.on.Store(on) }
-
-// Enabled reports whether the registry is recording.
-func (r *Registry) Enabled() bool { return r.on.Load() }
 
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
@@ -86,7 +57,7 @@ func (r *Registry) Counter(name string) *Counter {
 	defer r.mu.Unlock()
 	c, ok := r.counters[name]
 	if !ok {
-		c = &Counter{on: &r.on}
+		c = &Counter{}
 		r.counters[name] = c
 	}
 	return c
@@ -98,7 +69,7 @@ func (r *Registry) Gauge(name string) *Gauge {
 	defer r.mu.Unlock()
 	g, ok := r.gauges[name]
 	if !ok {
-		g = &Gauge{on: &r.on}
+		g = &Gauge{}
 		r.gauges[name] = g
 	}
 	return g
@@ -110,7 +81,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 	defer r.mu.Unlock()
 	h, ok := r.histograms[name]
 	if !ok {
-		h = newHistogram(&r.on)
+		h = newHistogram()
 		r.histograms[name] = h
 	}
 	return h
@@ -152,23 +123,4 @@ func (r *Registry) Snapshot() Snapshot {
 		snap.Histograms[name] = h.Snapshot()
 	}
 	return snap
-}
-
-// MetricNames returns the sorted names of every registered metric, for
-// tests and debugging.
-func (r *Registry) MetricNames() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.histograms))
-	for name := range r.counters {
-		names = append(names, name)
-	}
-	for name := range r.gauges {
-		names = append(names, name)
-	}
-	for name := range r.histograms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
 }

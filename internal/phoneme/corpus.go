@@ -1,10 +1,6 @@
 package phoneme
 
-import (
-	"fmt"
-
-	"vibguard/internal/dsp"
-)
+import "fmt"
 
 // Pause is the pseudo-symbol marking a short inter-word silence in a
 // phonetic transcription.
@@ -152,27 +148,4 @@ func (s *Synthesizer) Synthesize(cmd Command) (*Utterance, error) {
 		Command:   cmd,
 		Speaker:   s.profile.Name,
 	}, nil
-}
-
-// ExtractSegments concatenates the sample ranges of the given segments from
-// a waveform, with short fades to avoid splice clicks. Segments outside the
-// waveform are clamped.
-func ExtractSegments(samples []float64, segs []Segment) []float64 {
-	var out []float64
-	for _, seg := range segs {
-		start, end := seg.Start, seg.End
-		if start < 0 {
-			start = 0
-		}
-		if end > len(samples) {
-			end = len(samples)
-		}
-		if end <= start {
-			continue
-		}
-		piece := make([]float64, end-start)
-		copy(piece, samples[start:end])
-		out = append(out, dsp.FadeEdges(piece, len(piece)/16)...)
-	}
-	return out
 }

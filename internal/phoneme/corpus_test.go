@@ -125,29 +125,6 @@ func TestSynthesizeCommandErrors(t *testing.T) {
 	}
 }
 
-func TestExtractSegments(t *testing.T) {
-	samples := make([]float64, 100)
-	for i := range samples {
-		samples[i] = 1
-	}
-	segs := []Segment{{Symbol: "ae", Start: 10, End: 30}, {Symbol: "t", Start: 50, End: 70}}
-	out := ExtractSegments(samples, segs)
-	if len(out) != 40 {
-		t.Errorf("extracted %d samples, want 40", len(out))
-	}
-	// Clamping.
-	out = ExtractSegments(samples, []Segment{{Start: -5, End: 10}, {Start: 95, End: 200}, {Start: 60, End: 40}})
-	if len(out) != 15 {
-		t.Errorf("clamped extraction = %d samples, want 15", len(out))
-	}
-	// Extraction must not modify the source.
-	for i, v := range samples {
-		if v != 1 {
-			t.Fatalf("source modified at %d", i)
-		}
-	}
-}
-
 func TestAllCommandsSynthesize(t *testing.T) {
 	s, err := NewSynthesizer(testProfile())
 	if err != nil {

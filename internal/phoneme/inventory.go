@@ -111,10 +111,6 @@ func (s *Spec) Voiced() bool {
 	}
 }
 
-// IsDiphthong reports whether the phoneme glides between two formant
-// targets.
-func (s *Spec) IsDiphthong() bool { return s.Class == ClassDiphthong }
-
 // inventory lists the 37 common phonemes of Table II. The paper's table
 // prints "ch" twice (counts 69 and 13); the second entry is interpreted as
 // /eh/, the only frequent English vowel otherwise absent from the table.

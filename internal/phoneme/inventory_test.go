@@ -90,9 +90,6 @@ func TestVoicedClassification(t *testing.T) {
 func TestDiphthongsHaveEndFormants(t *testing.T) {
 	for _, s := range All() {
 		if s.Class == ClassDiphthong {
-			if !s.IsDiphthong() {
-				t.Errorf("%q IsDiphthong() false", s.Symbol)
-			}
 			if s.FormantsEnd[0] == 0 {
 				t.Errorf("diphthong %q has no end formants", s.Symbol)
 			}

@@ -38,9 +38,6 @@ type lruEntry struct {
 	threshold float64
 }
 
-// Capacity returns the cache capacity.
-func (l *LRU) Capacity() int { return l.capacity }
-
 // Len returns the number of cached users.
 func (l *LRU) Len() int {
 	l.mu.Lock()
@@ -80,17 +77,6 @@ func (l *LRU) Put(user string, threshold float64) {
 		metCacheEvictions.Inc()
 	}
 	l.items[user] = l.ll.PushFront(&lruEntry{user: user, threshold: threshold})
-}
-
-// Invalidate drops the user's cached threshold (e.g. after an external
-// snapshot load changed the calibration behind the cache's back).
-func (l *LRU) Invalidate(user string) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if el, ok := l.items[user]; ok {
-		l.ll.Remove(el)
-		delete(l.items, user)
-	}
 }
 
 // Users returns the cached users from most to least recently used — the

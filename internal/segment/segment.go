@@ -303,19 +303,6 @@ func (d *Detector) Spans(frames []bool) []Span {
 	return spans
 }
 
-// ExtractEffective detects effective-phoneme frames in a recording and
-// returns the concatenated samples of the detected spans, plus the spans
-// themselves (which the VA sends to the wearable so both recordings are
-// segmented identically, Section VI-A).
-func (d *Detector) ExtractEffective(audio []float64) ([]float64, []Span, error) {
-	frames, err := d.DetectFrames(audio)
-	if err != nil {
-		return nil, nil, err
-	}
-	spans := d.Spans(frames)
-	return ExtractSpans(audio, spans), spans, nil
-}
-
 // ExtractSpans concatenates the given sample spans of a recording,
 // clamping out-of-range bounds. Each piece gets a short raised-cosine fade
 // so the splice points do not introduce clicks — broadband discontinuities

@@ -154,10 +154,12 @@ func TestTrainAndDetect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	extracted, spans, err := d.ExtractEffective(utt.Samples)
+	frames, err := d.DetectFrames(utt.Samples)
 	if err != nil {
 		t.Fatal(err)
 	}
+	spans := d.Spans(frames)
+	extracted := ExtractSpans(utt.Samples, spans)
 	if len(spans) == 0 || len(extracted) == 0 {
 		t.Fatal("no effective audio detected")
 	}

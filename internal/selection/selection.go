@@ -139,21 +139,6 @@ type Result struct {
 	Alpha float64
 }
 
-// IsSelected reports whether a phoneme symbol was selected.
-func (r *Result) IsSelected(symbol string) bool {
-	s, ok := r.Stats[symbol]
-	return ok && s.Sensitive()
-}
-
-// SelectedSet returns the selected phonemes as a set.
-func (r *Result) SelectedSet() map[string]bool {
-	out := make(map[string]bool, len(r.Selected))
-	for _, s := range r.Selected {
-		out[s] = true
-	}
-	return out
-}
-
 // vibrationSpectrum measures the mean FFT magnitude spectrum (64-point
 // frames) of one cross-domain sensing pass.
 func vibrationSpectrum(w *device.Wearable, audio []float64, rng *rand.Rand) ([]float64, error) {

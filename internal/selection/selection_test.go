@@ -55,7 +55,7 @@ func TestRunSelectsThirtyOnePhonemes(t *testing.T) {
 	}
 	wantExcluded := []string{"s", "z", "th", "sh", "aa", "ao"}
 	for _, sym := range wantExcluded {
-		if res.IsSelected(sym) {
+		if res.Stats[sym].Sensitive() {
 			t.Errorf("%q should be excluded", sym)
 		}
 	}
@@ -91,8 +91,8 @@ func TestCanonicalSelectedMatchesStudy(t *testing.T) {
 		t.Fatalf("canonical set has %d phonemes, want 31", len(canonical))
 	}
 	for _, sym := range phoneme.Symbols() {
-		if canonical[sym] != res.IsSelected(sym) {
-			t.Errorf("%q: canonical %v, study %v", sym, canonical[sym], res.IsSelected(sym))
+		if canonical[sym] != res.Stats[sym].Sensitive() {
+			t.Errorf("%q: canonical %v, study %v", sym, canonical[sym], res.Stats[sym].Sensitive())
 		}
 	}
 }
@@ -167,20 +167,32 @@ func TestFig6ErProfile(t *testing.T) {
 	}
 }
 
-func TestSelectedSet(t *testing.T) {
+// TestSelectedListMatchesStats checks that Result.Selected lists exactly
+// the sensitive phonemes of Result.Stats, and nothing unknown.
+func TestSelectedListMatchesStats(t *testing.T) {
 	res, err := Run(fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	set := res.SelectedSet()
-	if len(set) != len(res.Selected) {
-		t.Error("set size mismatch")
+	sensitive := 0
+	for _, st := range res.Stats {
+		if st.Sensitive() {
+			sensitive++
+		}
 	}
-	if !set["er"] || set["s"] {
+	if sensitive != len(res.Selected) {
+		t.Errorf("%d sensitive phonemes, %d selected", sensitive, len(res.Selected))
+	}
+	for _, sym := range res.Selected {
+		if st, ok := res.Stats[sym]; !ok || !st.Sensitive() {
+			t.Errorf("selected %q is not sensitive", sym)
+		}
+	}
+	if !res.Stats["er"].Sensitive() || res.Stats["s"].Sensitive() {
 		t.Error("set membership wrong")
 	}
-	if res.IsSelected("bogus") {
-		t.Error("unknown symbol should not be selected")
+	if _, ok := res.Stats["bogus"]; ok {
+		t.Error("unknown symbol has stats")
 	}
 }
 

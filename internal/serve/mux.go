@@ -55,16 +55,6 @@ func (w *frameWriter) write(f wire.Frame) error {
 // how both hops speak the identical protocol.
 type SessionHandler func(ctx context.Context, req Request) (*core.Verdict, error)
 
-// ServeMuxConn runs the server half of the multiplexed protocol on conn
-// until the peer closes (or half-closes) it: request frames fan out to
-// handler goroutines, pings are answered immediately, and the call only
-// returns once every in-flight stream has written its response — which is
-// what lets a drain half-close the connection and still flush final
-// verdicts. The caller owns closing conn.
-func ServeMuxConn(conn net.Conn, handle SessionHandler) {
-	ServeMuxConnStream(conn, handle, nil)
-}
-
 // PingConn performs one ping/pong round trip on a raw connection within
 // timeout. It is the router's health probe: a fresh dial plus PingConn
 // proves the node accepts connections and speaks the protocol, not just
@@ -151,8 +141,6 @@ func (c *Client) readLoop() {
 			return
 		}
 		switch f.Type {
-		case wire.FramePong:
-			c.deliver(f.Stream, clientResult{})
 		case wire.FrameVerdict:
 			v, err := DecodeVerdictPayload(f.Payload)
 			if err != nil {
@@ -290,25 +278,4 @@ func (c *Client) Inspect(req Request) (*core.Verdict, error) {
 	}
 	res := <-ch
 	return res.verdict, res.err
-}
-
-// Ping performs one application-level round trip, bounded by timeout.
-func (c *Client) Ping(timeout time.Duration) error {
-	stream, ch, err := c.register()
-	if err != nil {
-		return err
-	}
-	if err := c.w.write(wire.Frame{Type: wire.FramePing, Stream: stream}); err != nil {
-		c.abandon(stream)
-		return fmt.Errorf("%w: send: %v", ErrConnLost, err)
-	}
-	timer := time.NewTimer(timeout)
-	defer timer.Stop()
-	select {
-	case res := <-ch:
-		return res.err
-	case <-timer.C:
-		c.abandon(stream)
-		return fmt.Errorf("serve: ping timeout after %v", timeout)
-	}
 }

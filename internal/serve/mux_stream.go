@@ -44,12 +44,14 @@ type inboundStream struct {
 // would impose anyway — chunks are ordered within a stream.
 const inboundChunkBuffer = 256
 
-// ServeMuxConnStream runs the server half of the multiplexed protocol with
-// streamed-session support: request frames fan out exactly as in
-// ServeMuxConn, and chunk frames feed per-stream handler goroutines. The
-// call returns once the peer closes the connection and every in-flight
-// stream has written its response. A nil stream handler rejects chunk
-// frames with ErrStreamingUnsupported instead of killing the connection.
+// ServeMuxConnStream runs the server half of the multiplexed protocol on
+// conn until the peer closes (or half-closes) it: request frames fan out
+// to handler goroutines, pings are answered immediately, and chunk frames
+// feed per-stream handler goroutines. The call only returns once every
+// in-flight stream has written its response — which is what lets a drain
+// half-close the connection and still flush final verdicts. A nil stream
+// handler rejects chunk frames with ErrStreamingUnsupported instead of
+// killing the connection. The caller owns closing conn.
 func ServeMuxConnStream(conn net.Conn, handle SessionHandler, stream StreamSessionHandler) {
 	br := bufio.NewReader(conn)
 	w := newFrameWriter(conn)

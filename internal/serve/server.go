@@ -577,7 +577,7 @@ func (s *Server) acceptLoop(ln net.Listener) {
 }
 
 // handleConn serves one multiplexed front-end connection until the peer
-// (or the drain's half-close) ends the read side; ServeMuxConn flushes
+// (or the drain's half-close) ends the read side; ServeMuxConnStream flushes
 // every in-flight stream's response before returning.
 func (s *Server) handleConn(conn net.Conn) {
 	defer func() {

@@ -217,9 +217,9 @@ func TestStreamUnsupportedPeer(t *testing.T) {
 			}
 			go func() {
 				defer conn.Close()
-				serve.ServeMuxConn(conn, func(ctx context.Context, req serve.Request) (*core.Verdict, error) {
+				serve.ServeMuxConnStream(conn, func(ctx context.Context, req serve.Request) (*core.Verdict, error) {
 					return &core.Verdict{Score: 0.9}, nil
-				})
+				}, nil)
 			}()
 		}
 	}()
