@@ -135,3 +135,31 @@ func TestFrequencyShapeEmpty(t *testing.T) {
 		t.Error("empty input should return nil")
 	}
 }
+
+// TestProcessSampleStreamsLikeProcess feeds a signal one sample at a time,
+// split across two chunks, and checks the streamed output is bit-identical
+// to a whole-signal Process: the state carries across chunks and Reset
+// clears it.
+func TestProcessSampleStreamsLikeProcess(t *testing.T) {
+	const fs = 16000.0
+	bp, err := NewBandPass(1000, fs, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	x := Mix(Tone(300, 1, 0.05, fs), Tone(1000, 0.5, 0.05, fs))
+	want := bp.Process(x)
+	for pass := 0; pass < 2; pass++ {
+		bp.Reset()
+		split := len(x) / 3
+		for i, v := range x[:split] {
+			if got := bp.ProcessSample(v); got != want[i] {
+				t.Fatalf("pass %d: first chunk sample %d = %v, want %v", pass, i, got, want[i])
+			}
+		}
+		for i, v := range x[split:] {
+			if got := bp.ProcessSample(v); got != want[split+i] {
+				t.Fatalf("pass %d: second chunk sample %d = %v, want %v", pass, split+i, got, want[split+i])
+			}
+		}
+	}
+}

@@ -167,3 +167,30 @@ func TestMFCCDiscriminatesPhonemeClasses(t *testing.T) {
 			dist(ae1, s1), dist(ae1, ae2))
 	}
 }
+
+// TestExtractOneFrameMatchesFirstFrame checks that a signal exactly one
+// frame long yields one vector, equal bit for bit to the first frame of a
+// longer signal that starts with the same samples.
+func TestExtractOneFrameMatchesFirstFrame(t *testing.T) {
+	e, err := NewExtractor(DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	audio := dsp.Tone(300, 0.1, 0.05, 16000)
+	long, err := e.Extract(audio)
+	if err != nil {
+		t.Fatal(err)
+	}
+	one, err := e.Extract(audio[:e.FrameLength()])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(one) != 1 || len(one[0]) != 14 {
+		t.Fatalf("one-frame signal gave %d frames", len(one))
+	}
+	for j, v := range one[0] {
+		if v != long[0][j] {
+			t.Fatalf("coeff %d = %v, want %v", j, v, long[0][j])
+		}
+	}
+}

@@ -158,3 +158,25 @@ func busyWork() {
 		busySink += float64(i)
 	}
 }
+
+// TestDefaultRegistryRecords checks that Default returns one shared
+// registry, and that a handle bound to it records from its first update
+// and shows in the snapshot.
+func TestDefaultRegistryRecords(t *testing.T) {
+	if Default() != Default() {
+		t.Fatal("Default returned two registries")
+	}
+	const name = "obs.test.default_records"
+	c := Default().Counter(name)
+	if Default().Counter(name) != c {
+		t.Fatal("Default counter not idempotent")
+	}
+	before := c.Value()
+	c.Inc()
+	if got := c.Value(); got != before+1 {
+		t.Fatalf("counter = %d, want %d", got, before+1)
+	}
+	if got := Default().Snapshot().Counters[name]; got != before+1 {
+		t.Errorf("snapshot counter = %d, want %d", got, before+1)
+	}
+}

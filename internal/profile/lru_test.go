@@ -79,3 +79,26 @@ func TestLRUSweep(t *testing.T) {
 	wantUsers(t, l, "user-8", "user-7", "user-6", "user-5",
 		"user-4", "user-3", "user-2", "user-1")
 }
+
+// TestLRUMissKeepsOrder checks that a miss neither inserts the user nor
+// refreshes anyone, and that Len stops growing at capacity.
+func TestLRUMissKeepsOrder(t *testing.T) {
+	l := NewLRU(2)
+	if _, ok := l.Get("ghost"); ok {
+		t.Fatal("empty cache reported a hit")
+	}
+	if l.Len() != 0 {
+		t.Fatalf("len %d after a miss, want 0", l.Len())
+	}
+	l.Put("a", 1)
+	l.Put("b", 2)
+	if _, ok := l.Get("ghost"); ok {
+		t.Fatal("absent user reported a hit")
+	}
+	wantUsers(t, l, "b", "a")
+	l.Put("c", 3)
+	if l.Len() != 2 {
+		t.Fatalf("len %d at capacity, want 2", l.Len())
+	}
+	wantUsers(t, l, "c", "b")
+}
