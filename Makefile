@@ -101,11 +101,12 @@ race-brnn:
 # goldens, the streamed zero-flip and batch-equivalence checks, and the
 # shared-versus-sequential pins) must hold there too, so the bits cannot
 # depend on scheduling. The golden verdicts, the replay kernels' bounds
-# against their legacy oracles, the delay-search contract and the wire
-# sample-block pin are listed by name: their names do not say
-# BitIdentical. A name that matches no test would silently drop
-# its pin from -run, so every alternative of SERIAL_PINS must first match
-# a test that `go test -list` finds in the pinned packages.
+# against their legacy oracles, the delay-search contract, the wire
+# sample-block pin and the packed gemm's pin on every gemm kernel are
+# listed by name: their names do not say BitIdentical. A name that
+# matches no test would silently drop its pin from -run, so every
+# alternative of SERIAL_PINS must first match a test that `go test -list`
+# finds in the pinned packages.
 pins-gomaxprocs1:
 	@tests="$$($(GO) test -list . $(PINNED_PKGS) | grep '^Test')" || exit 1; \
 	for pin in $$(echo '$(SERIAL_PINS)' | tr '|' ' '); do \
@@ -115,7 +116,7 @@ pins-gomaxprocs1:
 
 PINNED_PKGS = ./internal/eval/ ./internal/core/ ./internal/serve/ ./internal/sensing/ ./internal/dsp/ ./internal/mfcc/ ./internal/brnn/ ./internal/device/ ./internal/detector/ ./internal/wire/
 
-SERIAL_PINS = TestGoldenMetrics|TestGoldenVerdicts|TestFuseGoldenTwoWearables|TestStreamInspectorMatchesBatchBitExact|TestSubmitStreamMatchesSubmit|TestStreamOverWireConcurrent|BitIdentical|TestInspectContractUnderConcurrency|TestScoreMatchesInspect|TestFrequencyShapeWithinBoundOfLegacy|TestShapeDecimateWithinBoundOfLegacy|TestDriveWithinBoundOfLegacy|TestEstimateDelayFFTMatchesDirectSweep|TestEstimateDelaysSharedSpectrumPerLength|TestSyncOffsetsMatchPackedSearch|TestSampleBlockCopyMatchesPerSampleLoop
+SERIAL_PINS = TestGoldenMetrics|TestGoldenVerdicts|TestFuseGoldenTwoWearables|TestStreamInspectorMatchesBatchBitExact|TestSubmitStreamMatchesSubmit|TestStreamOverWireConcurrent|BitIdentical|TestInspectContractUnderConcurrency|TestScoreMatchesInspect|TestFrequencyShapeWithinBoundOfLegacy|TestShapeDecimateWithinBoundOfLegacy|TestDriveWithinBoundOfLegacy|TestEstimateDelayFFTMatchesDirectSweep|TestEstimateDelaysSharedSpectrumPerLength|TestSyncOffsetsMatchPackedSearch|TestSampleBlockCopyMatchesPerSampleLoop|TestPackedGemmMatchesReference
 
 benchgen:
 	$(GO) run ./cmd/benchgen -quick

@@ -23,21 +23,20 @@ func runGroup(b *testing.B, group string) {
 	}
 }
 
-// BenchmarkForward measures single-sequence inference on the paper config
-// (64 units per direction, 14 MFCCs, ~1 s of frames): the batched
-// Inference session (zero steady-state allocations) next to the per-frame
-// reference path.
+// BenchmarkForward measures single-sequence inference in a batched
+// Inference session (zero steady-state allocations): on the paper config
+// (64 units per direction, 14 MFCCs, ~1 s of frames) and on the shape a
+// session runs (32 units over 284 frames).
 func BenchmarkForward(b *testing.B) { runGroup(b, "Forward") }
 
-// BenchmarkForwardBatch measures the multi-sequence batch entry point
-// against a per-sequence loop over the reference path.
+// BenchmarkForwardBatch measures the multi-sequence batch entry point.
 func BenchmarkForwardBatch(b *testing.B) { runGroup(b, "ForwardBatch") }
 
 // BenchmarkPredict measures argmax inference into a reused buffer.
 func BenchmarkPredict(b *testing.B) { runGroup(b, "Predict") }
 
-// BenchmarkMulMat measures the blocked matrix-matrix kernel against the
-// equivalent per-row MulVec loop on the Wx projection shape.
+// BenchmarkMulMat measures the blocked pure-Go matrix-matrix kernel on the
+// Wx projection shape.
 func BenchmarkMulMat(b *testing.B) { runGroup(b, "MulMat") }
 
 // BenchmarkTrainStep measures one training step on the paper config, the

@@ -1,7 +1,6 @@
-// Package brnnbench defines the BRNN benchmark kernels: the per-frame
-// reference inference path (Model.Forward, naive mat-vecs and per-timestep
-// allocations) next to the batched Inference path on identical workloads,
-// and one training step.
+// Package brnnbench defines the BRNN benchmark kernels: the batched
+// Inference path on the paper architecture and on the shape a session
+// runs, one training step, the gate row and the blocked pure-Go gemm.
 // The kernels are shared by the `go test -bench` wrappers in internal/brnn
 // and by cmd/benchbrnn, which emits the checked-in BENCH_brnn.json
 // baseline, so the two can never measure different workloads — the same
@@ -23,14 +22,32 @@ type Case struct {
 	Fn    func(b *testing.B)
 }
 
-// paperModel returns the paper architecture (64 units per direction, 14
-// MFCCs, binary head) with seeded weights.
-func paperModel(b *testing.B) *brnn.Model {
-	m, err := brnn.New(brnn.DefaultConfig())
+// model returns a model of hidden units per direction on 14 MFCCs with a
+// binary head and seeded weights: 64 is the paper architecture, 32 the
+// detector's default.
+func model(b *testing.B, hidden int) *brnn.Model {
+	m, err := brnn.New(brnn.Config{InputDim: 14, HiddenDim: hidden, NumClasses: 2, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
 	return m
+}
+
+// forward times Forward on one T-frame sequence in a session whose
+// scratch a first call has grown.
+func forward(b *testing.B, m *brnn.Model, T int) {
+	in := inputs(T, 14, 1)
+	inf := m.NewInference()
+	if _, err := inf.Forward(in); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := inf.Forward(in); err != nil {
+			b.Fatal(err)
+		}
+	}
 }
 
 // inputs builds a deterministic T-frame MFCC-shaped sequence.
@@ -55,38 +72,15 @@ const benchT = 100
 // one serve worker's batch would amortize weights over.
 const batchSize = 8
 
-// Cases returns every benchmark kernel, batched path and per-frame
-// reference side by side on identical workloads.
+// Cases returns every benchmark kernel.
 func Cases() []Case {
 	return []Case{
-		{"Forward", "batched-64x14-T100", func(b *testing.B) {
-			m := paperModel(b)
-			in := inputs(benchT, 14, 1)
-			inf := m.NewInference()
-			if _, err := inf.Forward(in); err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := inf.Forward(in); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		{"Forward", "naive-64x14-T100", func(b *testing.B) {
-			m := paperModel(b)
-			in := inputs(benchT, 14, 1)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.Forward(in); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
+		{"Forward", "batched-64x14-T100", func(b *testing.B) { forward(b, model(b, 64), benchT) }},
+		// The shape a session runs: the detector's 32 units per direction
+		// over the ~284 frames of a 2.9 s recording.
+		{"Forward", "batched-32x14-T284", func(b *testing.B) { forward(b, model(b, 32), 284) }},
 		{"ForwardBatch", "batched-8seq-64x14-T100", func(b *testing.B) {
-			m := paperModel(b)
+			m := model(b, 64)
 			seqs := make([][][]float64, batchSize)
 			for s := range seqs {
 				seqs[s] = inputs(benchT, 14, int64(s)+1)
@@ -103,24 +97,8 @@ func Cases() []Case {
 				}
 			}
 		}},
-		{"ForwardBatch", "naive-8seq-64x14-T100", func(b *testing.B) {
-			m := paperModel(b)
-			seqs := make([][][]float64, batchSize)
-			for s := range seqs {
-				seqs[s] = inputs(benchT, 14, int64(s)+1)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for _, seq := range seqs {
-					if _, err := m.Forward(seq); err != nil {
-						b.Fatal(err)
-					}
-				}
-			}
-		}},
 		{"Predict", "batched-64x14-T100", func(b *testing.B) {
-			m := paperModel(b)
+			m := model(b, 64)
 			in := inputs(benchT, 14, 2)
 			inf := m.NewInference()
 			pred, err := inf.Predict(in, nil)
@@ -139,7 +117,7 @@ func Cases() []Case {
 			// One epoch over one sequence is one Trainer step (both
 			// directions forward, the dense gradient, both directions
 			// backward, the Adam update).
-			m := paperModel(b)
+			m := model(b, 64)
 			seq := brnn.Sequence{Inputs: inputs(benchT, m.InputDim(), 9), Labels: make([]int, benchT)}
 			for t := range seq.Labels {
 				seq.Labels[t] = t / 10 % 2
@@ -184,21 +162,6 @@ func Cases() []Case {
 			for i := 0; i < b.N; i++ {
 				if err := w.MulMat(x, out); err != nil {
 					b.Fatal(err)
-				}
-			}
-		}},
-		{"MulMat", "mulvec-loop-100x14x256", func(b *testing.B) {
-			rng := rand.New(rand.NewSource(3))
-			w := brnn.NewMatrixRandom(256, 14, rng)
-			x := brnn.NewMatrixRandom(benchT, 14, rng)
-			row := make([]float64, 256)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				for t := 0; t < benchT; t++ {
-					if err := w.MulVec(x.Data[t*14:(t+1)*14], row); err != nil {
-						b.Fatal(err)
-					}
 				}
 			}
 		}},

@@ -7,19 +7,23 @@ import "math"
 // The gate kernel (gate_amd64.s) reproduces math.Exp's FMA path. It runs
 // where the CPU has AVX2 and FMA and math.Exp takes that path, which
 // exp(0.375)'s last bit tells apart (GODEBUG can turn it off).
-var gateKernels = amd64GateKernels()
+var gateKernels, gemmKernels = amd64Kernels()
 
-func amd64GateKernels() []gateKernel {
-	generic := gateKernel{"generic", gatesGeneric}
-	if hasAVX2FMA() && math.Float64bits(math.Exp(0.375)) == 0x3ff747a513dbef6b {
-		return []gateKernel{{"avxfma", gatesAVX}, generic}
+func amd64Kernels() ([]gateKernel, []gemmKernel) {
+	gate := []gateKernel{{"generic", gatesGeneric}}
+	gemm := []gemmKernel{{"sse2", func(out, x, blk []float64, nblk int) int { return 0 }}}
+	avx, fma := cpuFeatures()
+	if avx {
+		gemm = append([]gemmKernel{{"avx", gemmPairsAVX}}, gemm...)
 	}
-	return []gateKernel{generic}
+	if fma && math.Float64bits(math.Exp(0.375)) == 0x3ff747a513dbef6b {
+		gate = append([]gateKernel{{"avxfma", gatesAVX}}, gate...)
+	}
+	return gate, gemm
 }
 
-// hasAVX2FMA reports whether the CPU has AVX2 and FMA and the operating
-// system saves the YMM registers.
-func hasAVX2FMA() bool
+// cpuFeatures reports AVX, and AVX2 with FMA, where the OS saves YMM state.
+func cpuFeatures() (avx, avx2fma bool)
 
 //go:noescape
 func gatesAVX(zx, zh, b, prevC, gates, cell, tc, hid []float64, j int) int

@@ -5,6 +5,17 @@ package brnn
 // pass over the shared input row.
 const gemmPackedLanes = 16
 
+// gemmKernel runs the first blocks of one packed input row and returns how
+// many it ran; apply runs the rest on gemmPacked16. gemmKernels lists the
+// kernels this CPU can run, preferred first, all with gemmNT's bits;
+// gemmBlocks is the preferred one, which only tests switch.
+type gemmKernel struct {
+	name string
+	run  func(out, x, blk []float64, nblk int) int
+}
+
+var gemmBlocks = gemmKernels[0].run
+
 // packedNT is a weight matrix prepared for the batched x·Wᵀ kernels: the
 // rows of W are regrouped into 16-lane interleaved blocks so the SIMD
 // kernel can load one value of 16 consecutive output rows with a single
@@ -65,7 +76,7 @@ func (p *packedNT) apply(out, x []float64, n int) {
 	for i := 0; i < n; i++ {
 		xi := x[i*k : i*k+k]
 		oi := out[i*r : i*r+r]
-		for b := 0; b < nblk; b++ {
+		for b := gemmBlocks(oi, xi, p.blk, nblk); b < nblk; b++ {
 			gemmPacked16(oi[b*gemmPackedLanes:(b+1)*gemmPackedLanes],
 				xi, p.blk[b*gemmPackedLanes*k:(b+1)*gemmPackedLanes*k])
 		}

@@ -2,9 +2,9 @@
 
 package brnn
 
-// gemmPackedEnabled reports whether the packed SIMD kernel is compiled in.
-// The amd64 kernel uses only SSE2, which is part of the architecture
-// baseline, so no runtime feature detection is needed.
+// gemmPackedEnabled reports whether the packed SIMD kernels are compiled
+// in. gemmPacked16 uses only SSE2, part of the architecture baseline;
+// gemmPairsAVX runs where the CPU has AVX (gate_amd64.go).
 const gemmPackedEnabled = true
 
 // gemmPacked16 computes the 16 dot products out[l] = Σ_c x[c]·w[c*16+l]
@@ -18,3 +18,9 @@ const gemmPackedEnabled = true
 //
 //go:noescape
 func gemmPacked16(out, x, w []float64)
+
+// gemmPairsAVX does gemmPacked16's work on the first nblk/2 block pairs,
+// 32 output rows at a time, and returns how many blocks it ran.
+//
+//go:noescape
+func gemmPairsAVX(out, x, blk []float64, nblk int) int

@@ -2,6 +2,7 @@ package brnn
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"sync"
 	"testing"
@@ -276,27 +277,47 @@ func TestConcurrentInferenceSessions(t *testing.T) {
 }
 
 // TestPackedGemmMatchesReference pins packNT/apply bit-identical to the
-// pure-Go blocked kernel across shapes that exercise full 16-lane blocks,
-// scalar tails, tiny matrices (no blocks at all), and multi-row inputs.
+// pure-Go blocked kernel on every gemm kernel this CPU can run, across
+// shapes that exercise block pairs, a pair plus a single block (r = 48),
+// scalar tails, tiny matrices (no blocks at all), multi-row inputs, the
+// deployed inference shapes (k = 14 and k = 32 at r = 128) and training's
+// transposed shape (k = 128 at r = 32).
 func TestPackedGemmMatchesReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(77))
-	for _, shape := range []struct{ n, k, r int }{
-		{1, 64, 256}, {3, 14, 256}, {1, 5, 20}, {2, 33, 132},
-		{1, 1, 4}, {7, 13, 16}, {4, 8, 15}, {1, 64, 17},
-	} {
-		w := NewMatrixRandom(shape.r, shape.k, rng)
-		x := NewMatrixRandom(shape.n, shape.k, rng)
-		want := make([]float64, shape.n*shape.r)
-		got := make([]float64, shape.n*shape.r)
-		gemmNT(want, x.Data, w.Data, shape.n, shape.k, shape.r)
-		p := packNT(w.Data, shape.k, shape.r)
-		p.apply(got, x.Data, shape.n)
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("shape %+v: packed[%d] = %v, reference = %v",
-					shape, i, got[i], want[i])
+	names := make([]string, len(gemmKernels))
+	for i, kern := range gemmKernels {
+		names[i] = kern.name
+	}
+	t.Logf("gemm kernels: %v", names)
+	for _, kern := range gemmKernels {
+		t.Run(kern.name, func(t *testing.T) {
+			prev := gemmBlocks
+			gemmBlocks = kern.run
+			defer func() { gemmBlocks = prev }()
+			rng := rand.New(rand.NewSource(77))
+			for _, shape := range []struct{ n, k, r int }{
+				{1, 64, 256}, {3, 14, 256}, {1, 5, 20}, {2, 33, 132},
+				{1, 1, 4}, {7, 13, 16}, {4, 8, 15}, {1, 64, 17},
+				{2, 9, 48}, {3, 7, 50}, {284, 14, 128}, {2, 32, 128},
+				{32, 128, 32}, {1, 0, 32},
+			} {
+				w := NewMatrixRandom(shape.r, shape.k, rng)
+				x := NewMatrixRandom(shape.n, shape.k, rng)
+				want := make([]float64, shape.n*shape.r)
+				got := make([]float64, shape.n*shape.r)
+				for i := range got {
+					got[i] = math.NaN()
+				}
+				gemmNT(want, x.Data, w.Data, shape.n, shape.k, shape.r)
+				p := packNT(w.Data, shape.k, shape.r)
+				p.apply(got, x.Data, shape.n)
+				for i := range want {
+					if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
+						t.Fatalf("shape %+v: packed[%d] = %v, reference = %v",
+							shape, i, got[i], want[i])
+					}
+				}
 			}
-		}
+		})
 	}
 }
 
