@@ -8,30 +8,38 @@ import (
 	"vibguard/internal/dsp/dspbench"
 )
 
-// TestDCT2TableBitIdenticalToLegacy pins the precomputed cosine table
-// against the historical per-call DCT2 loop bit for bit, on the MFCC shape
-// (40 inputs, 14 coefficients), full and clamped coefficient counts, odd
-// lengths, and non-finite inputs.
+// TestDCT2TableBitIdenticalToLegacy pins the precomputed cosine table on
+// every kernel against the historical per-call DCT2 loop bit for bit, on
+// the MFCC shape (40 inputs, 14 coefficients), full and clamped
+// coefficient counts, odd lengths, counts below, at and past one
+// 16-coefficient pass, and non-finite inputs.
 func TestDCT2TableBitIdenticalToLegacy(t *testing.T) {
-	cases := []struct{ n, coeffs int }{{40, 14}, {40, 40}, {7, 3}, {5, 9}, {1, 1}, {26, 13}}
-	for _, tc := range cases {
-		tab := dsp.NewDCT2Table(tc.n, tc.coeffs)
-		for seed := int64(0); seed < 4; seed++ {
-			x := randomReal(tc.n, seed)
-			if seed == 3 {
-				x[0] = math.Inf(-1)
-			}
-			want := dspbench.DCT2Legacy(x, tc.coeffs)
-			got := tab.Apply(nil, x)
-			if i := sameFloatBits(got, want); i >= 0 {
-				t.Fatalf("n=%d coeffs=%d seed=%d: coefficient %d differs (len %d vs %d)", tc.n, tc.coeffs, seed, i, len(got), len(want))
-			}
-			// A reused destination gives the same bits.
-			again := tab.Apply(make([]float64, tab.NumCoeffs()), x)
-			if i := sameFloatBits(again, want); i >= 0 {
-				t.Fatalf("n=%d coeffs=%d: reused dst differs at %d", tc.n, tc.coeffs, i)
+	cases := []struct{ n, coeffs int }{{40, 14}, {40, 40}, {7, 3}, {5, 9}, {1, 1}, {26, 13}, {40, 16}, {40, 17}, {41, 33}, {4, 3}}
+	for _, name := range dsp.KernelNames() {
+		restore := dsp.UseKernel(name)
+		for _, tc := range cases {
+			tab := dsp.NewDCT2Table(tc.n, tc.coeffs)
+			for seed := int64(0); seed < 5; seed++ {
+				x := randomReal(tc.n, seed)
+				switch seed {
+				case 3:
+					x[0] = math.Inf(-1)
+				case 4:
+					x[tc.n-1] = math.NaN()
+				}
+				want := dspbench.DCT2Legacy(x, tc.coeffs)
+				got := tab.Apply(nil, append(x, 1e300)) // a longer x reads only its n values
+				if i := sameFloatBits(got, want); i >= 0 {
+					t.Fatalf("%s, n=%d coeffs=%d seed=%d: coefficient %d differs (len %d vs %d)", name, tc.n, tc.coeffs, seed, i, len(got), len(want))
+				}
+				// A reused destination, longer than needed, gives the same bits.
+				again := tab.Apply(make([]float64, tab.NumCoeffs()+5), x)
+				if i := sameFloatBits(again, want); i >= 0 {
+					t.Fatalf("%s, n=%d coeffs=%d: reused dst differs at %d", name, tc.n, tc.coeffs, i)
+				}
 			}
 		}
+		restore()
 	}
 }
 

@@ -141,10 +141,11 @@ type kernel struct {
 	scale       func(dst, src []float64, s float64)
 	maxAbs      func(x []float64, m float64) float64
 	cubic       func(x []float64, peak, gain, d float64)
+	dct         func(dst, x, tab []float64)
 }
 
 // generic is the pure-Go kernel: the fallback and the tests' oracle.
-var generic = kernel{"generic", forwardGeneric, butterfliesGeneric, shapePairs, repackPairs, productPairs, foldPairs, scaleInto, maxAbsFrom, cubicInto}
+var generic = kernel{"generic", forwardGeneric, butterfliesGeneric, shapePairs, repackPairs, productPairs, foldPairs, scaleInto, maxAbsFrom, cubicInto, dctRows}
 
 // kern is the preferred kernel of this CPU; only tests switch it.
 var kern = kernels[0]

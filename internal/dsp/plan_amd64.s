@@ -856,3 +856,81 @@ cubicone:
 cubicdone:
 	VZEROUPPER
 	RET
+
+// func dctAVX(dst, x, tab []float64)
+//
+// dctRows (mel.go) with sixteen coefficients per pass in four YMM
+// accumulators: each lane sums its coefficient's terms in input order and
+// then scales. The row stride of tab is len(dst) rounded up to 16 values.
+TEXT ·dctAVX(SB), NOSPLIT, $128-72
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), R8
+	MOVQ x_base+24(FP), SI
+	MOVQ x_len+32(FP), CX
+	MOVQ tab_base+48(FP), DX
+	LEAQ 15(R8), R9
+	ANDQ $~15, R9
+	SHLQ $3, R9 // bytes per row
+
+chunk:
+	TESTQ  R8, R8
+	JLE    done
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ   SI, R12
+	MOVQ   DX, R13
+	MOVQ   CX, BX
+	TESTQ  BX, BX
+	JE     scale
+
+inner:
+	VBROADCASTSD (R12), Y4
+	VMULPD       0(R13), Y4, Y5
+	VADDPD       Y5, Y0, Y0
+	VMULPD       32(R13), Y4, Y6
+	VADDPD       Y6, Y1, Y1
+	VMULPD       64(R13), Y4, Y7
+	VADDPD       Y7, Y2, Y2
+	VMULPD       96(R13), Y4, Y8
+	VADDPD       Y8, Y3, Y3
+	ADDQ         $8, R12
+	ADDQ         R9, R13
+	DECQ         BX
+	JNE          inner
+
+scale:
+	// R13 is at the scale row.
+	VMULPD 0(R13), Y0, Y0
+	VMULPD 32(R13), Y1, Y1
+	VMULPD 64(R13), Y2, Y2
+	VMULPD 96(R13), Y3, Y3
+	CMPQ   R8, $16
+	JLT    partial
+	VMOVUPD Y0, 0(DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ    $128, DI
+	ADDQ    $128, DX
+	SUBQ    $16, R8
+	JMP     chunk
+
+partial:
+	VMOVUPD Y0, 0(SP)
+	VMOVUPD Y1, 32(SP)
+	VMOVUPD Y2, 64(SP)
+	VMOVUPD Y3, 96(SP)
+	XORQ    AX, AX
+
+copy:
+	MOVQ (SP)(AX*8), BX
+	MOVQ BX, (DI)(AX*8)
+	INCQ AX
+	CMPQ AX, R8
+	JLT  copy
+
+done:
+	VZEROUPPER
+	RET
