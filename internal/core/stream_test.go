@@ -1,8 +1,12 @@
 package core_test
 
 import (
+	"encoding/json"
+	"flag"
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"testing"
 
 	"vibguard/internal/attack"
@@ -136,18 +140,40 @@ func TestStreamInspectorMatchesBatchBitExact(t *testing.T) {
 	}
 }
 
+var updateGolden = flag.Bool("update-golden", false,
+	"rewrite testdata/stream_early_exit.json from the current streamed sessions")
+
+const earlyExitGoldenPath = "testdata/stream_early_exit.json"
+
+// earlyExitSession is one streamed session's outcome in the early-exit
+// golden: where the stream stopped and with which score, bit for bit.
+type earlyExitSession struct {
+	Session    string  `json:"session"`
+	Early      bool    `json:"early"`
+	Consumed   int     `json:"consumed"`
+	SyncOffset int     `json:"sync_offset"`
+	Score      float64 `json:"score"`
+	ScoreBits  string  `json:"score_bits"`
+}
+
 // TestStreamInspectorEarlyExitSoundness is the early-exit soundness table:
 // across the golden corpus seeds, every streamed session with early exit
 // enabled must reach the same attack/legit verdict as the batch pipeline —
 // zero flips — and the early exit must actually fire on a healthy share of
 // sessions (otherwise the mechanism is dead weight and the test is
-// vacuous).
+// vacuous). Each session's exit point, offset and score bits must also
+// equal testdata/stream_early_exit.json, so a change to the gate, the
+// evaluation schedule or the interval shows as a moved exit. Regenerate
+// deliberately with
+//
+//	go test ./internal/core/ -run TestStreamInspectorEarlyExitSoundness -update-golden
 func TestStreamInspectorEarlyExitSoundness(t *testing.T) {
 	const seed = 5150
 	const chunk = 1600 // 100 ms of 16 kHz audio
 	sessions, early, flips := 0, 0, 0
+	var got []earlyExitSession
 	for _, corpusSeed := range []int64{77, 78, 1379} {
-		for _, s := range streamSamples(t, corpusSeed) {
+		for i, s := range streamSamples(t, corpusSeed) {
 			d := sampleDefense(t, s)
 			want, err := d.Inspect(s.VARec, s.WearRec, rand.New(rand.NewSource(seed)))
 			if err != nil {
@@ -160,22 +186,31 @@ func TestStreamInspectorEarlyExitSoundness(t *testing.T) {
 			if err := si.FeedWearable(s.WearRec); err != nil {
 				t.Fatal(err)
 			}
-			got := feedStream(t, si, s.VARec, chunk)
+			v := feedStream(t, si, s.VARec, chunk)
+			got = append(got, earlyExitSession{
+				Session:    fmt.Sprintf("%d/%d/%s", corpusSeed, i, label(s)),
+				Early:      v.Early,
+				Consumed:   v.Consumed,
+				SyncOffset: v.SyncOffset,
+				Score:      v.Score,
+				ScoreBits:  fmt.Sprintf("%016x", math.Float64bits(v.Score)),
+			})
 			sessions++
-			if got.Early {
+			if v.Early {
 				early++
-				if got.Consumed >= len(s.VARec) {
+				if v.Consumed >= len(s.VARec) {
 					t.Errorf("seed %d %s: early verdict consumed the whole recording (%d samples)",
-						corpusSeed, label(s), got.Consumed)
+						corpusSeed, label(s), v.Consumed)
 				}
 			}
-			if got.Attack != want.Attack {
+			if v.Attack != want.Attack {
 				flips++
 				t.Errorf("seed %d %s: streamed verdict attack=%v (score %v, early %v) flips batch attack=%v (score %v)",
-					corpusSeed, label(s), got.Attack, got.Score, got.Early, want.Attack, want.Score)
+					corpusSeed, label(s), v.Attack, v.Score, v.Early, want.Attack, want.Score)
 			}
 		}
 	}
+	checkEarlyExitGolden(t, got)
 	if flips != 0 {
 		t.Fatalf("%d verdict flips in %d sessions", flips, sessions)
 	}
@@ -183,6 +218,39 @@ func TestStreamInspectorEarlyExitSoundness(t *testing.T) {
 		t.Fatalf("early exit never fired in %d sessions", sessions)
 	}
 	t.Logf("early exits: %d of %d sessions, zero flips", early, sessions)
+}
+
+// checkEarlyExitGolden compares the streamed sessions with the golden file,
+// or rewrites it under -update-golden.
+func checkEarlyExitGolden(t *testing.T, got []earlyExitSession) {
+	t.Helper()
+	if *updateGolden {
+		data, err := json.MarshalIndent(got, "", "  ")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(earlyExitGoldenPath, append(data, '\n'), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Logf("golden file rewritten: %s", earlyExitGoldenPath)
+		return
+	}
+	data, err := os.ReadFile(earlyExitGoldenPath)
+	if err != nil {
+		t.Fatalf("read golden file (regenerate with -update-golden): %v", err)
+	}
+	var want []earlyExitSession
+	if err := json.Unmarshal(data, &want); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d streamed sessions, golden file has %d", len(got), len(want))
+	}
+	for i, w := range want {
+		if g := got[i]; g != w {
+			t.Errorf("session %d: got %+v, want %+v", i, g, w)
+		}
+	}
 }
 
 // TestStreamInspectorLifecycle pins the state machine: feeding after
