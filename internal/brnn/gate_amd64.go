@@ -2,7 +2,11 @@
 
 package brnn
 
-import "math"
+import (
+	"math"
+
+	"vibguard/internal/cpuid"
+)
 
 // The gate kernel (gate_amd64.s) reproduces math.Exp's FMA path. It runs
 // where the CPU has AVX2 and FMA and math.Exp takes that path, which
@@ -12,7 +16,7 @@ var gateKernels, gemmKernels = amd64Kernels()
 func amd64Kernels() ([]gateKernel, []gemmKernel) {
 	gate := []gateKernel{{"generic", gatesGeneric}}
 	gemm := []gemmKernel{{"sse2", func(out, x, blk []float64, nblk int) int { return 0 }}}
-	avx, fma := cpuFeatures()
+	avx, fma := cpuid.Features()
 	if avx {
 		gemm = append([]gemmKernel{{"avx", gemmPairsAVX}}, gemm...)
 	}
@@ -21,9 +25,6 @@ func amd64Kernels() ([]gateKernel, []gemmKernel) {
 	}
 	return gate, gemm
 }
-
-// cpuFeatures reports AVX, and AVX2 with FMA, where the OS saves YMM state.
-func cpuFeatures() (avx, avx2fma bool)
 
 //go:noescape
 func gatesAVX(zx, zh, b, prevC, gates, cell, tc, hid []float64, j int) int

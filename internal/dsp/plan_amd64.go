@@ -2,6 +2,8 @@
 
 package dsp
 
+import "vibguard/internal/cpuid"
+
 // The butterflies and the passes around them run in assembly (plan_amd64.s)
 // when the CPU and the operating system support AVX, checked once at
 // start-up; otherwise the Go loops run. The AVX kernel is bit-identical to
@@ -9,28 +11,11 @@ package dsp
 var kernels = amd64Kernels()
 
 func amd64Kernels() []kernel {
-	if HasAVX() {
+	if avx, _ := cpuid.Features(); avx {
 		return []kernel{{"avx", forwardAVX, butterfliesAVX, shapeAVX, repackAVX, productAVX, foldAVX, scaleAVX, maxAbsAVX, cubicAVX, dctAVX}, generic}
 	}
 	return []kernel{generic}
 }
-
-// HasAVX reports whether the CPU implements AVX and the operating system
-// saves the YMM registers across context switches (CPUID.1:ECX.OSXSAVE
-// and .AVX, then XCR0 bits 1 and 2).
-func HasAVX() bool {
-	const osxsave, avx = 1 << 27, 1 << 28
-	_, _, ecx, _ := cpuid(1, 0)
-	if ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
-	}
-	xcr0, _ := xgetbv()
-	return xcr0&6 == 6
-}
-
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv() (eax, edx uint32)
 
 // The AVX kernel keeps generic's contracts. The pair passes take lo a
 // multiple of 8 or lo >= hi, and foldAVX an even lo and hi.

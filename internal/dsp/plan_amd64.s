@@ -11,17 +11,6 @@
 
 #include "textflag.h"
 
-// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuid(SB), NOSPLIT, $0-24
-	MOVL eaxArg+0(FP), AX
-	MOVL ecxArg+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
 // CMUL sets t = b*w for two complex128 values per YMM register, with the
 // real parts of w duplicated in wr and the imaginary parts in wi. s is
 // scratch.
@@ -330,14 +319,6 @@ fwdtwo:
 
 fwddone:
 	VZEROUPPER
-	RET
-
-// func xgetbv() (eax, edx uint32)
-TEXT ·xgetbv(SB), NOSPLIT, $0-8
-	MOVL $0, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
-	MOVL DX, edx+4(FP)
 	RET
 
 // The passes around the butterflies. Each reproduces its generic twin in

@@ -4,13 +4,13 @@ import (
 	"reflect"
 	"testing"
 
-	"vibguard/internal/dsp"
+	"vibguard/internal/cpuid"
 )
 
 // On a CPU with AVX the list the tests above run must hold the assembly
 // passes, the log lanes included, or they pin nothing new.
 func TestKernelsListed(t *testing.T) {
-	if !dsp.HasAVX() {
+	if avx, _ := cpuid.Features(); !avx {
 		t.Skip("no AVX: the pure-Go passes run")
 	}
 	k := kernels()[0]

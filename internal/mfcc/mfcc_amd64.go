@@ -5,14 +5,14 @@ package mfcc
 import (
 	"math"
 
-	"vibguard/internal/dsp"
+	"vibguard/internal/cpuid"
 )
 
 // With AVX the pre-emphasis and log passes run in YMM registers
 // (mfcc_amd64.s); the log lanes, which repeat math.Log's amd64 assembly,
 // only if they match it on a probe.
 func init() {
-	if !dsp.HasAVX() {
+	if avx, _ := cpuid.Features(); !avx {
 		return
 	}
 	emphasize = emphasizeAVX
