@@ -8,6 +8,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"vibguard/internal/core"
 	"vibguard/internal/detector"
 	"vibguard/internal/device"
 	"vibguard/internal/obs"
@@ -70,9 +71,10 @@ func WithoutSync() ParallelOption {
 }
 
 // ParallelScorer is the concurrent batch-scoring engine: it shards a
-// sample slice across a pool of workers, each owning a private
-// core.Defense instance (with its own copy of the wearable device model),
-// and scores every sample with a deterministic RNG derived from
+// sample slice across a pool of workers that share one core.Defense
+// (built once, around its own copy of the wearable device model; a
+// Defense is safe for concurrent use with one rng per call), and scores
+// every sample with a deterministic RNG derived from
 // (seed, sample index) via SampleSeed. Because nothing about a sample's
 // score depends on worker identity, scheduling order, or pool size, the
 // output vector is bit-identical for any worker count; Workers(1) scores
@@ -82,6 +84,7 @@ func WithoutSync() ParallelOption {
 // on overlapping sample slices) are safe.
 type ParallelScorer struct {
 	spec    scorerSpec
+	defense *core.Defense
 	workers int
 }
 
@@ -108,11 +111,11 @@ func NewParallelScorer(method detector.Method, w *device.Wearable, provider Span
 	if err := ps.spec.validate(); err != nil {
 		return nil, err
 	}
-	// Build one throwaway Defense now so configuration errors surface at
-	// construction, not inside the worker pool.
-	if _, err := ps.spec.newDefense(); err != nil {
+	defense, err := ps.spec.newDefense()
+	if err != nil {
 		return nil, err
 	}
+	ps.defense = defense
 	return ps, nil
 }
 
@@ -148,12 +151,6 @@ func (ps *ParallelScorer) ScoreAll(samples []*Sample) ([]float64, error) {
 			defer wg.Done()
 			handled := 0
 			defer func() { histWorkerSamples.Observe(float64(handled)) }()
-			defense, err := ps.spec.newDefense()
-			if err != nil {
-				errOnce.Do(func() { firstErr = err })
-				failed.Store(true)
-				return
-			}
 			for !failed.Load() {
 				i := int(next.Add(1)) - 1
 				if i >= n {
@@ -164,7 +161,7 @@ func (ps *ParallelScorer) ScoreAll(samples []*Sample) ([]float64, error) {
 				histQueueWait.Observe(time.Since(batchStart).Seconds())
 				sp := stageScorerSample.Start()
 				rng := rand.New(rand.NewSource(SampleSeed(ps.spec.seed, i)))
-				score, err := scoreSample(defense, &ps.spec, samples[i], rng)
+				score, err := scoreSample(ps.defense, &ps.spec, samples[i], rng)
 				sp.End()
 				if err != nil {
 					errOnce.Do(func() { firstErr = fmt.Errorf("eval: sample %d: %w", i, err) })

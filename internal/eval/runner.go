@@ -130,10 +130,9 @@ func BuildDataset(cfg DatasetConfig) (*Dataset, error) {
 	return ds, nil
 }
 
-// scorerSpec captures everything needed to build one Defense instance for
-// scoring: the parallel engine replays it once per worker. The wearable
-// is copied by value per build, so every Defense owns an independent
-// device model.
+// scorerSpec captures everything needed to build the Defense a
+// ParallelScorer shares across its workers. The wearable is copied by
+// value, so the Defense owns a device model its caller cannot change.
 type scorerSpec struct {
 	method   detector.Method
 	wearable *device.Wearable
@@ -153,8 +152,8 @@ func (sp *scorerSpec) validate() error {
 	return nil
 }
 
-// newDefense builds a fresh, independent Defense from the spec. Spans come
-// from the per-sample SpanProvider at score time, so the Defense itself is
+// newDefense builds the Defense from the spec. Spans come from the
+// per-sample SpanProvider at score time, so the Defense itself is
 // configured without a segmenter.
 func (sp *scorerSpec) newDefense() (*core.Defense, error) {
 	var w *device.Wearable
