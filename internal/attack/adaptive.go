@@ -24,6 +24,9 @@ type Oracle interface {
 	Score(vaRec, wearRec []float64, rng *rand.Rand) (float64, error)
 }
 
+// adaptiveStepDB is the hill-climbing step size per move.
+const adaptiveStepDB = 4.0
+
 // AdaptiveConfig bounds and seeds the optimization loop.
 type AdaptiveConfig struct {
 	// Iterations is the optimization budget: each iteration is one
@@ -31,8 +34,6 @@ type AdaptiveConfig struct {
 	Iterations int
 	// Bands is the number of EQ bands the adversary tunes.
 	Bands int
-	// StepDB is the hill-climbing step size per move.
-	StepDB float64
 	// MaxBoostDB caps each band's gain: the loudspeaker amplitude budget
 	// shared with the bypass attack.
 	MaxBoostDB float64
@@ -54,7 +55,6 @@ func DefaultAdaptiveConfig(seed int64) AdaptiveConfig {
 	return AdaptiveConfig{
 		Iterations:    28,
 		Bands:         10,
-		StepDB:        4,
 		MaxBoostDB:    40,
 		CeilingPeak:   0.999,
 		Seed:          seed,
@@ -71,9 +71,6 @@ func (c *AdaptiveConfig) Validate() error {
 	}
 	if c.Bands < 2 {
 		return fmt.Errorf("attack: need at least 2 EQ bands, got %d", c.Bands)
-	}
-	if c.StepDB <= 0 {
-		return fmt.Errorf("attack: step %v dB must be positive", c.StepDB)
 	}
 	if c.MaxBoostDB < 0 {
 		return fmt.Errorf("attack: max boost %v dB must be non-negative", c.MaxBoostDB)
@@ -149,10 +146,10 @@ func eqGain(centers, gainsDB []float64, f float64) float64 {
 // AdaptiveAttack hill-climbs per-band EQ gains against the oracle. The
 // gains start at the budget-capped inverse of the estimated barrier curve
 // (the bypass attack's solution) and each iteration perturbs one random
-// band by ±StepDB, keeping the change when the simulated defense score
-// improves. All randomness derives from cfg.Seed, never from the
-// Attacker's own stream, so the run is reproducible independent of what
-// the attacker generated before.
+// band by ±4 dB (adaptiveStepDB), keeping the change when the simulated
+// defense score improves. All randomness derives from cfg.Seed, never from
+// the Attacker's own stream, so the run is reproducible independent of
+// what the attacker generated before.
 func (a *Attacker) AdaptiveAttack(commandAudio []float64, est *GainEstimate, oracle Oracle, cfg AdaptiveConfig) (*AdaptiveResult, error) {
 	if len(commandAudio) == 0 {
 		return nil, fmt.Errorf("attack: empty command audio")
@@ -228,7 +225,7 @@ func (a *Attacker) AdaptiveAttack(commandAudio []float64, est *GainEstimate, ora
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	for iter := 1; iter <= cfg.Iterations; iter++ {
 		band := rng.Intn(cfg.Bands)
-		step := cfg.StepDB
+		step := adaptiveStepDB
 		if rng.Intn(2) == 0 {
 			step = -step
 		}

@@ -4,8 +4,12 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
+
+	"vibguard/internal/cpuid"
 )
 
 // inferConfigs spans the architectures the equivalence suite pins: the
@@ -273,6 +277,26 @@ func TestConcurrentInferenceSessions(t *testing.T) {
 	close(errs)
 	for err := range errs {
 		t.Error(err)
+	}
+}
+
+// TestGemmKernelsFollowCPUID pins the gemm dispatch to the module's one
+// CPU check: on amd64 the AVX pair kernel leads the SSE2 one exactly where
+// cpuid reports AVX; elsewhere the pure-Go kernel runs alone.
+func TestGemmKernelsFollowCPUID(t *testing.T) {
+	want := []string{"generic"}
+	if runtime.GOARCH == "amd64" {
+		want = []string{"sse2"}
+		if avx, _ := cpuid.Features(); avx {
+			want = []string{"avx", "sse2"}
+		}
+	}
+	names := make([]string, len(gemmKernels))
+	for i, kern := range gemmKernels {
+		names[i] = kern.name
+	}
+	if !slices.Equal(names, want) {
+		t.Fatalf("gemm kernels %v, want %v", names, want)
 	}
 }
 

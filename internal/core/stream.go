@@ -35,68 +35,36 @@ var (
 
 // StreamConfig parameterizes a StreamInspector.
 type StreamConfig struct {
-	// ChunkSamples is the advisory ingest chunk size used by servers and
-	// benchmarks when they slice a recording into a stream (default
-	// 100 ms of audio). The inspector itself accepts any chunking.
-	ChunkSamples int
-	// MinSeconds is the minimum VA audio before the first provisional
-	// evaluation (default 0.6).
-	MinSeconds float64
-	// EvalEverySeconds is the minimum new VA audio between provisional
-	// evaluations (default 0.1, matching the default chunk duration so
-	// evaluation opportunities line up with chunk arrival instead of
-	// beating against it onto a coarser grid).
-	EvalEverySeconds float64
-	// GuardSeconds is how far a phoneme span must end before the stream
-	// frontier to count as completed (default 0.25): the segmenter's BRNN
-	// is bidirectional, so labels near the frontier can still change as
-	// more audio arrives.
-	GuardSeconds float64
-	// Z is the half-width multiplier of the Fisher-z normal-approximation
-	// confidence interval on the provisional score (default 4.0 —
-	// deliberately far past an i.i.d. 99.99% interval, because
-	// neighboring spectrogram cells are correlated).
-	Z float64
-	// MinCells is the minimum number of (frame, bin) correlation cells
-	// before the interval is trusted (default 128).
-	MinCells int
 	// DisableEarlyExit turns provisional evaluation off: the inspector
 	// only buffers, and the verdict always comes from the batch fallback
 	// (used by the equivalence tests and as the non-MethodFull behavior).
 	DisableEarlyExit bool
-	// VAD configures the admission gate; the zero value uses
-	// dsp.DefaultVADConfig at the pipeline sample rate.
-	VAD dsp.VADConfig
 }
 
-// withStreamDefaults resolves defaults against the defense sample rate.
-func (c StreamConfig) withStreamDefaults(sampleRate float64) StreamConfig {
-	if c.ChunkSamples <= 0 {
-		c.ChunkSamples = int(sampleRate / 10)
-		if c.ChunkSamples <= 0 {
-			c.ChunkSamples = 1
-		}
-	}
-	if c.MinSeconds <= 0 {
-		c.MinSeconds = 0.6
-	}
-	if c.EvalEverySeconds <= 0 {
-		c.EvalEverySeconds = 0.1
-	}
-	if c.GuardSeconds <= 0 {
-		c.GuardSeconds = 0.25
-	}
-	if c.Z <= 0 {
-		c.Z = 4.0
-	}
-	if c.MinCells <= 0 {
-		c.MinCells = 128
-	}
-	if c.VAD.SampleRate <= 0 {
-		c.VAD = dsp.DefaultVADConfig(sampleRate)
-	}
-	return c
-}
+// The early exit's schedule and confidence bound.
+const (
+	// streamMinSeconds is the minimum VA audio before the first
+	// provisional evaluation.
+	streamMinSeconds = 0.6
+	// streamEvalEverySeconds is the minimum new VA audio between
+	// provisional evaluations: 100 ms, the servers' chunk duration, so
+	// evaluation opportunities line up with chunk arrival instead of
+	// beating against it onto a coarser grid.
+	streamEvalEverySeconds = 0.1
+	// streamGuardSeconds is how far a phoneme span must end before the
+	// stream frontier to count as completed: the segmenter's BRNN is
+	// bidirectional, so labels near the frontier can still change as more
+	// audio arrives.
+	streamGuardSeconds = 0.25
+	// streamZ is the half-width multiplier of the Fisher-z
+	// normal-approximation confidence interval on the provisional score,
+	// deliberately far past an i.i.d. 99.99% interval, because
+	// neighboring spectrogram cells are correlated.
+	streamZ = 4.0
+	// streamMinCells is the minimum number of (frame, bin) correlation
+	// cells before the interval is trusted.
+	streamMinCells = 128
+)
 
 // StreamInspector consumes one session's VA recording chunk by chunk and
 // tries to reach a verdict before the recording ends. The wearable
@@ -112,10 +80,10 @@ func (c StreamConfig) withStreamDefaults(sampleRate float64) StreamConfig {
 //
 // Not safe for concurrent use; one inspector serves one session.
 type StreamInspector struct {
-	d    *Defense
-	cfg  StreamConfig
-	seed int64
-	rng  *rand.Rand // fallback rng, untouched until the batch fallback
+	d         *Defense
+	earlyExit bool
+	seed      int64
+	rng       *rand.Rand // fallback rng, untouched until the batch fallback
 
 	vad     *dsp.VAD
 	aligner *syncnet.StreamAligner
@@ -137,28 +105,21 @@ type StreamInspector struct {
 // methods stream in buffer-only mode (the verdict always comes from the
 // batch fallback).
 func (d *Defense) NewStreamInspector(cfg StreamConfig, seed int64) (*StreamInspector, error) {
-	cfg = cfg.withStreamDefaults(d.cfg.SampleRate)
-	if d.cfg.Method != detector.MethodFull || d.cfg.Segmenter == nil {
-		cfg.DisableEarlyExit = true
-	}
-	vad, err := dsp.NewVAD(cfg.VAD)
+	vad, err := dsp.NewVAD(d.cfg.SampleRate)
 	if err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	return &StreamInspector{
-		d:        d,
-		cfg:      cfg,
-		seed:     seed,
-		rng:      rand.New(rand.NewSource(seed)),
-		vad:      vad,
-		aligner:  syncnet.NewStreamAligner(d.cfg.MaxSyncLagSeconds, d.cfg.SampleRate),
-		nextEval: int(cfg.MinSeconds * d.cfg.SampleRate),
-		started:  time.Now(),
+		d:         d,
+		earlyExit: !cfg.DisableEarlyExit && d.cfg.Method == detector.MethodFull && d.cfg.Segmenter != nil,
+		seed:      seed,
+		rng:       rand.New(rand.NewSource(seed)),
+		vad:       vad,
+		aligner:   syncnet.NewStreamAligner(d.cfg.MaxSyncLagSeconds, d.cfg.SampleRate),
+		nextEval:  int(streamMinSeconds * d.cfg.SampleRate),
+		started:   time.Now(),
 	}, nil
 }
-
-// Config returns the resolved streaming configuration.
-func (si *StreamInspector) Config() StreamConfig { return si.cfg }
 
 // FeedWearable appends wearable audio to the session. The wearable side
 // carries no evaluation trigger — provisional evaluations fire on VA
@@ -193,8 +154,8 @@ func (si *StreamInspector) Feed(chunk []float64) (*Verdict, error) {
 	}
 	// The gate: segmentation, replay, and correlation only spin up when
 	// voiced audio has arrived since the last look, and at most once per
-	// EvalEverySeconds of new audio.
-	if !si.cfg.DisableEarlyExit && si.voicedPending && len(si.va) >= si.nextEval {
+	// streamEvalEverySeconds of new audio.
+	if si.earlyExit && si.voicedPending && len(si.va) >= si.nextEval {
 		si.evaluate()
 	}
 	return si.verdict, nil
@@ -207,7 +168,7 @@ func (si *StreamInspector) Feed(chunk []float64) (*Verdict, error) {
 // semantics for the complete recordings.
 func (si *StreamInspector) evaluate() {
 	si.voicedPending = false
-	si.nextEval = len(si.va) + int(si.cfg.EvalEverySeconds*si.d.cfg.SampleRate)
+	si.nextEval = len(si.va) + int(streamEvalEverySeconds*si.d.cfg.SampleRate)
 	tau, stable := si.aligner.Estimate(si.va, si.wear)
 	if !stable {
 		return
@@ -218,7 +179,7 @@ func (si *StreamInspector) evaluate() {
 	if wearCover := len(si.wear) - tau; wearCover < frontier {
 		frontier = wearCover
 	}
-	guard := int(si.cfg.GuardSeconds * si.d.cfg.SampleRate)
+	guard := int(streamGuardSeconds * si.d.cfg.SampleRate)
 	if frontier-guard <= 0 {
 		return
 	}
@@ -259,10 +220,10 @@ func (si *StreamInspector) evaluate() {
 		metStreamEvalSkip.Inc()
 		return
 	}
-	if cells < si.cfg.MinCells || cells <= 3 {
+	if cells < streamMinCells || cells <= 3 {
 		return
 	}
-	lo, hi := fisherInterval(score, cells, si.cfg.Z)
+	lo, hi := fisherInterval(score, cells, streamZ)
 	thr := si.d.cfg.Threshold
 	var attack bool
 	switch {

@@ -349,7 +349,7 @@ func MFCCExtractLegacy(audio []float64, cfg mfcc.Config) ([][]float64, error) {
 		return nil, nil
 	}
 	fftSize := dsp.NextPow2(frameLen)
-	bank, err := dsp.NewMelFilterbank(cfg.NumFilters, fftSize, cfg.SampleRate, cfg.LowHz, cfg.HighHz)
+	bank, err := dsp.NewMelFilterbank(cfg.NumFilters, fftSize, cfg.SampleRate, 0, cfg.HighHz)
 	if err != nil {
 		return nil, err
 	}

@@ -5,12 +5,26 @@ import (
 	"math/cmplx"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 
+	"vibguard/internal/cpuid"
 	"vibguard/internal/dsp"
 	"vibguard/internal/dsp/dspbench"
 )
+
+// TestKernelsFollowCPUID pins the transform dispatch to the module's one
+// CPU check: the AVX kernel leads the list exactly where cpuid reports AVX.
+func TestKernelsFollowCPUID(t *testing.T) {
+	want := []string{"generic"}
+	if avx, _ := cpuid.Features(); avx {
+		want = []string{"avx", "generic"}
+	}
+	if got := dsp.KernelNames(); !slices.Equal(got, want) {
+		t.Fatalf("kernels %v, want %v", got, want)
+	}
+}
 
 func randomComplex(n int, seed int64) []complex128 {
 	rng := rand.New(rand.NewSource(seed))

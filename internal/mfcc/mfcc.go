@@ -22,8 +22,8 @@ type Config struct {
 	NumFilters int
 	// NumCoeffs is the number of cepstral coefficients kept per frame.
 	NumCoeffs int
-	// LowHz and HighHz bound the analyzed band.
-	LowHz, HighHz float64
+	// HighHz is the top of the analyzed band, which starts at 0 Hz.
+	HighHz float64
 	// PreEmphasis coefficient (0 disables).
 	PreEmphasis float64
 }
@@ -36,18 +36,18 @@ func DefaultConfig() Config {
 		FrameShift:  0.010,
 		NumFilters:  40,
 		NumCoeffs:   14,
-		LowHz:       0,
 		HighHz:      900,
 		PreEmphasis: 0.97,
 	}
 }
 
-// Validate checks the configuration.
+// Validate checks the configuration. Every float check is written so
+// that NaN fails it.
 func (c *Config) Validate() error {
-	if c.SampleRate <= 0 {
+	if !(c.SampleRate > 0) {
 		return fmt.Errorf("mfcc: sample rate %v must be positive", c.SampleRate)
 	}
-	if c.FrameLength <= 0 || c.FrameShift <= 0 {
+	if !(c.FrameLength > 0 && c.FrameShift > 0) {
 		return fmt.Errorf("mfcc: frame length %v and shift %v must be positive", c.FrameLength, c.FrameShift)
 	}
 	if c.NumFilters <= 0 || c.NumCoeffs <= 0 {
@@ -56,10 +56,10 @@ func (c *Config) Validate() error {
 	if c.NumCoeffs > c.NumFilters {
 		return fmt.Errorf("mfcc: coeffs %d exceed filters %d", c.NumCoeffs, c.NumFilters)
 	}
-	if c.HighHz <= c.LowHz || c.HighHz > c.SampleRate/2 {
-		return fmt.Errorf("mfcc: band [%v, %v] invalid", c.LowHz, c.HighHz)
+	if !(c.HighHz > 0 && c.HighHz <= c.SampleRate/2) {
+		return fmt.Errorf("mfcc: band [0, %v] invalid", c.HighHz)
 	}
-	if c.PreEmphasis < 0 || c.PreEmphasis >= 1 {
+	if !(c.PreEmphasis >= 0 && c.PreEmphasis < 1) {
 		return fmt.Errorf("mfcc: pre-emphasis %v outside [0, 1)", c.PreEmphasis)
 	}
 	return nil
@@ -89,7 +89,7 @@ func NewExtractor(cfg Config) (*Extractor, error) {
 	frameLen := int(cfg.FrameLength * cfg.SampleRate)
 	shiftLen := int(cfg.FrameShift * cfg.SampleRate)
 	fftSize := dsp.NextPow2(frameLen)
-	bank, err := dsp.NewMelFilterbank(cfg.NumFilters, fftSize, cfg.SampleRate, cfg.LowHz, cfg.HighHz)
+	bank, err := dsp.NewMelFilterbank(cfg.NumFilters, fftSize, cfg.SampleRate, 0, cfg.HighHz)
 	if err != nil {
 		return nil, fmt.Errorf("mfcc: %w", err)
 	}

@@ -46,6 +46,30 @@ func TestConfigValidation(t *testing.T) {
 	}
 }
 
+// TestConfigValidationRejectsNaN sets NaN in each float field in turn: a
+// comparison with NaN is false, so a check written as x <= 0 would let it
+// through (a NaN FrameShift built an extractor whose FrameShift() read
+// math.MinInt64, a NaN PreEmphasis turned pre-emphasis off).
+func TestConfigValidationRejectsNaN(t *testing.T) {
+	fields := map[string]func(*Config) *float64{
+		"SampleRate":  func(c *Config) *float64 { return &c.SampleRate },
+		"FrameLength": func(c *Config) *float64 { return &c.FrameLength },
+		"FrameShift":  func(c *Config) *float64 { return &c.FrameShift },
+		"HighHz":      func(c *Config) *float64 { return &c.HighHz },
+		"PreEmphasis": func(c *Config) *float64 { return &c.PreEmphasis },
+	}
+	for name, field := range fields {
+		cfg := DefaultConfig()
+		*field(&cfg) = math.NaN()
+		if err := cfg.Validate(); err == nil {
+			t.Errorf("%s NaN passed validation", name)
+		}
+		if _, err := NewExtractor(cfg); err == nil {
+			t.Errorf("%s NaN built an extractor", name)
+		}
+	}
+}
+
 func TestExtractorGeometry(t *testing.T) {
 	e, err := NewExtractor(DefaultConfig())
 	if err != nil {

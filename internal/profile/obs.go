@@ -7,7 +7,7 @@ import "vibguard/internal/obs"
 // split known-user fast-path hits from recalibrating misses; the
 // calibration gauge tracks the most recently computed personalized
 // threshold offset, so an operator can see per-user adaptation moving
-// (and confirm the clamp is holding it inside ±MaxOffset).
+// (and confirm the clamp is holding it inside ±DefaultMaxOffset).
 var (
 	metCacheHits      = obs.Default().Counter("profile.cache.hits")
 	metCacheMisses    = obs.Default().Counter("profile.cache.misses")

@@ -11,9 +11,9 @@
 //   - an online threshold offset: an EWMA over the user's recent
 //     legitimate scores positions a personalized decision threshold a
 //     fixed margin below the user's typical score, and the offset from
-//     detector.DefaultThreshold is clamped to ±MaxOffset so a drifting
-//     (or poisoned) calibration can never move the threshold far from the
-//     paper's equal-error point;
+//     detector.DefaultThreshold is clamped to ±DefaultMaxOffset so a
+//     drifting (or poisoned) calibration can never move the threshold far
+//     from the paper's equal-error point;
 //   - the user's known wearable devices (watch, earbud, …), so the
 //     serving tier can fuse multiple cross-domain views of one command.
 //
@@ -34,7 +34,7 @@ import (
 
 // Calibration defaults. They are deliberately conservative: the offset
 // moves slowly (Alpha) and can never leave a narrow band around the
-// paper's threshold (MaxOffset), so per-user adaptation refines the
+// paper's threshold (DefaultMaxOffset), so per-user adaptation refines the
 // decision boundary without ever being able to disable it.
 const (
 	// DefaultShards is the default shard count (power of two).
@@ -45,7 +45,7 @@ const (
 	// the personalized threshold sits.
 	DefaultMargin = 0.15
 	// DefaultMaxOffset clamps the personalized threshold to
-	// detector.DefaultThreshold ± MaxOffset.
+	// detector.DefaultThreshold ± DefaultMaxOffset.
 	DefaultMaxOffset = 0.08
 )
 
@@ -57,14 +57,6 @@ type Config struct {
 	// Alpha is the EWMA weight of the newest legitimate score in (0, 1]
 	// (default DefaultAlpha).
 	Alpha float64
-	// Margin is the distance below the legitimate-score EWMA at which the
-	// personalized threshold sits (default DefaultMargin).
-	Margin float64
-	// MaxOffset clamps |Offset| (default DefaultMaxOffset).
-	MaxOffset float64
-	// BaseThreshold is the reference threshold offsets are computed
-	// against (default detector.DefaultThreshold).
-	BaseThreshold float64
 }
 
 // withDefaults resolves the zero value.
@@ -75,15 +67,6 @@ func (c Config) withDefaults() Config {
 	c.Shards = nextPowerOfTwo(c.Shards)
 	if c.Alpha <= 0 || c.Alpha > 1 {
 		c.Alpha = DefaultAlpha
-	}
-	if c.Margin <= 0 {
-		c.Margin = DefaultMargin
-	}
-	if c.MaxOffset <= 0 {
-		c.MaxOffset = DefaultMaxOffset
-	}
-	if c.BaseThreshold == 0 {
-		c.BaseThreshold = detector.DefaultThreshold
 	}
 	return c
 }
@@ -108,8 +91,8 @@ type Profile struct {
 	// Samples counts the legitimate scores folded into Mean.
 	Samples uint64
 	// Offset is the personalized threshold offset: the effective decision
-	// threshold for the user is BaseThreshold + Offset, and |Offset| is
-	// clamped to MaxOffset.
+	// threshold for the user is detector.DefaultThreshold + Offset, and
+	// |Offset| is clamped to DefaultMaxOffset.
 	Offset float64
 	// Devices are the user's known wearable addresses, sorted.
 	Devices []string
@@ -149,10 +132,6 @@ func NewStore(cfg Config) *Store {
 
 // Shards returns the resolved (power-of-two) shard count.
 func (s *Store) Shards() int { return len(s.shards) }
-
-// BaseThreshold returns the reference threshold offsets are computed
-// against.
-func (s *Store) BaseThreshold() float64 { return s.cfg.BaseThreshold }
 
 // shardFor picks the user's shard: FNV-1a over the id, then the SplitMix64
 // finalizer — the routing ring's hash shape, so short ids with shared
@@ -240,20 +219,21 @@ func (s *Store) Observe(user string, score float64) Profile {
 		p.Mean = (1-s.cfg.Alpha)*p.Mean + s.cfg.Alpha*score
 	}
 	p.Samples++
-	p.Offset = s.offsetFor(p.Mean)
+	p.Offset = offsetFor(p.Mean)
 	return p.clone()
 }
 
 // offsetFor maps a legitimate-score EWMA to the clamped threshold offset:
-// the personalized threshold wants to sit Margin below the user's typical
-// score, but may never leave BaseThreshold ± MaxOffset.
-func (s *Store) offsetFor(mean float64) float64 {
-	off := (mean - s.cfg.Margin) - s.cfg.BaseThreshold
-	if off > s.cfg.MaxOffset {
-		off = s.cfg.MaxOffset
+// the personalized threshold wants to sit DefaultMargin below the user's
+// typical score, but may never leave detector.DefaultThreshold ±
+// DefaultMaxOffset.
+func offsetFor(mean float64) float64 {
+	off := (mean - DefaultMargin) - detector.DefaultThreshold
+	if off > DefaultMaxOffset {
+		off = DefaultMaxOffset
 	}
-	if off < -s.cfg.MaxOffset {
-		off = -s.cfg.MaxOffset
+	if off < -DefaultMaxOffset {
+		off = -DefaultMaxOffset
 	}
 	return off
 }

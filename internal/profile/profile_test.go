@@ -24,8 +24,8 @@ func TestShardRounding(t *testing.T) {
 }
 
 // TestObserveCalibration checks the EWMA and the clamp: the offset follows
-// the legitimate-score mean but never leaves ±MaxOffset around the base
-// threshold.
+// the legitimate-score mean but never leaves ±DefaultMaxOffset around
+// detector.DefaultThreshold.
 func TestObserveCalibration(t *testing.T) {
 	s := NewStore(Config{})
 	// First observation seeds the mean directly.
@@ -61,14 +61,6 @@ func TestObserveCalibration(t *testing.T) {
 	}
 	if p = s.Observe("alice", math.Inf(1)); p.Samples != before.Samples {
 		t.Fatalf("Inf observe mutated the profile")
-	}
-}
-
-// TestBaseThresholdDefault pins that calibration is anchored at the
-// paper's threshold unless overridden.
-func TestBaseThresholdDefault(t *testing.T) {
-	if got := NewStore(Config{}).BaseThreshold(); got != detector.DefaultThreshold {
-		t.Fatalf("base threshold %v, want detector.DefaultThreshold %v", got, detector.DefaultThreshold)
 	}
 }
 
@@ -142,11 +134,11 @@ func TestStoreConcurrency(t *testing.T) {
 				switch i % 5 {
 				case 0:
 					p := s.Observe(user, 0.4+0.3*rng.Float64())
-					cache.Put(user, s.BaseThreshold()+p.Offset)
+					cache.Put(user, detector.DefaultThreshold+p.Offset)
 				case 1:
 					if _, ok := cache.Get(user); !ok {
 						off, _ := s.Offset(user)
-						cache.Put(user, s.BaseThreshold()+off)
+						cache.Put(user, detector.DefaultThreshold+off)
 					}
 				case 2:
 					s.AddDevices(user, fmt.Sprintf("dev-%d", rng.Intn(4)))

@@ -53,11 +53,15 @@ func (s NodeState) String() string {
 // faults injector plugs straight in.
 type DialFunc func(addr string, timeout time.Duration) (net.Conn, error)
 
+// virtualNodes is the points-per-node count on the hash ring, and
+// sessionDialTimeout bounds the session-path dial of a node connection.
+const (
+	virtualNodes       = 64
+	sessionDialTimeout = 5 * time.Second
+)
+
 // Config parameterizes a Router.
 type Config struct {
-	// VirtualNodes is the points-per-node count on the hash ring
-	// (default 64).
-	VirtualNodes int
 	// ProbeInterval is the health-check period (default 500ms).
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one probe's dial + ping round trip
@@ -67,9 +71,6 @@ type Config struct {
 	// transitions down (default 2). A session-level connection loss
 	// transitions immediately.
 	FailAfter int
-	// DialTimeout bounds the session-path dial of a node connection
-	// (default 5s).
-	DialTimeout time.Duration
 	// Dial overrides both the probe and session transport (fault
 	// injection, testing). Nil dials TCP.
 	Dial DialFunc
@@ -89,9 +90,6 @@ type Config struct {
 
 // withDefaults fills in defaults.
 func (c Config) withDefaults() Config {
-	if c.VirtualNodes <= 0 {
-		c.VirtualNodes = 64
-	}
 	if c.ProbeInterval <= 0 {
 		c.ProbeInterval = 500 * time.Millisecond
 	}
@@ -100,9 +98,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.FailAfter <= 0 {
 		c.FailAfter = 2
-	}
-	if c.DialTimeout <= 0 {
-		c.DialTimeout = 5 * time.Second
 	}
 	if c.Dial == nil {
 		c.Dial = func(addr string, timeout time.Duration) (net.Conn, error) {
@@ -186,7 +181,7 @@ type Router struct {
 func New(cfg Config) *Router {
 	return &Router{
 		cfg:     cfg.withDefaults(),
-		ring:    NewRing(cfg.VirtualNodes),
+		ring:    NewRing(virtualNodes),
 		nodes:   make(map[string]*node),
 		conns:   make(map[net.Conn]struct{}),
 		drained: make(chan struct{}),
@@ -595,7 +590,7 @@ func (r *Router) nodeClient(n *node) (*serve.Client, error) {
 	if n.client != nil {
 		return n.client, nil
 	}
-	conn, err := r.cfg.Dial(n.addr, r.cfg.DialTimeout)
+	conn, err := r.cfg.Dial(n.addr, sessionDialTimeout)
 	if err != nil {
 		return nil, err
 	}

@@ -42,12 +42,6 @@ type Config struct {
 	HighPassHz float64
 	// Normalize applies max-normalization to the cropped spectrogram.
 	Normalize bool
-	// FrameNormalize divides every frame by its total power, cancelling
-	// per-frame amplitude envelopes so the correlation compares spectral
-	// shape: a shared loudness envelope (which even two noise-only
-	// captures of the same command inherit through the segment fades)
-	// otherwise masquerades as similarity.
-	FrameNormalize bool
 	// BinStandardize subtracts each frequency bin's temporal mean so the
 	// correlation compares time-varying structure. The stationary
 	// expected spectrum of a capture (the coupling curve shaping ambient
@@ -58,7 +52,7 @@ type Config struct {
 
 // DefaultConfig returns the paper's feature configuration.
 func DefaultConfig() Config {
-	return Config{FFTSize: 64, HopSize: 16, CropHz: 5, HighPassHz: 5, Normalize: true, FrameNormalize: false, BinStandardize: true}
+	return Config{FFTSize: 64, HopSize: 16, CropHz: 5, HighPassHz: 5, Normalize: true, BinStandardize: true}
 }
 
 // Validate checks the configuration.
@@ -102,19 +96,6 @@ func ExtractFeatures(vib []float64, cfg Config) (*dsp.Spectrogram, error) {
 	}
 	if cfg.CropHz > 0 {
 		spec = spec.CropBelow(cfg.CropHz)
-	}
-	if cfg.FrameNormalize {
-		for _, row := range spec.Power {
-			total := 0.0
-			for _, v := range row {
-				total += v
-			}
-			if total > 0 {
-				for i := range row {
-					row[i] /= total
-				}
-			}
-		}
 	}
 	if cfg.BinStandardize && spec.NumFrames() > 1 {
 		bins := spec.NumBins()

@@ -17,9 +17,8 @@
 //     learns about the overload in microseconds instead of joining an
 //     invisible backlog.
 //   - Worker pool: a fixed number of workers, each owning a private
-//     core.Defense (the per-worker pattern of eval.ParallelScorer) and a
-//     private per-address cache of ReliableClients, so the hot path takes
-//     no shared locks.
+//     core.Defense and a private per-address cache of ReliableClients,
+//     so the hot path takes no shared locks.
 //   - One session path: batch or streamed, with one wearable or several,
 //     every session runs through the same worker function. A streamed
 //     session runs its primary wearable through core.StreamInspector
@@ -111,8 +110,7 @@ type Request struct {
 // Config parameterizes a Server.
 type Config struct {
 	// NewDefense builds one worker's private detection pipeline. It is
-	// called once per worker (the per-worker-Defense pattern of
-	// eval.ParallelScorer) and must be safe to call concurrently.
+	// called once per worker and must be safe to call concurrently.
 	NewDefense func() (*core.Defense, error)
 	// Workers is the worker-pool size (default GOMAXPROCS).
 	Workers int
@@ -130,23 +128,22 @@ type Config struct {
 	// RetryPolicy bounds the transport retries of every wearable fetch.
 	// The zero value uses syncnet.DefaultRetryPolicy.
 	RetryPolicy syncnet.RetryPolicy
-	// DialTimeout and RequestTimeout are the per-attempt deadlines of
-	// the wearable fetch (non-positive keeps the syncnet defaults).
-	DialTimeout    time.Duration
-	RequestTimeout time.Duration
-	// Stream tunes the streamed-session pipeline (SubmitStream); the zero
-	// value uses the core.StreamConfig defaults at the pipeline sample
-	// rate.
+	// Stream configures the streamed-session pipeline (SubmitStream).
+	// The zero value lets a MethodFull defense with a segmenter exit
+	// early, on the evaluation schedule and confidence bound that core
+	// fixes; DisableEarlyExit makes every streamed verdict the batch
+	// fallback's.
 	Stream core.StreamConfig
 	// Profiles is the per-user profile store. Nil disables the profile
 	// layer entirely: no calibrated thresholds, no device registration,
 	// and every session runs at the defense's configured threshold —
 	// existing deployments are bit-compatible.
 	Profiles *profile.Store
-	// ProfileCacheSize bounds each worker's private LRU of effective
-	// per-user thresholds (default 1024; used only when Profiles is set).
-	ProfileCacheSize int
 }
+
+// profileCacheSize bounds each worker's private LRU of effective per-user
+// thresholds (used only when Config.Profiles is set).
+const profileCacheSize = 1024
 
 // withDefaults fills in defaults and validates the configuration.
 func (c Config) withDefaults() (Config, error) {
@@ -164,9 +161,6 @@ func (c Config) withDefaults() (Config, error) {
 	}
 	if c.RetryPolicy.MaxAttempts == 0 {
 		c.RetryPolicy = syncnet.DefaultRetryPolicy()
-	}
-	if c.ProfileCacheSize <= 0 {
-		c.ProfileCacheSize = 1024
 	}
 	if err := c.RetryPolicy.Validate(); err != nil {
 		return c, err

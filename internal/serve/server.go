@@ -194,7 +194,7 @@ func (s *Server) worker() {
 	clients := make(map[string]*syncnet.ReliableClient)
 	var cache *profile.LRU
 	if s.cfg.Profiles != nil {
-		cache = profile.NewLRU(s.cfg.ProfileCacheSize)
+		cache = profile.NewLRU(profileCacheSize)
 	}
 	defer func() {
 		for _, c := range clients {
@@ -222,8 +222,7 @@ func (s *Server) clientFor(clients map[string]*syncnet.ReliableClient, addr stri
 	}
 	client, err := syncnet.NewReliableClient(addr,
 		syncnet.WithDialFunc(s.cfg.Dial),
-		syncnet.WithRetryPolicy(s.cfg.RetryPolicy),
-		syncnet.WithTimeouts(s.cfg.DialTimeout, s.cfg.RequestTimeout))
+		syncnet.WithRetryPolicy(s.cfg.RetryPolicy))
 	if err != nil {
 		return nil, err
 	}
