@@ -137,18 +137,21 @@ serve-smoke:
 
 # Race gate for the session server and its daemon wiring: the 64-session
 # soak, the fault matrix, and the drain suite all run under the race
-# detector.
+# detector, with the shared front door (internal/wire) and the wearable
+# agent that drains through it (internal/syncnet).
 serve-race:
-	$(GO) vet ./internal/serve/ ./cmd/vibguardd/
-	$(GO) test -race -timeout 10m ./internal/serve/ ./cmd/vibguardd/
+	$(GO) vet ./internal/serve/ ./cmd/vibguardd/ ./internal/wire/ ./internal/syncnet/
+	$(GO) test -race -timeout 10m ./internal/serve/ ./cmd/vibguardd/ ./internal/wire/ ./internal/syncnet/
 
 # Race gate for the routing tier: the ring property tests, the multi-node
 # chaos suite (node death mid-session, partitioned links, rolling drain,
 # two-hop half-close), and the 3-node soak with its bit-identical
-# single-node cross-check, all under the race detector.
+# single-node cross-check, all under the race detector, with the shared
+# front door (internal/wire) and the wearable agent that drains through it
+# (internal/syncnet).
 route-race:
-	$(GO) vet ./internal/router/
-	$(GO) test -race -timeout 10m ./internal/router/
+	$(GO) vet ./internal/router/ ./internal/wire/ ./internal/syncnet/
+	$(GO) test -race -timeout 10m ./internal/router/ ./internal/wire/ ./internal/syncnet/
 
 # Multi-node routing smoke test: boot vibguardd -mode route with 3 nodes, kill
 # one mid-burst, and assert sessions complete on the survivors with typed

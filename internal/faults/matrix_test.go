@@ -120,8 +120,7 @@ func runCell(t *testing.T, sc *matrixScenario, net faults.NetSpec, va, wear []fl
 	defer func() { _ = agent.Close() }()
 	client, err := syncnet.NewReliableClient(agent.Addr(),
 		syncnet.WithDialFunc(faults.NewInjector(net).WrapDial(nil)),
-		syncnet.WithRetryPolicy(matrixPolicy()),
-		syncnet.WithTimeouts(time.Second, 5*time.Second))
+		syncnet.WithRetryPolicy(matrixPolicy()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,8 +47,8 @@ func (c *Config) Validate() error {
 	if !(c.SampleRate > 0) {
 		return fmt.Errorf("mfcc: sample rate %v must be positive", c.SampleRate)
 	}
-	if !(c.FrameLength > 0 && c.FrameShift > 0) {
-		return fmt.Errorf("mfcc: frame length %v and shift %v must be positive", c.FrameLength, c.FrameShift)
+	if !(c.FrameLength*c.SampleRate >= 1 && c.FrameShift*c.SampleRate >= 1) {
+		return fmt.Errorf("mfcc: frame length %v and shift %v must each span a sample at %v Hz", c.FrameLength, c.FrameShift, c.SampleRate)
 	}
 	if c.NumFilters <= 0 || c.NumCoeffs <= 0 {
 		return fmt.Errorf("mfcc: filters %d and coeffs %d must be positive", c.NumFilters, c.NumCoeffs)

@@ -29,6 +29,8 @@ func TestConfigValidation(t *testing.T) {
 		func(c *Config) { c.SampleRate = 0 },
 		func(c *Config) { c.FrameLength = 0 },
 		func(c *Config) { c.FrameShift = -1 },
+		func(c *Config) { c.FrameShift = 1e-6 },  // 0.016 samples at 16 kHz
+		func(c *Config) { c.FrameLength = 5e-5 }, // 0.8 samples at 16 kHz
 		func(c *Config) { c.NumFilters = 0 },
 		func(c *Config) { c.NumCoeffs = 0 },
 		func(c *Config) { c.NumCoeffs = 100 },

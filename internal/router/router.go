@@ -11,13 +11,7 @@ import (
 
 	"vibguard/internal/core"
 	"vibguard/internal/serve"
-)
-
-// Router lifecycle states (mirroring serve.Server).
-const (
-	stateRunning = iota
-	stateDraining
-	stateStopped
+	"vibguard/internal/wire"
 )
 
 // NodeState is a registered node's health state.
@@ -161,18 +155,15 @@ func (n *node) stop() {
 type Router struct {
 	cfg Config
 
-	mu    sync.RWMutex
-	state int
-	ring  *Ring
-	nodes map[string]*node
+	mu       sync.RWMutex
+	draining bool
+	ring     *Ring
+	nodes    map[string]*node
 
-	listener net.Listener
-	conns    map[net.Conn]struct{}
-	acceptWG sync.WaitGroup
-	connWG   sync.WaitGroup
+	door wire.FrontDoor
 	// submitWG counts in-flight Submits; Add happens only while the
-	// state is running (under the read lock), so Shutdown's flip-then-
-	// wait is race-free.
+	// router is not draining (under the read lock), so Shutdown's
+	// flip-then-wait is race-free.
 	submitWG sync.WaitGroup
 	drained  chan struct{}
 }
@@ -183,7 +174,6 @@ func New(cfg Config) *Router {
 		cfg:     cfg.withDefaults(),
 		ring:    NewRing(virtualNodes),
 		nodes:   make(map[string]*node),
-		conns:   make(map[net.Conn]struct{}),
 		drained: make(chan struct{}),
 	}
 }
@@ -196,7 +186,7 @@ func (r *Router) Register(id, addr string) error {
 		return fmt.Errorf("router: node needs an id and an address")
 	}
 	r.mu.Lock()
-	if r.state != stateRunning {
+	if r.draining {
 		r.mu.Unlock()
 		return serve.ErrDraining
 	}
@@ -352,7 +342,7 @@ func checkRoutable(req serve.Request) error {
 func (r *Router) pick(key string) (*node, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
-	if r.state != stateRunning {
+	if r.draining {
 		return nil, fmt.Errorf("%w (router)", serve.ErrDraining)
 	}
 	for _, id := range r.ring.Successors(key) {
@@ -382,17 +372,37 @@ var ErrResubmitsExhausted = errors.New("router: resubmits exhausted")
 // dead one as serve.ErrNodeLost. Routing failures (serve.ErrNoNodes, a
 // draining router) carry no node.
 func (r *Router) Submit(ctx context.Context, req serve.Request) (*core.Verdict, error) {
+	return r.route(req, func(c *serve.Client) (*core.Verdict, error) { return c.Inspect(req) })
+}
+
+// SubmitStream routes one streamed session, forwarding chunks to the
+// node's stream as they arrive and buffering them so a mid-stream node
+// loss can be resubmitted to the next successor with the full prefix
+// replayed (resubmission is transparent: the client sees one stream and
+// one verdict). Early exits propagate: the node's early verdict resolves
+// the call and remaining inbound chunks are dropped. It satisfies
+// serve.StreamSessionHandler, so it is the front door's chunk handler.
+func (r *Router) SubmitStream(ctx context.Context, req serve.Request, chunks <-chan []float64) (*core.Verdict, error) {
+	relay := &streamRelay{src: chunks}
+	return r.route(req, func(c *serve.Client) (*core.Verdict, error) { return relay.send(ctx, c, req) })
+}
+
+// route is the resubmit loop of Submit and SubmitStream: send runs one
+// session on the picked node's connection, and each attempt that loses
+// its node is retried on the next successor within the budget.
+func (r *Router) route(req serve.Request, send func(*serve.Client) (*core.Verdict, error)) (*core.Verdict, error) {
 	if err := checkRoutable(req); err != nil {
 		metSessionsRejected.Inc()
 		return nil, err
 	}
+	key := RouteKey(req)
 	budget := r.cfg.resubmits()
 	var lastErr error
 	for try := 0; try <= budget; try++ {
 		if try > 0 {
 			metSessionsResubmit.Inc()
 		}
-		v, err := r.submitOnce(ctx, req)
+		v, err := r.attempt(key, send)
 		if err == nil {
 			return v, nil
 		}
@@ -407,9 +417,10 @@ func (r *Router) Submit(ctx context.Context, req serve.Request) (*core.Verdict, 
 	return nil, lastErr
 }
 
-// submitOnce runs one routing attempt of a session.
-func (r *Router) submitOnce(ctx context.Context, req serve.Request) (*core.Verdict, error) {
-	n, err := r.pick(RouteKey(req))
+// attempt runs one routing attempt of a session: pick the node for key,
+// dial it if needed, and send the session on its connection.
+func (r *Router) attempt(key string, send func(*serve.Client) (*core.Verdict, error)) (*core.Verdict, error) {
+	n, err := r.pick(key)
 	if err != nil {
 		metSessionsRejected.Inc()
 		return nil, err
@@ -425,7 +436,7 @@ func (r *Router) submitOnce(ctx context.Context, req serve.Request) (*core.Verdi
 		return nil, &serve.NodeError{Node: n.id,
 			Err: fmt.Errorf("%w (dial: %v)", serve.ErrNodeLost, err)}
 	}
-	v, err := client.Inspect(req)
+	v, err := send(client)
 	if err != nil {
 		if errors.Is(err, serve.ErrConnLost) {
 			// The node (or its link) died mid-session. The connection is
@@ -446,40 +457,6 @@ func (r *Router) submitOnce(ctx context.Context, req serve.Request) (*core.Verdi
 	return v, nil
 }
 
-// SubmitStream routes one streamed session, forwarding chunks to the
-// node's stream as they arrive and buffering them so a mid-stream node
-// loss can be resubmitted to the next successor with the full prefix
-// replayed (resubmission is transparent: the client sees one stream and
-// one verdict). Early exits propagate: the node's early verdict resolves
-// the call and remaining inbound chunks are dropped. It satisfies
-// serve.StreamSessionHandler, so it is the front door's chunk handler.
-func (r *Router) SubmitStream(ctx context.Context, req serve.Request, chunks <-chan []float64) (*core.Verdict, error) {
-	if err := checkRoutable(req); err != nil {
-		metSessionsRejected.Inc()
-		return nil, err
-	}
-	budget := r.cfg.resubmits()
-	relay := &streamRelay{src: chunks}
-	var lastErr error
-	for try := 0; try <= budget; try++ {
-		if try > 0 {
-			metSessionsResubmit.Inc()
-		}
-		v, err := r.streamOnce(ctx, req, relay)
-		if err == nil {
-			return v, nil
-		}
-		lastErr = err
-		if !errors.Is(err, serve.ErrNodeLost) {
-			return nil, err
-		}
-	}
-	if budget > 0 {
-		return nil, fmt.Errorf("%w after %d attempts: %w", ErrResubmitsExhausted, budget+1, lastErr)
-	}
-	return nil, lastErr
-}
-
 // streamRelay buffers the chunks already pulled from the inbound stream so
 // a resubmitted attempt can replay the identical prefix to a new node.
 type streamRelay struct {
@@ -488,45 +465,9 @@ type streamRelay struct {
 	closed bool // src is exhausted
 }
 
-// streamOnce runs one routing attempt of a streamed session: replay the
-// buffered prefix, then forward live chunks until the node answers early,
-// the stream closes, or the node dies.
-func (r *Router) streamOnce(ctx context.Context, req serve.Request, relay *streamRelay) (*core.Verdict, error) {
-	n, err := r.pick(RouteKey(req))
-	if err != nil {
-		metSessionsRejected.Inc()
-		return nil, err
-	}
-	defer r.submitWG.Done()
-	defer n.inflight.Add(-1)
-	metSessionsRouted.Inc()
-
-	client, err := r.nodeClient(n)
-	if err != nil {
-		r.noteSessionFailure(n)
-		metSessionsNodeLost.Inc()
-		return nil, &serve.NodeError{Node: n.id,
-			Err: fmt.Errorf("%w (dial: %v)", serve.ErrNodeLost, err)}
-	}
-	v, err := r.relayStream(ctx, client, req, relay)
-	if err != nil {
-		if errors.Is(err, serve.ErrConnLost) {
-			n.dropClient(client)
-			r.noteSessionFailure(n)
-			metSessionsNodeLost.Inc()
-			return nil, &serve.NodeError{Node: n.id,
-				Err: fmt.Errorf("%w (%v)", serve.ErrNodeLost, err)}
-		}
-		metSessionsFailed.Inc()
-		return nil, &serve.NodeError{Node: n.id, Err: err}
-	}
-	metSessionsCompleted.Inc()
-	return v, nil
-}
-
-// relayStream pushes the relay's prefix and live chunks through one node
-// stream and waits for the verdict.
-func (r *Router) relayStream(ctx context.Context, client *serve.Client, req serve.Request, relay *streamRelay) (v *core.Verdict, err error) {
+// send pushes the relay's prefix and live chunks through one node stream
+// and waits for the verdict.
+func (relay *streamRelay) send(ctx context.Context, client *serve.Client, req serve.Request) (v *core.Verdict, err error) {
 	s, err := client.OpenStream(req)
 	if err != nil {
 		return nil, err
@@ -621,78 +562,34 @@ func (r *Router) noteSessionFailure(n *node) {
 
 // Listen mounts the router front-door on addr, speaking the same framed
 // binary protocol as the nodes behind it. Sessions arriving over it run
-// through Submit.
+// through Submit. Once Shutdown has begun it returns serve.ErrDraining.
 func (r *Router) Listen(addr string) (string, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.state != stateRunning {
+	resolved, err := r.door.Listen(addr, func(conn net.Conn) {
+		serve.ServeMuxConnStream(conn, r.Submit, r.SubmitStream)
+	})
+	if errors.Is(err, wire.ErrClosed) {
 		return "", serve.ErrDraining
 	}
-	if r.listener != nil {
-		return "", fmt.Errorf("router: already listening on %s", r.listener.Addr())
-	}
-	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("router: listen: %w", err)
 	}
-	r.listener = ln
-	r.acceptWG.Add(1)
-	go r.acceptLoop(ln)
-	return ln.Addr().String(), nil
+	return resolved, nil
 }
 
 // Addr returns the front-door listen address ("" before Listen).
-func (r *Router) Addr() string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	if r.listener == nil {
-		return ""
-	}
-	return r.listener.Addr().String()
-}
-
-func (r *Router) acceptLoop(ln net.Listener) {
-	defer r.acceptWG.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		r.mu.Lock()
-		if r.state != stateRunning {
-			r.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		r.conns[conn] = struct{}{}
-		r.connWG.Add(1)
-		r.mu.Unlock()
-		go r.handleConn(conn)
-	}
-}
-
-func (r *Router) handleConn(conn net.Conn) {
-	defer func() {
-		r.mu.Lock()
-		delete(r.conns, conn)
-		r.mu.Unlock()
-		_ = conn.Close()
-		r.connWG.Done()
-	}()
-	serve.ServeMuxConnStream(conn, r.Submit, r.SubmitStream)
-}
+func (r *Router) Addr() string { return r.door.Addr() }
 
 // Shutdown drains the router: no new sessions from the moment it begins
-// (Submit returns serve.ErrDraining), the front-door listener closes
-// first, in-flight sessions finish (bounded by ctx), lingering front-door
-// connections are half-closed so their final responses still flush, and
-// only then do the probers stop and the node connections close. The
-// two-hop drain ordering — router drains before the nodes behind it —
-// is what lets a rolling restart lose nothing. Concurrent and repeated
-// calls converge on the first drain.
+// (Submit returns serve.ErrDraining), the front door closes first,
+// in-flight sessions finish (bounded by ctx), the front door drains
+// (lingering connections are half-closed so their final responses still
+// flush), and only then do the probers stop and the node connections
+// close. The two-hop drain ordering — router drains before the nodes
+// behind it — is what lets a rolling restart lose nothing. Concurrent and
+// repeated calls converge on the first drain.
 func (r *Router) Shutdown(ctx context.Context) error {
 	r.mu.Lock()
-	if r.state != stateRunning {
+	if r.draining {
 		r.mu.Unlock()
 		select {
 		case <-r.drained:
@@ -701,18 +598,14 @@ func (r *Router) Shutdown(ctx context.Context) error {
 			return ctx.Err()
 		}
 	}
-	r.state = stateDraining
-	ln := r.listener
+	r.draining = true
 	r.mu.Unlock()
 
-	// 1. Close the listener: no new connection throughout the drain.
-	if ln != nil {
-		_ = ln.Close()
-		r.acceptWG.Wait()
-	}
+	// 1. Close the front door: no new connection throughout the drain.
+	_ = r.door.Close()
 
 	// 2. Wait for in-flight sessions (Submit calls), bounded by ctx. No
-	// new Submit can start after the state flip.
+	// new Submit can start after the flip to draining.
 	submitsDone := make(chan struct{})
 	go func() {
 		r.submitWG.Wait()
@@ -724,36 +617,19 @@ func (r *Router) Shutdown(ctx context.Context) error {
 		return ctx.Err()
 	}
 
-	// 3. Every stream now has its result; half-close lingering front-door
+	// 3. Every stream now has its result; drain the lingering front-door
 	// connections so handlers can flush final responses, then see EOF.
-	r.mu.Lock()
-	for conn := range r.conns {
-		if tc, ok := conn.(*net.TCPConn); ok {
-			_ = tc.CloseRead()
-		} else {
-			_ = conn.Close()
-		}
-	}
-	r.mu.Unlock()
-	connsDone := make(chan struct{})
-	go func() {
-		r.connWG.Wait()
-		close(connsDone)
-	}()
-	select {
-	case <-connsDone:
-	case <-ctx.Done():
-		return ctx.Err()
+	if err := r.door.Drain(ctx); err != nil {
+		return err
 	}
 
 	// 4. Stop the probers and release the node connections.
-	r.mu.Lock()
+	r.mu.RLock()
 	nodes := make([]*node, 0, len(r.nodes))
 	for _, n := range r.nodes {
 		nodes = append(nodes, n)
 	}
-	r.state = stateStopped
-	r.mu.Unlock()
+	r.mu.RUnlock()
 	for _, n := range nodes {
 		n.stop()
 	}

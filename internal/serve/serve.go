@@ -35,10 +35,11 @@
 //   - Determinism: the stochastic cross-domain sensing of session n is
 //     driven by SessionSeed(Config.Seed, n) (or the request's pinned
 //     RNGSeed), so any session can be replayed bit-exactly.
-//   - Drain: Shutdown closes the front-end listener first, rejects every
-//     queued-but-unstarted session with ErrDraining, waits for in-flight
-//     sessions to finish, then half-closes lingering connections so final
-//     responses are still delivered.
+//   - Drain: Shutdown closes the front door (a wire.FrontDoor) first,
+//     rejects every queued-but-unstarted session with ErrDraining, waits
+//     for in-flight sessions to finish, then drains the door, which
+//     half-closes lingering connections so final responses are still
+//     delivered.
 package serve
 
 import (

@@ -13,13 +13,7 @@ import (
 	"vibguard/internal/core"
 	"vibguard/internal/profile"
 	"vibguard/internal/syncnet"
-)
-
-// Server lifecycle states.
-const (
-	stateRunning = iota
-	stateDraining
-	stateStopped
+	"vibguard/internal/wire"
 )
 
 // session is one admitted detection session moving through the queue.
@@ -53,13 +47,10 @@ type Server struct {
 	nextID atomic.Uint64
 
 	mu       sync.RWMutex
-	state    int
-	listener net.Listener
-	conns    map[net.Conn]struct{}
+	draining bool
+	door     wire.FrontDoor
 
 	workerWG sync.WaitGroup
-	acceptWG sync.WaitGroup
-	connWG   sync.WaitGroup
 	// drained closes when a Shutdown completes, so concurrent Shutdown
 	// calls converge.
 	drained chan struct{}
@@ -75,7 +66,6 @@ func NewServer(cfg Config) (*Server, error) {
 	s := &Server{
 		cfg:     cfg,
 		queue:   make(chan *session, cfg.QueueDepth),
-		conns:   make(map[net.Conn]struct{}),
 		drained: make(chan struct{}),
 	}
 	gaugeWorkers.Set(float64(cfg.Workers))
@@ -145,11 +135,11 @@ func (s *Server) submitSession(ctx context.Context, req Request, chunks <-chan [
 		done:     make(chan sessionResult, 1),
 	}
 
-	// Admission. The state check and the enqueue share the read lock so a
-	// session can never slip into the queue after Shutdown's drain pass:
-	// Shutdown flips the state under the write lock before draining.
+	// Admission. The draining check and the enqueue share the read lock so
+	// a session can never slip into the queue after Shutdown's drain pass:
+	// Shutdown sets draining under the write lock before draining.
 	s.mu.RLock()
-	if s.state != stateRunning {
+	if s.draining {
 		s.mu.RUnlock()
 		metSessionsDrainRej.Inc()
 		return nil, ErrDraining
@@ -425,16 +415,16 @@ func (s *Server) finish(sess *session, v *core.Verdict, err error) {
 	sess.done <- sessionResult{verdict: v, err: err}
 }
 
-// Shutdown drains the server: it closes the front-end listener (no new
+// Shutdown drains the server: it closes the front door (no new
 // connections), rejects every queued-but-unstarted session with
 // ErrDraining, waits for in-flight sessions to finish (bounded by ctx),
-// and finally half-closes lingering front-end connections so their last
-// responses are still delivered. Submit returns ErrDraining from the
-// moment Shutdown begins. Concurrent and repeated calls converge on the
-// first drain; they return ctx.Err() if it outlives their context.
+// and finally drains the front door, half-closing lingering connections so
+// their last responses are still delivered. Submit returns ErrDraining
+// from the moment Shutdown begins. Concurrent and repeated calls converge
+// on the first drain; they return ctx.Err() if it outlives their context.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
-	if s.state != stateRunning {
+	if s.draining {
 		s.mu.Unlock()
 		select {
 		case <-s.drained:
@@ -443,20 +433,16 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			return ctx.Err()
 		}
 	}
-	s.state = stateDraining
-	ln := s.listener
+	s.draining = true
 	s.mu.Unlock()
 
-	// 1. Close the listener first: by the time Shutdown returns (and
+	// 1. Close the front door first: by the time Shutdown returns (and
 	// throughout the drain), no new connection can be accepted.
-	if ln != nil {
-		_ = ln.Close()
-		s.acceptWG.Wait()
-	}
+	_ = s.door.Close()
 
 	// 2. Reject queued-but-unstarted sessions. No Submit can enqueue
-	// after the state flip, so this empties the queue exactly once; a
-	// worker racing for the same session simply makes it in-flight
+	// after the flip to draining, so this empties the queue exactly once;
+	// a worker racing for the same session simply makes it in-flight
 	// instead, which the drain then waits for.
 	for {
 		sess, ok := popNonBlocking(s.queue)
@@ -481,32 +467,12 @@ func (s *Server) Shutdown(ctx context.Context) error {
 		return ctx.Err()
 	}
 
-	// 4. Every session now has its result; half-close lingering
+	// 4. Every session now has its result; drain the lingering
 	// connections so handlers can still flush a final response, then see
 	// EOF and exit.
-	s.mu.Lock()
-	for conn := range s.conns {
-		if tc, ok := conn.(*net.TCPConn); ok {
-			_ = tc.CloseRead()
-		} else {
-			_ = conn.Close()
-		}
+	if err := s.door.Drain(ctx); err != nil {
+		return err
 	}
-	s.mu.Unlock()
-	connsDone := make(chan struct{})
-	go func() {
-		s.connWG.Wait()
-		close(connsDone)
-	}()
-	select {
-	case <-connsDone:
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-
-	s.mu.Lock()
-	s.state = stateStopped
-	s.mu.Unlock()
 	close(s.drained)
 	return nil
 }
@@ -525,90 +491,27 @@ func popNonBlocking(q chan *session) (*session, bool) {
 // listen address. One listener per server; sessions arriving over it run
 // through the same admission queue as Submit. The front-end speaks the
 // framed binary protocol (wire.go) with connection multiplexing: many
-// concurrent sessions per connection, each tagged with a stream id.
+// concurrent sessions per connection, each tagged with a stream id. Once
+// Shutdown has begun it returns ErrDraining.
 func (s *Server) Listen(addr string) (string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.state != stateRunning {
+	resolved, err := s.door.Listen(addr, func(conn net.Conn) {
+		ServeMuxConnStream(conn, s.Submit, s.SubmitStream)
+	})
+	if errors.Is(err, wire.ErrClosed) {
 		return "", ErrDraining
 	}
-	if s.listener != nil {
-		return "", fmt.Errorf("serve: already listening on %s", s.listener.Addr())
-	}
-	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("serve: listen: %w", err)
 	}
-	s.listener = ln
-	s.acceptWG.Add(1)
-	go s.acceptLoop(ln)
-	return ln.Addr().String(), nil
+	return resolved, nil
 }
 
 // Addr returns the front-end listen address ("" before Listen).
-func (s *Server) Addr() string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	if s.listener == nil {
-		return ""
-	}
-	return s.listener.Addr().String()
-}
-
-func (s *Server) acceptLoop(ln net.Listener) {
-	defer s.acceptWG.Done()
-	for {
-		conn, err := ln.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		s.mu.Lock()
-		if s.state != stateRunning {
-			s.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		s.conns[conn] = struct{}{}
-		s.connWG.Add(1)
-		s.mu.Unlock()
-		go s.handleConn(conn)
-	}
-}
-
-// handleConn serves one multiplexed front-end connection until the peer
-// (or the drain's half-close) ends the read side; ServeMuxConnStream flushes
-// every in-flight stream's response before returning.
-func (s *Server) handleConn(conn net.Conn) {
-	defer func() {
-		s.mu.Lock()
-		delete(s.conns, conn)
-		s.mu.Unlock()
-		_ = conn.Close()
-		s.connWG.Done()
-	}()
-	ServeMuxConnStream(conn, s.Submit, s.SubmitStream)
-}
+func (s *Server) Addr() string { return s.door.Addr() }
 
 // Kill abruptly severs the server's network presence — the listener and
 // every front-end connection close hard, with no drain and no final
 // responses — simulating node death for the chaos harness. Peers observe
 // resets mid-session. The worker pool keeps running in-process; use
 // Shutdown to release it (safe after Kill).
-func (s *Server) Kill() {
-	s.mu.Lock()
-	ln := s.listener
-	conns := make([]net.Conn, 0, len(s.conns))
-	for conn := range s.conns {
-		conns = append(conns, conn)
-	}
-	s.mu.Unlock()
-	if ln != nil {
-		_ = ln.Close()
-	}
-	for _, conn := range conns {
-		if tc, ok := conn.(*net.TCPConn); ok {
-			_ = tc.SetLinger(0) // RST, not FIN: the peer sees a dead node
-		}
-		_ = conn.Close()
-	}
-}
+func (s *Server) Kill() { s.door.Kill() }

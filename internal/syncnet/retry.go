@@ -106,6 +106,13 @@ func (p RetryPolicy) Backoff(attempt int) time.Duration {
 	return time.Duration(d)
 }
 
+// attemptDialTimeout and attemptRequestTimeout bound one transport
+// attempt's dial and request, each clipped to the caller's context.
+const (
+	attemptDialTimeout    = 2 * time.Second
+	attemptRequestTimeout = 10 * time.Second
+)
+
 // ReliableClient is the hardened VA-side client: it owns the agent address
 // rather than a single connection, lazily (re)dials, applies per-attempt
 // deadlines to both the dial and the request, and retries transport
@@ -117,11 +124,9 @@ func (p RetryPolicy) Backoff(attempt int) time.Duration {
 // Application-level failures (WearableError) are returned without retrying:
 // the link demonstrably works, so backing off cannot change the outcome.
 type ReliableClient struct {
-	addr           string
-	dial           DialFunc
-	dialTimeout    time.Duration
-	requestTimeout time.Duration
-	policy         RetryPolicy
+	addr   string
+	dial   DialFunc
+	policy RetryPolicy
 
 	mu       sync.Mutex
 	client   *VAClient
@@ -146,28 +151,13 @@ func WithDialFunc(d DialFunc) ClientOption {
 	}
 }
 
-// WithTimeouts sets the per-attempt dial and request deadlines
-// (non-positive values keep the defaults of 2 s and 10 s).
-func WithTimeouts(dial, request time.Duration) ClientOption {
-	return func(rc *ReliableClient) {
-		if dial > 0 {
-			rc.dialTimeout = dial
-		}
-		if request > 0 {
-			rc.requestTimeout = request
-		}
-	}
-}
-
 // NewReliableClient creates a hardened client for the agent address. No
 // connection is made until the first request.
 func NewReliableClient(addr string, opts ...ClientOption) (*ReliableClient, error) {
 	rc := &ReliableClient{
-		addr:           addr,
-		dial:           tcpDial,
-		dialTimeout:    2 * time.Second,
-		requestTimeout: 10 * time.Second,
-		policy:         DefaultRetryPolicy(),
+		addr:   addr,
+		dial:   tcpDial,
+		policy: DefaultRetryPolicy(),
 	}
 	for _, opt := range opts {
 		opt(rc)
@@ -242,7 +232,7 @@ func (rc *ReliableClient) RequestRecordingContext(ctx context.Context) ([]float6
 		metClientAttempts.Inc()
 		attemptStart := time.Now()
 		if rc.client == nil {
-			client, err := dialWearableVia(rc.dial, rc.addr, clipTimeout(ctx, rc.dialTimeout))
+			client, err := dialWearableVia(rc.dial, rc.addr, clipTimeout(ctx, attemptDialTimeout))
 			if err != nil {
 				lastErr = err
 				stageClientAttempt.ObserveSince(attemptStart)
@@ -252,7 +242,7 @@ func (rc *ReliableClient) RequestRecordingContext(ctx context.Context) ([]float6
 			metClientRedials.Inc()
 			rc.client = client
 		}
-		samples, err := rc.client.RequestRecording(clipTimeout(ctx, rc.requestTimeout))
+		samples, err := rc.client.RequestRecording(clipTimeout(ctx, attemptRequestTimeout))
 		stageClientAttempt.ObserveSince(attemptStart)
 		if err == nil {
 			return samples, nil

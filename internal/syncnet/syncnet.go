@@ -15,6 +15,7 @@ package syncnet
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -33,19 +34,17 @@ import (
 type RecordFunc func(sessionID uint64) ([]float64, error)
 
 // WearableAgent is the wearable-side server: it accepts connections from
-// the VA device and answers trigger frames with recordings.
+// the VA device on a wire.FrontDoor and answers trigger frames with
+// recordings.
 type WearableAgent struct {
-	listener net.Listener
+	door     wire.FrontDoor
 	recordFn RecordFunc
 	onError  func(error)
 
 	errCount atomic.Uint64
 
 	mu      sync.Mutex
-	closed  bool
 	lastErr error
-	conns   map[net.Conn]struct{}
-	wg      sync.WaitGroup
 }
 
 // AgentOption configures a WearableAgent.
@@ -66,17 +65,13 @@ func NewWearableAgent(addr string, record RecordFunc, opts ...AgentOption) (*Wea
 	if record == nil {
 		return nil, fmt.Errorf("syncnet: nil record func")
 	}
-	a := &WearableAgent{recordFn: record, conns: make(map[net.Conn]struct{})}
+	a := &WearableAgent{recordFn: record}
 	for _, opt := range opts {
 		opt(a)
 	}
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
+	if _, err := a.door.Listen(addr, a.handle); err != nil {
 		return nil, fmt.Errorf("syncnet: listen: %w", err)
 	}
-	a.listener = ln
-	a.wg.Add(1)
-	go a.serve()
 	return a, nil
 }
 
@@ -109,72 +104,30 @@ func (a *WearableAgent) reportConnError(err error) {
 }
 
 // Addr returns the agent's listen address.
-func (a *WearableAgent) Addr() string { return a.listener.Addr().String() }
+func (a *WearableAgent) Addr() string { return a.door.Addr() }
 
 // Close stops the agent and waits for its connections to end. A VA client
 // may hold its connection open across many commands, so Close does not
-// wait for the client to hang up: every connection waiting for its next
-// trigger is unblocked and closed, while a trigger already being recorded
-// still gets its reply first.
+// wait for the client to hang up: the drain half-closes every connection,
+// so one waiting for its next trigger sees EOF and ends, while a trigger
+// already being recorded still gets its reply first.
 func (a *WearableAgent) Close() error {
-	a.mu.Lock()
-	if a.closed {
-		a.mu.Unlock()
-		return nil
-	}
-	a.closed = true
-	for conn := range a.conns {
-		_ = conn.SetReadDeadline(time.Now())
-	}
-	a.mu.Unlock()
-	err := a.listener.Close()
-	a.wg.Wait()
+	err := a.door.Close()
+	_ = a.door.Drain(context.Background())
 	return err
 }
 
-func (a *WearableAgent) serve() {
-	defer a.wg.Done()
-	for {
-		conn, err := a.listener.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		a.mu.Lock()
-		if a.closed {
-			a.mu.Unlock()
-			_ = conn.Close()
-			return
-		}
-		a.conns[conn] = struct{}{}
-		a.mu.Unlock()
-		a.wg.Add(1)
-		go func() {
-			defer a.wg.Done()
-			a.handle(conn)
-		}()
-	}
-}
-
 func (a *WearableAgent) handle(conn net.Conn) {
-	defer func() {
-		a.mu.Lock()
-		delete(a.conns, conn)
-		a.mu.Unlock()
-		_ = conn.Close()
-	}()
 	br := bufio.NewReader(conn)
 	var payload []byte // reused by every recording sent on this connection
 	for {
 		f, err := wire.ReadFrame(br)
 		if err != nil {
-			// A clean EOF between frames is a normal client disconnect, and
-			// Close ends idle connections on purpose; anything else
-			// (mid-frame reset, corrupt stream) is a real per-connection
-			// failure and must be surfaced, not swallowed.
-			a.mu.Lock()
-			closed := a.closed
-			a.mu.Unlock()
-			if !closed && !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+			// A clean EOF between frames is a normal client disconnect or
+			// Close's half-close; anything else (mid-frame reset, corrupt
+			// stream) is a real per-connection failure and must be
+			// surfaced, not swallowed.
+			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
 				a.reportConnError(fmt.Errorf("syncnet: agent decode: %w", err))
 			}
 			return

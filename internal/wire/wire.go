@@ -19,6 +19,10 @@
 // Multi-byte integers inside payloads are little-endian; float64s travel
 // as IEEE-754 bits. The payload codecs live with the packages that own
 // each hop and build on the helpers here.
+//
+// Every hop also listens through the package's FrontDoor: the one
+// implementation that accepts connections, tracks them, drains them with a
+// half-close, and kills them with an RST.
 package wire
 
 import (
